@@ -137,8 +137,7 @@ JamSearchResult search_worst_jam(const proto::Protocol& protocol,
   JamSearchResult best;
   if (pattern.empty() || spec.jam_budget == 0) return best;
 
-  mac::Slot budget = config.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+  const mac::Slot budget = slot_budget(config.max_slots, pattern);
   const mac::Slot horizon = pattern.first_wake() + budget;
   const auto jam = static_cast<std::size_t>(
       std::min<std::uint64_t>(spec.jam_budget, static_cast<std::uint64_t>(horizon)));

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -19,46 +18,29 @@ namespace wakeup::sim {
 
 namespace {
 
-std::size_t clamp_tile(std::size_t words) {
-  return std::clamp<std::size_t>(words, 1, kMaxTileWords);
-}
-
-std::size_t env_tile_words() {
-  const char* env = std::getenv("WAKEUP_TILE_WORDS");
-  if (env == nullptr || env[0] == '\0') return kMaxTileWords;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  // Unparsable or zero values fall back to the default rather than
-  // silently pinning the slowest width.
-  if (end == env || *end != '\0' || parsed == 0) return kMaxTileWords;
-  return clamp_tile(static_cast<std::size_t>(parsed));
-}
-
-std::atomic<std::size_t>& tile_override() noexcept {
-  static std::atomic<std::size_t> value{0};
-  return value;
-}
+std::atomic<std::size_t> g_tile_words{kMaxTileWords};
 
 }  // namespace
 
-std::size_t tile_words() noexcept {
-  const std::size_t forced = tile_override().load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  static const std::size_t from_env = env_tile_words();
-  return from_env;
-}
+std::size_t tile_words() noexcept { return g_tile_words.load(std::memory_order_relaxed); }
 
 void set_tile_words(std::size_t words) noexcept {
-  tile_override().store(words == 0 ? 0 : clamp_tile(words), std::memory_order_relaxed);
+  g_tile_words.store(words == 0 ? kMaxTileWords : std::clamp<std::size_t>(words, 1, kMaxTileWords),
+                     std::memory_order_relaxed);
 }
 
 bool batch_engine_supports(const proto::Protocol& protocol, const SimConfig& config) {
-  return protocol.oblivious_schedule() != nullptr && !config.record_trace;
+  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
+  return schedule != nullptr && schedule->schedule_channels() == 1 && !config.record_trace;
+}
+
+bool mc_batch_supports(const proto::McProtocol& protocol) {
+  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
+  return schedule != nullptr && schedule->schedule_channels() == protocol.channels();
 }
 
 namespace {
 
-using detail::CachedWords;
 using detail::DirectWords;
 namespace simd = util::simd;
 
@@ -114,17 +96,27 @@ void accumulate_energy(const Words& words, const mac::WakePattern& pattern,
   }
 }
 
-/// Tile-wise core.  `start` is the first slot to resolve (>= s; arrivals
-/// before it join immediately) and `carry` holds outcome counters already
-/// accumulated by a warm-up prefix [s, start) run elsewhere.  Tiles are
-/// aligned to absolute 64-slot boundaries (slots below `start` are masked
-/// out of the pending words), so the words a run requests are
-/// position-stable and shareable across trials with different first-wake
-/// slots.  Each round fills one station-major matrix row of W words per
-/// live station and resolves all 64 * W slots against it.
+/// Tile-wise core for every static run, one channel or C.  Each live
+/// station is pinned to the lane `channel_lane(u, wake)` of its schedule
+/// (every lane is 0 for single-channel schedules, C = schedule_channels()
+/// = 1), and each resolve round folds its station-major matrix row into
+/// that lane's (any, multi) reduction rows.  Per lane, silence = ~any,
+/// collision = multi, success = any & ~multi; the first success slot over
+/// all lanes is one first_set_below over the per-word lane-solo union.
+///
+/// `start` is the first slot to resolve (>= s; arrivals before it join
+/// immediately) and `carry` holds outcome counters already accumulated by
+/// a warm-up prefix [s, start) run elsewhere.  Tiles are aligned to
+/// absolute 64-slot boundaries (slots below `start` are masked out of the
+/// pending words), so the words a run requests are position-stable and
+/// shareable across trials with different first-wake slots.  The
+/// full-resolution drain is single-channel only (the C-channel model has
+/// none; dispatch_mc_wakeup rejects it).  `success_channel` (nullable)
+/// receives the lane of the first success and is left as is without one.
 template <class Words>
 SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
-                         const SimConfig& config, mac::Slot start, const SimResult* carry) {
+                         const SimConfig& config, mac::Slot start, const SimResult* carry,
+                         std::int32_t* success_channel = nullptr) {
   SimResult result;
   if (pattern.empty()) return result;
 
@@ -132,43 +124,64 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
     mac::StationId id;
     mac::Slot wake;
     std::size_t arrival;  ///< index in pattern.arrivals()
+    std::uint32_t lane;   ///< fixed channel (ObliviousSchedule::channel_lane)
     bool done = false;    ///< full-resolution: already delivered
   };
 
+  const std::uint32_t channels = words.schedule.schedule_channels();
   const auto& arrivals = pattern.arrivals();  // sorted by wake
   const mac::Slot s = pattern.first_wake();
   result.s = s;
 
-  mac::Slot budget = config.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+  const mac::Slot budget = slot_budget(config.max_slots, pattern);
   const mac::Slot end = s + budget;  // exclusive
 
   const std::size_t W = tile_words();
+  const simd::Kernels& kernels = simd::active();
 
-  // Impairment fold: tiles are 64-aligned to absolute slots, so word w of a
-  // tile starting at tb is plan word tb/64 + w.  One OR-AND per word:
-  // corrupt slots collide regardless of transmitters, noisy slots garble an
-  // actual transmission into a collision.
   const ImpairmentPlan* plan = config.impairment;
   if (plan != nullptr && plan->clean()) plan = nullptr;
-  const auto fold_impairment = [plan](std::uint64_t* any_w, std::uint64_t* multi_w,
-                                      mac::Slot tb, std::size_t from_w, std::size_t tw) {
-    const std::size_t gw = static_cast<std::size_t>(tb) / 64;
-    for (std::size_t w = from_w; w < tw; ++w) {
-      const std::uint64_t corrupt = plan->corrupt_word(gw + w);
-      multi_w[w] |= (any_w[w] & plan->noise_word(gw + w)) | corrupt;
-      any_w[w] |= corrupt;
-    }
-  };
 
   std::vector<Active> active;
   active.reserve(pattern.k());
   std::vector<std::uint64_t> matrix;  // station-major: row r = W words of active[r]
   matrix.reserve(pattern.k() * W);
-  std::array<std::uint64_t, kMaxTileWords> any{};
-  std::array<std::uint64_t, kMaxTileWords> multi{};
+  // Lane-major reduction rows: lane c occupies [c * W, c * W + W) of any
+  // and of multi.  One lane (the paper's channel) lives in the inline
+  // buffer: heap rows measurably slow short single-channel runs.
+  std::array<std::uint64_t, 2 * kMaxTileWords> one_lane{};
+  std::vector<std::uint64_t> lanes(channels == 1 ? 0 : 2 * static_cast<std::size_t>(channels) * W);
+  std::uint64_t* const any = channels == 1 ? one_lane.data() : lanes.data();
+  std::uint64_t* const multi = any + static_cast<std::size_t>(channels) * W;
   std::array<std::uint64_t, kMaxTileWords> pend{};
-  std::array<std::uint64_t, kMaxTileWords> succ{};
+  std::array<std::uint64_t, kMaxTileWords> solo{};
+
+  // Folds every row's words [w0, tw) of the tile at tb into its lane's
+  // (any, multi) pair (departed stations' rows are zero), then the
+  // impairment, every lane alike: tiles are 64-aligned to absolute slots,
+  // so word w is plan word tb/64 + w; corrupt slots collide regardless of
+  // transmitters, noisy slots garble an actual transmission into a
+  // collision.
+  const auto reduce = [&](mac::Slot tb, std::size_t w0, std::size_t tw) {
+    // Lane rows are contiguous and only the one-lane drain re-reduces from
+    // w0 > 0, so a single fill clears [w0, tw) of every lane.
+    std::fill(any + w0, any + (channels - 1) * W + tw, 0);
+    std::fill(multi + w0, multi + (channels - 1) * W + tw, 0);
+    for (std::size_t r = 0; r < active.size(); ++r) {
+      const std::size_t lane = active[r].lane * W;
+      kernels.or_accumulate(any + lane + w0, multi + lane + w0,
+                            matrix.data() + r * W + w0, tw - w0);
+    }
+    if (plan == nullptr) return;
+    const std::size_t gw = static_cast<std::size_t>(tb) / 64;
+    for (std::uint32_t c = 0; c < channels; ++c) {
+      for (std::size_t w = w0; w < tw; ++w) {
+        const std::uint64_t corrupt = plan->corrupt_word(gw + w);
+        multi[c * W + w] |= (any[c * W + w] & plan->noise_word(gw + w)) | corrupt;
+        any[c * W + w] |= corrupt;
+      }
+    }
+  };
 
   std::size_t next_arrival = 0;
   std::size_t remaining = pattern.k();
@@ -203,11 +216,17 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
         std::min<mac::Slot>(tb + static_cast<mac::Slot>(64 * cur), end);
     const auto tw = static_cast<std::size_t>((tile_end - tb + 63) / 64);
 
-    // Admit every station that wakes inside this tile; row bits before the
-    // wake slot are masked off below.
+    // Admit every station that wakes inside this tile, on its lane (lane 0
+    // when there is one channel); row bits before the wake slot are masked
+    // off below.
     while (next_arrival < arrivals.size() && arrivals[next_arrival].wake < tile_end) {
       const auto& a = arrivals[next_arrival];
-      active.push_back(Active{a.station, a.wake, next_arrival});
+      const std::uint32_t lane =
+          channels == 1 ? 0 : words.schedule.channel_lane(a.station, a.wake);
+      if (lane >= channels) {
+        throw std::invalid_argument("batch engine: channel_lane out of range");
+      }
+      active.push_back(Active{a.station, a.wake, next_arrival, lane});
       matrix.resize(active.size() * W, 0);
       ++next_arrival;
     }
@@ -234,9 +253,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
       obs_words += tw - w0;
     }
     ++obs_tiles;
-
-    simd::or_reduce_2pass(matrix.data(), active.size(), W, tw, any.data(), multi.data());
-    if (plan != nullptr) fold_impairment(any.data(), multi.data(), tb, 0, tw);
+    reduce(tb, 0, tw);
 
     // Pending masks: the slots of each word inside [max(tb, start), end).
     for (std::size_t w = 0; w < tw; ++w) {
@@ -249,84 +266,87 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
       pend[w] = m;
     }
 
-    // Fast path: no solo success anywhere in the tile — count the whole
-    // tile's silences and collisions with one kernel call and move on.
-    for (std::size_t w = 0; w < tw; ++w) succ[w] = any[w] & ~multi[w] & pend[w];
-    const std::size_t hit = simd::first_set_below(succ.data(), tw, 64 * tw);
-    if (hit == simd::kNoBit) {
-      simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), tw,
-                                          &silences, &collisions);
-      continue;
-    }
-    // Words before the first success word are fully resolved too.
-    const std::size_t first_w = hit / 64;
-    if (first_w > 0) {
-      simd::active().masked_popcount_pair(any.data(), multi.data(), pend.data(), first_w,
-                                          &silences, &collisions);
-    }
-
-    for (std::size_t w = first_w; w < tw && !halted; ++w) {
-      std::uint64_t pending = pend[w];
-      while (pending != 0) {
-        const std::uint64_t solo = any[w] & ~multi[w] & pending;
-        if (solo == 0) {
-          silences += static_cast<std::uint64_t>(std::popcount(~any[w] & pending));
-          collisions += static_cast<std::uint64_t>(std::popcount(multi[w] & pending));
-          break;
+    // Resolve the tile success by success from its first pending word lo.
+    // Each round counts every lane up to and including the first solo slot
+    // over all lanes, exactly like the slot loop, which stops right after
+    // it; per lane the counted slots partition into silence (~any),
+    // collision (multi) and solo (any & ~multi), so count two and derive
+    // the third (several lanes can carry a solo in that slot).  A tile
+    // without a solo is counted whole.
+    for (std::size_t lo = 0; !halted;) {
+      const std::size_t span = tw - lo;
+      std::fill(solo.begin(), solo.begin() + static_cast<std::ptrdiff_t>(span), 0);
+      for (std::uint32_t c = 0; c < channels; ++c) {
+        for (std::size_t w = 0; w < span; ++w) {
+          solo[w] |= any[c * W + lo + w] & ~multi[c * W + lo + w] & pend[lo + w];
         }
-        // Count outcomes up to and including the first success slot,
-        // exactly like the interpreter which stops right after it.
-        const auto j = static_cast<unsigned>(std::countr_zero(solo));
-        const std::uint64_t upto =
-            j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
-        const std::uint64_t segment = pending & upto;
-        silences += static_cast<std::uint64_t>(std::popcount(~any[w] & segment));
-        collisions += static_cast<std::uint64_t>(std::popcount(multi[w] & segment));
-        ++successes;
-        pending &= ~upto;
-
-        const mac::Slot t = tb + static_cast<mac::Slot>(64 * w + j);
-        mac::StationId winner = 0;
-        for (std::size_t r = 0; r < active.size(); ++r) {
-          if (!active[r].done && ((matrix[r * W + w] >> j) & 1u) != 0) {
-            winner = active[r].id;
-            break;
-          }
-        }
-        if (!result.success) {
-          result.success = true;
-          result.success_slot = t;
-          result.rounds = t - s;
-          result.winner = winner;
-        }
-        if (!config.full_resolution) {
-          halted = true;
-          last_slot = t;
-          break;
-        }
-
-        // Full resolution: the winner leaves the channel; zero its row and
-        // re-resolve the remaining columns of the tile without it.
-        for (std::size_t r = 0; r < active.size(); ++r) {
-          if (active[r].id != winner || active[r].done) continue;
-          active[r].done = true;
-          if (!depart.empty()) depart[active[r].arrival] = t;
-          std::fill(matrix.begin() + static_cast<std::ptrdiff_t>(r * W + w),
-                    matrix.begin() + static_cast<std::ptrdiff_t>(r * W + tw), 0);
-        }
-        --remaining;
-        if (remaining == 0 && next_arrival == arrivals.size()) {
-          result.completed = true;
-          result.completion_slot = t;
-          result.completion_rounds = t - s;
-          halted = true;
-          last_slot = t;
-          break;
-        }
-        simd::or_reduce_2pass(matrix.data() + w, active.size(), W, tw - w, any.data() + w,
-                              multi.data() + w);
-        if (plan != nullptr) fold_impairment(any.data(), multi.data(), tb, w, tw);
       }
+      const std::size_t first = simd::first_set_below(solo.data(), span, 64 * span);
+      if (first == simd::kNoBit) {
+        for (std::uint32_t c = 0; c < channels; ++c) {
+          kernels.masked_popcount_pair(any + c * W + lo, multi + c * W + lo, pend.data() + lo,
+                                       span, &silences, &collisions);
+        }
+        break;
+      }
+      const std::size_t hit = 64 * lo + first;
+      const std::size_t wq = hit / 64;
+      const auto j = static_cast<unsigned>(hit % 64);
+      const std::uint64_t upto = j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
+      const std::uint64_t after = pend[wq] & ~upto;
+      pend[wq] &= upto;
+      std::uint64_t counted = 0;
+      for (std::size_t w = lo; w <= wq; ++w) {
+        counted += static_cast<std::uint64_t>(std::popcount(pend[w]));
+      }
+      for (std::uint32_t c = 0; c < channels; ++c) {
+        std::uint64_t sil = 0;
+        std::uint64_t col = 0;
+        kernels.masked_popcount_pair(any + c * W + lo, multi + c * W + lo, pend.data() + lo,
+                                     wq + 1 - lo, &sil, &col);
+        silences += sil;
+        collisions += col;
+        successes += counted - sil - col;
+      }
+      pend[wq] = after;
+      lo = wq;
+
+      // The solo's lane and its one live transmitter there.
+      std::uint32_t lane = 0;
+      while ((((any[lane * W + wq] & ~multi[lane * W + wq]) >> j) & 1u) == 0) ++lane;
+      std::size_t r = 0;
+      while (active[r].done || active[r].lane != lane || ((matrix[r * W + wq] >> j) & 1u) == 0) {
+        ++r;
+      }
+      const mac::Slot t = tb + static_cast<mac::Slot>(hit);
+      if (!result.success) {
+        result.success = true;
+        result.success_slot = t;
+        result.rounds = t - s;
+        result.winner = active[r].id;
+        if (success_channel != nullptr) *success_channel = static_cast<std::int32_t>(lane);
+      }
+      if (!config.full_resolution) {
+        halted = true;
+        last_slot = t;
+        break;
+      }
+
+      // Full resolution (one lane): the winner leaves the channel; zero its
+      // row and re-resolve the rest of the tile without it.
+      active[r].done = true;
+      std::fill(matrix.data() + r * W + wq, matrix.data() + r * W + tw, 0);
+      if (!depart.empty()) depart[active[r].arrival] = t;
+      --remaining;
+      if (remaining == 0 && next_arrival == arrivals.size()) {
+        result.completed = true;
+        result.completion_slot = t;
+        result.completion_rounds = t - s;
+        halted = true;
+        last_slot = t;
+        break;
+      }
+      reduce(tb, wq, tw);
     }
   }
 
@@ -345,43 +365,57 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
   return result;
 }
 
+/// C-lane entry: the multichannel model is the core with only the budget
+/// and the impairment plan of a SimConfig, repackaged as an McSimResult.
+template <class Words>
+McSimResult run_lanes(const Words& words, const mac::WakePattern& pattern,
+                      mac::Slot max_slots, const ImpairmentPlan* plan) {
+  SimConfig config;
+  config.max_slots = max_slots;
+  config.impairment = plan;
+  std::int32_t channel = -1;
+  const SimResult r =
+      run_batch_from(words, pattern, config, pattern.first_wake(), nullptr, &channel);
+  return to_mc_result(r, channel);
+}
+
+/// The schedule of a run the engine supports, or std::invalid_argument.
+const proto::ObliviousSchedule& checked_schedule(const proto::Protocol& protocol,
+                                                 const SimConfig& config) {
+  if (!batch_engine_supports(protocol, config)) {
+    throw std::invalid_argument(
+        "batch engine requires an oblivious single-channel protocol and no trace");
+  }
+  return *protocol.oblivious_schedule();
+}
+
+const proto::ObliviousSchedule& checked_schedule(const proto::McProtocol& protocol) {
+  if (!mc_batch_supports(protocol)) {
+    throw std::invalid_argument(
+        "mc batch engine requires an oblivious schedule spanning all channels");
+  }
+  return *protocol.oblivious_schedule();
+}
+
 }  // namespace
 
 SimResult run_wakeup_batch(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                            const SimConfig& config) {
-  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
-  if (!batch_engine_supports(protocol, config)) {
-    throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
-  }
-  return run_batch_from(DirectWords{*schedule}, pattern, config, pattern.first_wake(), nullptr);
+  return run_batch_from(DirectWords{checked_schedule(protocol, config)}, pattern, config,
+                        pattern.first_wake(), nullptr);
 }
 
 SimResult run_wakeup_batch_cached(const proto::Protocol& protocol, const ScheduleCache& cache,
                                   const mac::WakePattern& pattern, const SimConfig& config) {
-  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
-  if (!batch_engine_supports(protocol, config)) {
-    throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
-  }
-  const CachedWords words = detail::make_cached_words(*schedule, cache, pattern);
-  return run_batch_from(words, pattern, config, pattern.first_wake(), nullptr);
+  return run_batch_from(
+      detail::make_cached_words(checked_schedule(protocol, config), cache, pattern), pattern,
+      config, pattern.first_wake(), nullptr);
 }
 
 SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                             const SimConfig& config) {
-  const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
-  if (!batch_engine_supports(protocol, config)) {
-    throw std::invalid_argument("batch engine requires an oblivious protocol and no trace");
-  }
+  const proto::ObliviousSchedule& schedule = checked_schedule(protocol, config);
   if (pattern.empty()) return {};
-  // Full resolution drains successes across many tiles anyway; the warm-up
-  // bookkeeping (departed winners) is not worth carrying over.
-  if (config.full_resolution) {
-    return run_batch_from(DirectWords{*schedule}, pattern, config, pattern.first_wake(),
-                          nullptr);
-  }
-
-  mac::Slot budget = config.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
 
   // Warm-up length: an explicit SimConfig::warmup_slots wins (the sweep
   // harness sizes it from measured schedule-word cost at tile
@@ -389,14 +423,16 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   // (strided bits) batch profitably from slot one, expensive ones get one
   // interpreted block, since the paper's near-optimal protocols often
   // resolve contention within a few slots, where a full schedule tile per
-  // station would be pure waste.
-  mac::Slot warmup = config.warmup_slots;
-  if (warmup < 0) warmup = schedule->words_are_cheap() ? 0 : 64;
+  // station would be pure waste.  Full resolution drains successes across
+  // many tiles anyway; the warm-up bookkeeping (departed winners) is not
+  // worth carrying over.
+  mac::Slot warmup = config.full_resolution ? 0 : config.warmup_slots;
+  if (warmup < 0) warmup = schedule.words_are_cheap() ? 0 : 64;
   if (warmup == 0) {
-    return run_batch_from(DirectWords{*schedule}, pattern, config, pattern.first_wake(),
-                          nullptr);
+    return run_batch_from(DirectWords{schedule}, pattern, config, pattern.first_wake(), nullptr);
   }
 
+  const mac::Slot budget = slot_budget(config.max_slots, pattern);
   SimConfig warm_config = config;
   warm_config.max_slots = std::min<mac::Slot>(warmup, budget);
   const SimResult warm = run_wakeup_interpreter(protocol, pattern, warm_config);
@@ -405,8 +441,20 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   // No success in the warm-up: continue word-parallel with carried counters.
   SimConfig rest_config = config;
   rest_config.max_slots = budget;  // pin the budget the warm-up was cut from
-  return run_batch_from(DirectWords{*schedule}, pattern, rest_config,
+  return run_batch_from(DirectWords{schedule}, pattern, rest_config,
                         pattern.first_wake() + warmup, &warm);
+}
+
+McSimResult run_mc_batch(const proto::McProtocol& protocol, const mac::WakePattern& pattern,
+                         mac::Slot max_slots, const ImpairmentPlan* plan) {
+  return run_lanes(DirectWords{checked_schedule(protocol)}, pattern, max_slots, plan);
+}
+
+McSimResult run_mc_batch_cached(const proto::McProtocol& protocol, const ScheduleCache& cache,
+                                const mac::WakePattern& pattern, mac::Slot max_slots,
+                                const ImpairmentPlan* plan) {
+  return run_lanes(detail::make_cached_words(checked_schedule(protocol), cache, pattern),
+                   pattern, max_slots, plan);
 }
 
 }  // namespace wakeup::sim

@@ -18,14 +18,15 @@
 ///    protocol, including the adaptive re-contenders
 ///    (`proto::DynamicStation`).
 ///  - `run_dynamic_batch` — the word-parallel engine for oblivious
-///    protocols.  It generalizes the batch engines' full-resolution drain
-///    into a *still-backlogged mask*: each scenario station owns one row of
-///    the station-major word matrix; a delivered winner's row is refetched
-///    from its next head-of-line start — and zeroed only when its queue
-///    drains — while stations whose next packet arrives mid-tile get their
-///    row bits set back from the arrival slot.  The SIMD tile machinery
-///    (or_reduce_2pass / masked_popcount_pair / first_set_below, 1->W tile
-///    ramp) is exactly the hot path of sim/batch_engine.cpp.
+///    protocols.  It generalizes the static batch engine's
+///    full-resolution drain into a *still-backlogged mask*: each scenario
+///    station owns one row of the station-major word matrix; a delivered
+///    winner's row is refetched from its next head-of-line start — and
+///    zeroed only when its queue drains — while stations whose next packet
+///    arrives mid-tile get their row bits set back from the arrival slot.
+///    The SIMD tile machinery (any/multi OR reduction,
+///    masked_popcount_pair, first_set_below, 1->W tile ramp) is the hot
+///    path of sim/batch_engine.cpp too.
 ///
 /// Contention start of a packet: max(arrival slot, previous delivery + 1).
 /// Queue latency of a delivered packet: delivery - arrival + 1 (a packet

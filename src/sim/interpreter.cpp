@@ -23,8 +23,7 @@ SimResult run_wakeup_interpreter(const proto::Protocol& protocol,
   const mac::Slot s = pattern.first_wake();
   result.s = s;
 
-  mac::Slot budget = config.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+  const mac::Slot budget = slot_budget(config.max_slots, pattern);
 
   mac::Channel channel(config.feedback);
   if (config.record_trace) {

@@ -5,9 +5,23 @@
 #include <vector>
 
 #include "sim/impairment_engine.hpp"
-#include "sim/mc_batch_engine.hpp"
+#include "sim/batch_engine.hpp"
 
 namespace wakeup::sim {
+
+McSimResult to_mc_result(const SimResult& r, std::int32_t success_channel) {
+  McSimResult mc;
+  mc.success = r.success;
+  mc.s = r.s;
+  mc.success_slot = r.success_slot;
+  mc.rounds = r.rounds;
+  mc.success_channel = success_channel;
+  mc.winner = r.winner;
+  mc.collisions = r.collisions;
+  mc.silences = r.silences;
+  mc.successes = r.successes;
+  return mc;
+}
 
 McSimResult run_mc_interpreter(const proto::McProtocol& protocol,
                                const mac::WakePattern& pattern, mac::Slot max_slots,
@@ -25,8 +39,7 @@ McSimResult run_mc_interpreter(const proto::McProtocol& protocol,
   const auto& arrivals = pattern.arrivals();
   const mac::Slot s = pattern.first_wake();
   result.s = s;
-  mac::Slot budget = max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+  const mac::Slot budget = slot_budget(max_slots, pattern);
 
   std::vector<Active> active;
   active.reserve(pattern.k());
@@ -98,23 +111,14 @@ namespace {
 McSimResult run_adapter_fast_path(const proto::McProtocol& protocol,
                                   const proto::Protocol& inner,
                                   const mac::WakePattern& pattern, const SimConfig& config) {
-  McSimResult result;
-  if (pattern.empty()) return result;
+  if (pattern.empty()) return {};
 
   // The whole config forwards (warmup_slots included); the fields the mc
   // model cannot serve were already rejected by dispatch_mc_wakeup.
   const SimResult sc = dispatch_wakeup(inner, pattern, config);
-  result.s = sc.s;
-  result.success = sc.success;
-  result.success_slot = sc.success_slot;
-  result.rounds = sc.rounds;
-  result.success_channel = sc.success ? 0 : -1;
-  result.winner = sc.winner;
-  result.collisions = sc.collisions;
-  result.successes = sc.successes;
+  McSimResult result = to_mc_result(sc, sc.success ? 0 : -1);
 
-  mac::Slot budget = config.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+  const mac::Slot budget = slot_budget(config.max_slots, pattern);
   const mac::Slot processed = sc.success ? sc.rounds + 1 : budget;
   // Wideband impairment reaches the side channels too: a corrupted slot is
   // a collision on every idle lane, not a silence — exactly what the slot
@@ -124,8 +128,7 @@ McSimResult run_adapter_fast_path(const proto::McProtocol& protocol,
   const std::uint64_t corrupted =
       plan != nullptr ? plan->corrupted_in(sc.s, sc.s + processed) : 0;
   const auto side = static_cast<std::uint64_t>(protocol.channels() - 1);
-  result.silences =
-      sc.silences + side * (static_cast<std::uint64_t>(processed) - corrupted);
+  result.silences += side * (static_cast<std::uint64_t>(processed) - corrupted);
   result.collisions += side * corrupted;
   return result;
 }

@@ -8,9 +8,10 @@
 /// `dispatch_mc_wakeup` is the engine-selection layer under the `sim::Run`
 /// facade (sim/run.hpp), mirroring the single-channel `dispatch_wakeup`:
 /// it routes between the slot-by-slot multichannel interpreter
-/// (`run_mc_interpreter`, universal) and the C-lane word-parallel batch
-/// engine (sim/mc_batch_engine.hpp) for protocols exposing the channel-
-/// aware `proto::ObliviousSchedule` capability, per SimConfig::engine.
+/// (`run_mc_interpreter`, universal) and the static batch engine
+/// (sim/batch_engine.hpp, `run_mc_batch`: the single-channel engine with C
+/// lanes) for protocols exposing the channel-aware
+/// `proto::ObliviousSchedule` capability, per SimConfig::engine.
 
 #include "mac/multichannel.hpp"
 #include "mac/wake_pattern.hpp"
@@ -42,6 +43,10 @@ struct McSimResult {
   std::uint64_t successes = 0;
 };
 
+/// `r` as a C-channel result whose first success (if any) fell on lane
+/// `success_channel`; every counter carries over unchanged.
+[[nodiscard]] McSimResult to_mc_result(const SimResult& r, std::int32_t success_channel);
+
 /// Reference slot-by-slot engine: one `act` per awake station per slot,
 /// `mac::resolve_multi_slot` per slot, feedback from the acted-on channel.
 /// Works for every McProtocol (including adapters, run generically).
@@ -58,10 +63,11 @@ struct McSimResult {
 /// Engine-selection layer: runs `protocol` against `pattern` on the engine
 /// selected by `config.engine` (kAuto routes adapters through the
 /// single-channel engine stack and capability-bearing strategies through
-/// the C-lane batch engine).  Only `config.max_slots` and `config.engine`
-/// apply to the multichannel model; traces, collision-detection feedback
-/// and full resolution throw std::invalid_argument.  Most callers want the
-/// `sim::Run` facade (sim/run.hpp) instead.
+/// the batch engine's C-lane entry point).  Only `config.max_slots`,
+/// `config.engine` and `config.impairment` apply to the multichannel
+/// model; traces, collision-detection feedback and full resolution throw
+/// std::invalid_argument.  Most callers want the `sim::Run` facade
+/// (sim/run.hpp) instead.
 [[nodiscard]] McSimResult dispatch_mc_wakeup(const proto::McProtocol& protocol,
                                              const mac::WakePattern& pattern,
                                              const SimConfig& config);

@@ -73,18 +73,7 @@ const std::vector<std::string> kTrialHeader = {
 TrialCsvSink::TrialCsvSink(const std::string& path) : path_(path), csv_(path, kTrialHeader) {}
 
 void TrialCsvSink::write(std::uint64_t trial, const SimResult& result) {
-  const std::scoped_lock lock(mutex_);
-  csv_.cell(trial)
-      .cell(std::uint64_t{result.success ? 1u : 0u})
-      .cell(static_cast<std::int64_t>(result.s))
-      .cell(static_cast<std::int64_t>(result.success_slot))
-      .cell(result.rounds)
-      .cell(std::uint64_t{result.winner})
-      .cell(std::int64_t{-1})
-      .cell(result.silences)
-      .cell(result.collisions)
-      .cell(result.successes);
-  csv_.end_row();
+  write(trial, to_mc_result(result, -1));  // single-channel rows carry channel -1
 }
 
 void TrialCsvSink::write(std::uint64_t trial, const McSimResult& result) {
@@ -100,14 +89,6 @@ void TrialCsvSink::write(std::uint64_t trial, const McSimResult& result) {
       .cell(result.collisions)
       .cell(result.successes);
   csv_.end_row();
-}
-
-std::function<void(std::uint64_t, const SimResult&)> TrialCsvSink::recorder() {
-  return [this](std::uint64_t trial, const SimResult& result) { write(trial, result); };
-}
-
-std::function<void(std::uint64_t, const McSimResult&)> TrialCsvSink::mc_recorder() {
-  return [this](std::uint64_t trial, const McSimResult& result) { write(trial, result); };
 }
 
 std::size_t TrialCsvSink::rows() const {

@@ -15,7 +15,6 @@
 /// is what lets sweeps scale past n = 10^6 stations without holding every
 /// per-trial result.
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,8 +63,7 @@ class ResultsSink {
 /// (the RunSpec per-trial contract delivers distinct trials concurrently),
 /// so rows appear in completion order; the trial column identifies them.
 ///
-/// Plug into a sweep either through `RunSpec::trial_csv` or by composing
-/// `recorder()` / `mc_recorder()` into the per-trial callbacks.
+/// Plug into a sweep through `RunSpec::trial_csv`.
 class TrialCsvSink {
  public:
   /// Opens `path` and writes the header.  Throws std::runtime_error when
@@ -74,10 +72,6 @@ class TrialCsvSink {
 
   void write(std::uint64_t trial, const SimResult& result);
   void write(std::uint64_t trial, const McSimResult& result);
-
-  /// Adapters matching RunSpec::per_trial / RunSpec::per_trial_mc.
-  [[nodiscard]] std::function<void(std::uint64_t, const SimResult&)> recorder();
-  [[nodiscard]] std::function<void(std::uint64_t, const McSimResult&)> mc_recorder();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::size_t rows() const;

@@ -12,7 +12,6 @@
 #include "sim/adversary.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/impairment_engine.hpp"
-#include "sim/mc_batch_engine.hpp"
 #include "sim/results_sink.hpp"
 #include "util/rng.hpp"
 
@@ -73,8 +72,7 @@ ImpairmentPlan compile_static_plan(const RunSpec& spec, std::uint64_t seed,
                                    const mac::WakePattern& pattern,
                                    const std::vector<mac::Slot>* jam_override) {
   if (pattern.empty()) return {};
-  mac::Slot budget = spec.sim.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
+  const mac::Slot budget = slot_budget(spec.sim.max_slots, pattern);
   return compile_impairment(spec.impairment, seed, pattern.first_wake() + budget, nullptr,
                             jam_override);
 }
@@ -105,31 +103,10 @@ std::vector<mac::Slot> resolve_adversarial_jam(const RunSpec& spec,
       .slots;
 }
 
-void record_sc(const RunSpec& spec, RunOutcome& out, std::vector<TrialOut>& outs,
-               std::uint64_t i, const SimResult& r) {
-  TrialOut& t = outs[i];
-  t.success = r.success;
-  t.rounds = static_cast<double>(r.rounds);
-  t.collisions = static_cast<double>(r.collisions);
-  t.silences = static_cast<double>(r.silences);
-  t.completed = r.completed;
-  t.completion = static_cast<double>(r.completion_rounds);
-  fold_energy(r.station_energy, t);
-  if (spec.trials == 1) out.sim = r;
-  if (spec.per_trial) spec.per_trial(i, r);
-  if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
-}
-
-void record_mc(const RunSpec& spec, RunOutcome& out, std::vector<TrialOut>& outs,
-               std::uint64_t i, const McSimResult& r) {
-  TrialOut& t = outs[i];
-  t.success = r.success;
-  t.rounds = static_cast<double>(r.rounds);
-  t.collisions = static_cast<double>(r.collisions);
-  t.silences = static_cast<double>(r.silences);
-  if (spec.trials == 1) out.mc = r;
-  if (spec.per_trial_mc) spec.per_trial_mc(i, r);
-  if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
+/// Adversarial jam is single-channel; validate() rejects it for C channels.
+std::vector<mac::Slot> resolve_adversarial_jam(const RunSpec& /*spec*/,
+                                               const proto::McProtocol& /*protocol*/) {
+  return {};
 }
 
 CellResult aggregate(const RunSpec& spec, const std::vector<TrialOut>& outs) {
@@ -174,13 +151,10 @@ void for_each_trial(std::uint64_t trials, util::ThreadPool* pool,
 /// Slots a finished trial actually walked, from its own first wake: to
 /// completion (full resolution), to the first success, or the whole budget
 /// when the stop condition was never reached.
-mac::Slot walked_slots(const SimConfig& sim, const mac::WakePattern& pattern, bool success,
-                       std::int64_t success_rounds, bool completed,
-                       std::int64_t completion_rounds) {
-  mac::Slot budget = sim.max_slots;
-  if (budget <= 0) budget = auto_slot_budget(pattern.n(), pattern.k());
-  if (sim.full_resolution) return completed ? completion_rounds + 1 : budget;
-  return success ? success_rounds + 1 : budget;
+mac::Slot walked_slots(const SimConfig& sim, const mac::WakePattern& pattern, const TrialOut& t) {
+  const bool stopped = sim.full_resolution ? t.completed : t.success;
+  if (!stopped) return slot_budget(sim.max_slots, pattern);
+  return static_cast<mac::Slot>(sim.full_resolution ? t.completion : t.rounds) + 1;
 }
 
 /// Adaptive warm-up: measure the schedule's per-word cost at the engine's
@@ -327,6 +301,11 @@ void validate(const RunSpec& spec) {
   if (!multichannel && spec.per_trial_mc) {
     throw std::invalid_argument("RunSpec: single-channel runs report through per_trial");
   }
+  if (multichannel && (spec.sim.record_trace || spec.sim.full_resolution ||
+                       spec.sim.feedback != mac::FeedbackModel::kNone)) {
+    throw std::invalid_argument(
+        "RunSpec: multichannel runs support neither traces, full resolution, nor CD feedback");
+  }
 }
 
 // -------------------------------------------------------- dynamic traffic --
@@ -451,8 +430,7 @@ ProbeStats run_probe_trials(const RunSpec& spec, const CellPatterns& patterns,
   for (std::uint64_t i = 0; i < spec.trials; ++i) {
     const mac::WakePattern& p = patterns[i];
     if (p.empty()) continue;
-    mac::Slot budget = spec.sim.max_slots;
-    if (budget <= 0) budget = auto_slot_budget(p.n(), p.k());
+    const mac::Slot budget = slot_budget(spec.sim.max_slots, p);
     stats.horizon = std::max<mac::Slot>(stats.horizon, p.first_wake() + budget);
   }
   double run_slots_sum = 0;
@@ -516,21 +494,126 @@ bool plan_census_gate_declines(ScheduleCache& cache, const RunSpec& spec,
   return !force && static_cast<double>(planned_words) > direct_words;
 }
 
-// ------------------------------------------------------ single channel --
+// ------------------------------------------------ static channel models --
 
-void run_sc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
-  proto::ProtocolPtr owned;
-  const proto::Protocol* protocol = spec.protocol;
+/// The single-channel model of a static cell: the paper's one shared
+/// channel, with the interpreted warm-up hybrid, full resolution and
+/// energy accounting.
+struct SingleChannel {
+  using Protocol = proto::Protocol;
+  using Ptr = proto::ProtocolPtr;
+  using Result = SimResult;
+
+  static const Protocol* fixed(const RunSpec& spec) { return spec.protocol; }
+  static const auto& builder(const RunSpec& spec) { return spec.make_protocol; }
+  static bool randomized(const Protocol& protocol) {
+    return protocol.requirements().randomized;
+  }
+  static bool batches(const Protocol& protocol, const SimConfig& sim) {
+    return batch_engine_supports(protocol, sim);
+  }
+  static Result run(const Protocol& protocol, const mac::WakePattern& pattern,
+                    const SimConfig& cfg) {
+    return dispatch_wakeup(protocol, pattern, cfg);
+  }
+  static Result run_cached(const Protocol& protocol, const ScheduleCache& cache,
+                           const mac::WakePattern& pattern, const SimConfig& cfg) {
+    return run_wakeup_batch_cached(protocol, cache, pattern, cfg);
+  }
+  /// Census decline: the kAuto warm-up prefix is re-sized from the probes'
+  /// measured schedule-word cost.
+  static SimConfig declined_config(const RunSpec& spec, const Protocol& protocol,
+                                   const mac::WakePattern& sample, const ProbeStats& stats) {
+    SimConfig rest = spec.sim;
+    if (rest.engine == Engine::kAuto && rest.warmup_slots < 0 && !rest.full_resolution) {
+      rest.warmup_slots =
+          calibrated_warmup(protocol, *protocol.oblivious_schedule(), sample, stats.mean_run);
+      if (obs::active() && rest.warmup_slots >= 0) {
+        obs::Histogram::get("run.warmup_slots")
+            .observe(static_cast<std::uint64_t>(rest.warmup_slots));
+      }
+    }
+    return rest;
+  }
+  static void record(const RunSpec& spec, RunOutcome& out, TrialOut& t, std::uint64_t i,
+                     const Result& r) {
+    t.completed = r.completed;
+    t.completion = static_cast<double>(r.completion_rounds);
+    fold_energy(r.station_energy, t);
+    if (spec.trials == 1) out.sim = r;
+    if (spec.per_trial) spec.per_trial(i, r);
+  }
+};
+
+/// The C-channel model of a static cell.  Adapters already ride the
+/// single-channel engine stack through the dispatch fast path, so the
+/// C-lane memo is for native strategies only.
+struct MultiChannel {
+  using Protocol = proto::McProtocol;
+  using Ptr = proto::McProtocolPtr;
+  using Result = McSimResult;
+
+  static const Protocol* fixed(const RunSpec& spec) { return spec.mc_protocol; }
+  static const auto& builder(const RunSpec& spec) { return spec.make_mc_protocol; }
+  static bool randomized(const Protocol& protocol) { return protocol.randomized(); }
+  static bool batches(const Protocol& protocol, const SimConfig& /*sim*/) {
+    return protocol.single_channel() == nullptr && mc_batch_supports(protocol);
+  }
+  static Result run(const Protocol& protocol, const mac::WakePattern& pattern,
+                    const SimConfig& cfg) {
+    return dispatch_mc_wakeup(protocol, pattern, cfg);
+  }
+  static Result run_cached(const Protocol& protocol, const ScheduleCache& cache,
+                           const mac::WakePattern& pattern, const SimConfig& cfg) {
+    return run_mc_batch_cached(protocol, cache, pattern, cfg.max_slots, cfg.impairment);
+  }
+  /// Census decline: the C-channel model has no interpreted warm-up hybrid,
+  /// so kAuto's probe-informed counterpart lives here — when trials end
+  /// well inside the first block, one expensive schedule word per station
+  /// costs more than interpreting the few live slots, so the rest run on
+  /// the slot loop (the engines are bit-identical, only the cost profile
+  /// moves).
+  static SimConfig declined_config(const RunSpec& spec, const Protocol& /*protocol*/,
+                                   const mac::WakePattern& /*sample*/,
+                                   const ProbeStats& stats) {
+    SimConfig rest = spec.sim;
+    if (rest.engine == Engine::kAuto && stats.mean_run < 32) rest.engine = Engine::kInterpreter;
+    return rest;
+  }
+  static void record(const RunSpec& spec, RunOutcome& out, TrialOut& /*t*/, std::uint64_t i,
+                     const Result& r) {
+    if (spec.trials == 1) out.mc = r;
+    if (spec.per_trial_mc) spec.per_trial_mc(i, r);
+  }
+};
+
+/// One static sweep cell in either channel model: a plain per-trial loop,
+/// or — when the cell is cacheable — probe trials, the cache census gate,
+/// the memo fill and the cached trial loop.
+template <class Model>
+void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
+  const auto& build = Model::builder(spec);
+  typename Model::Ptr owned;
+  const typename Model::Protocol* protocol = Model::fixed(spec);
   if (protocol == nullptr) {
-    owned = spec.make_protocol(cell_protocol_seed(spec));
+    owned = build(cell_protocol_seed(spec));
     protocol = owned.get();
   }
   // Randomized protocols differ per trial (private coins) — but only a
   // seeded builder can rebuild them; a fixed instance is shared as-is.
-  const bool randomized =
-      protocol->requirements().randomized && static_cast<bool>(spec.make_protocol);
+  const bool randomized = Model::randomized(*protocol) && static_cast<bool>(build);
 
   std::vector<TrialOut> outs(spec.trials);
+  const auto record = [&](std::uint64_t i, const typename Model::Result& r) {
+    TrialOut& t = outs[i];
+    t.success = r.success;
+    t.rounds = static_cast<double>(r.rounds);
+    t.collisions = static_cast<double>(r.collisions);
+    t.silences = static_cast<double>(r.silences);
+    Model::record(spec, out, t, i, r);
+    if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
+  };
+
   const proto::ObliviousSchedule* schedule = protocol->oblivious_schedule();
   const bool force = spec.batching == TrialBatching::kForce || spec.cache.force;
   // Same cost model as the kAuto dispatch: cheap-word schedules (strided
@@ -539,9 +622,10 @@ void run_sc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   // trials beyond the probes (single runs especially) have nothing to
   // serve from a memo — planning one would be pure overhead.
   const bool cacheable = spec.batching != TrialBatching::kOff && !randomized &&
-                         (spec.trials > kProbeTrials || force) && schedule != nullptr &&
+                         (spec.trials > kProbeTrials || force) &&
+                         Model::batches(*protocol, spec.sim) &&
                          (!schedule->words_are_cheap() || force) &&
-                         !spec.sim.record_trace && spec.sim.engine != Engine::kInterpreter;
+                         spec.sim.engine != Engine::kInterpreter;
 
   // Impaired cells compile one plan per trial (and resolve an adversarial
   // jam placement once, here); clean cells touch none of this — their
@@ -568,12 +652,11 @@ void run_sc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
       mac::WakePattern generated;
       if (spec.make_pattern) generated = spec.make_pattern(rng);
       const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
-      const proto::ProtocolPtr rebuilt =
-          randomized ? spec.make_protocol(trial_protocol_seed(seed)) : nullptr;
+      const typename Model::Ptr rebuilt =
+          randomized ? build(trial_protocol_seed(seed)) : nullptr;
       ImpairmentPlan plan;
       const SimConfig cfg = trial_config(i, pattern, spec.sim, plan);
-      record_sc(spec, out, outs, i,
-                dispatch_wakeup(rebuilt ? *rebuilt : *protocol, pattern, cfg));
+      record(i, Model::run(rebuilt ? *rebuilt : *protocol, pattern, cfg));
     });
     out.cell = aggregate(spec, outs);
     return;
@@ -586,145 +669,27 @@ void run_sc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
                                             [&](std::uint64_t i) {
     ImpairmentPlan plan;
     const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    const SimResult r = dispatch_wakeup(*protocol, patterns[i], cfg);
-    record_sc(spec, out, outs, i, r);
-    return walked_slots(spec.sim, patterns[i], r.success, r.rounds, r.completed,
-                        r.completion_rounds);
+    record(i, Model::run(*protocol, patterns[i], cfg));
+    return walked_slots(spec.sim, patterns[i], outs[i]);
   });
 
   ScheduleCache cache(*schedule, sized_cache_config(spec, force, stats));
-  if (plan_census_gate_declines(cache, spec, patterns, force, stats)) {
-    // Gate declined the memo: run the trial loop, with the kAuto warm-up
-    // prefix re-sized from the probes' measured schedule-word cost.
+  const bool declined = plan_census_gate_declines(cache, spec, patterns, force, stats);
+  SimConfig rest = spec.sim;
+  if (declined) {
+    // Gate declined the memo: run the trial loop on the model's engines,
+    // re-tuned from the probes.
     if (obs::active()) obs::Counter::get("cache.census_declines").inc();
-    SimConfig rest = spec.sim;
-    if (rest.engine == Engine::kAuto && rest.warmup_slots < 0 && !rest.full_resolution) {
-      rest.warmup_slots = calibrated_warmup(*protocol, *schedule, patterns[0], stats.mean_run);
-      if (obs::active() && rest.warmup_slots >= 0) {
-        obs::Histogram::get("run.warmup_slots")
-            .observe(static_cast<std::uint64_t>(rest.warmup_slots));
-      }
-    }
-    for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-      const std::size_t i = j + stats.probes;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, patterns[i], rest, plan);
-      record_sc(spec, out, outs, i, dispatch_wakeup(*protocol, patterns[i], cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
+    rest = Model::declined_config(spec, *protocol, patterns[0], stats);
+  } else {
+    cache.fill_planned(pool);
   }
-  cache.fill_planned(pool);
-
   for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
     const std::size_t i = j + stats.probes;
     ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    record_sc(spec, out, outs, i,
-              run_wakeup_batch_cached(*protocol, cache, patterns[i], cfg));
-  });
-  out.cell = aggregate(spec, outs);
-}
-
-// ----------------------------------------------------------- C channels --
-
-void run_mc(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
-  proto::McProtocolPtr owned;
-  const proto::McProtocol* protocol = spec.mc_protocol;
-  if (protocol == nullptr) {
-    owned = spec.make_mc_protocol(cell_protocol_seed(spec));
-    protocol = owned.get();
-  }
-  if (spec.sim.record_trace || spec.sim.full_resolution ||
-      spec.sim.feedback != mac::FeedbackModel::kNone) {
-    throw std::invalid_argument(
-        "multichannel runs support neither traces, full resolution, nor CD feedback");
-  }
-  const bool randomized = protocol->randomized() && static_cast<bool>(spec.make_mc_protocol);
-
-  std::vector<TrialOut> outs(spec.trials);
-  const proto::ObliviousSchedule* schedule = protocol->oblivious_schedule();
-  const bool force = spec.batching == TrialBatching::kForce || spec.cache.force;
-  // Adapters already ride the single-channel engine stack through the
-  // dispatch fast path; the C-lane memo is for native strategies.
-  const bool cacheable = spec.batching != TrialBatching::kOff && !randomized &&
-                         (spec.trials > kProbeTrials || force) &&
-                         protocol->single_channel() == nullptr &&
-                         mc_batch_supports(*protocol) &&
-                         (!schedule->words_are_cheap() || force) &&
-                         spec.sim.engine != Engine::kInterpreter;
-
-  // Impaired cells compile one plan per trial (adversarial jam is
-  // single-channel and was validated away, so there is no override here).
-  const bool impaired = !spec.impairment.clean();
-  const auto trial_config = [&](std::uint64_t i, const mac::WakePattern& pattern,
-                                const SimConfig& base, ImpairmentPlan& plan) {
-    SimConfig cfg = base;
-    if (impaired) {
-      plan = compile_static_plan(spec, trial_seed(spec, i), pattern, nullptr);
-      cfg.impairment = &plan;
-    }
-    return cfg;
-  };
-
-  if (!cacheable) {
-    for_each_trial(spec.trials, pool, [&](std::size_t i) {
-      const std::uint64_t seed = trial_seed(spec, i);
-      util::Rng rng(seed);
-      mac::WakePattern generated;
-      if (spec.make_pattern) generated = spec.make_pattern(rng);
-      const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
-      const proto::McProtocolPtr rebuilt =
-          randomized ? spec.make_mc_protocol(trial_protocol_seed(seed)) : nullptr;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, pattern, spec.sim, plan);
-      record_mc(spec, out, outs, i,
-                dispatch_mc_wakeup(rebuilt ? *rebuilt : *protocol, pattern, cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
-  }
-
-  const CellPatterns patterns(spec);
-  const ProbeStats stats = run_probe_trials(spec, patterns, probe_cap_for(spec, force),
-                                            [&](std::uint64_t i) {
-    ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    const McSimResult r = dispatch_mc_wakeup(*protocol, patterns[i], cfg);
-    record_mc(spec, out, outs, i, r);
-    return walked_slots(spec.sim, patterns[i], r.success, r.rounds, false, -1);
-  });
-
-  ScheduleCache cache(*schedule, sized_cache_config(spec, force, stats));
-  if (plan_census_gate_declines(cache, spec, patterns, force, stats)) {
-    if (obs::active()) obs::Counter::get("cache.census_declines").inc();
-    SimConfig rest = spec.sim;
-    // The C-channel model has no interpreted warm-up hybrid, so kAuto's
-    // probe-informed counterpart lives here: when trials end well inside
-    // the first block, one expensive schedule word per station costs more
-    // than interpreting the few live slots — run the rest on the slot
-    // loop (the engines are bit-identical, only the cost profile moves).
-    if (rest.engine == Engine::kAuto && stats.mean_run < 32) {
-      rest.engine = Engine::kInterpreter;
-    }
-    for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-      const std::size_t i = j + stats.probes;
-      ImpairmentPlan plan;
-      const SimConfig cfg = trial_config(i, patterns[i], rest, plan);
-      record_mc(spec, out, outs, i, dispatch_mc_wakeup(*protocol, patterns[i], cfg));
-    });
-    out.cell = aggregate(spec, outs);
-    return;
-  }
-  cache.fill_planned(pool);
-
-  for_each_trial(spec.trials - stats.probes, pool, [&](std::size_t j) {
-    const std::size_t i = j + stats.probes;
-    ImpairmentPlan plan;
-    const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    record_mc(spec, out, outs, i,
-              run_mc_batch_cached(*protocol, cache, patterns[i], spec.sim.max_slots,
-                                  cfg.impairment));
+    const SimConfig cfg = trial_config(i, patterns[i], rest, plan);
+    record(i, declined ? Model::run(*protocol, patterns[i], cfg)
+                       : Model::run_cached(*protocol, cache, patterns[i], cfg));
   });
   out.cell = aggregate(spec, outs);
 }
@@ -746,9 +711,9 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
   if (out.dynamic_mode) {
     run_dynamic(spec, pool, out);
   } else if (out.multichannel) {
-    run_mc(spec, pool, out);
+    run_static<MultiChannel>(spec, pool, out);
   } else {
-    run_sc(spec, pool, out);
+    run_static<SingleChannel>(spec, pool, out);
   }
   return out;
 }

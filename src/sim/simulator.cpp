@@ -42,6 +42,10 @@ mac::Slot auto_slot_budget(std::uint32_t n, std::size_t k) {
   return static_cast<mac::Slot>(budget) + 16 * static_cast<mac::Slot>(n) + 1024;
 }
 
+mac::Slot slot_budget(mac::Slot max_slots, const mac::WakePattern& pattern) {
+  return max_slots > 0 ? max_slots : auto_slot_budget(pattern.n(), pattern.k());
+}
+
 SimResult dispatch_wakeup(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                           const SimConfig& config) {
   switch (config.engine) {

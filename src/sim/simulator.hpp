@@ -15,7 +15,8 @@
 /// facade (sim/run.hpp): it routes a single-channel run to one of two
 /// back-ends with identical semantics — the universal slot-by-slot
 /// interpreter (sim/interpreter.hpp) or the word-parallel batch engine for
-/// oblivious protocols (sim/batch_engine.hpp) — per SimConfig::engine.
+/// oblivious protocols (sim/batch_engine.hpp, which serves C-channel runs
+/// too; a single-channel run is its one-lane case) — per SimConfig::engine.
 
 #include <optional>
 #include <string>
@@ -129,6 +130,10 @@ struct SimResult {
 
 /// The automatic slot budget used when SimConfig::max_slots <= 0.
 [[nodiscard]] mac::Slot auto_slot_budget(std::uint32_t n, std::size_t k);
+
+/// The slot budget of a run against `pattern`: `max_slots` when positive,
+/// auto_slot_budget otherwise.
+[[nodiscard]] mac::Slot slot_budget(mac::Slot max_slots, const mac::WakePattern& pattern);
 
 /// Engine-selection layer: runs `protocol` against `pattern` on the engine
 /// selected by `config.engine`.  Empty patterns yield a failed result with

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file word_source.hpp
-/// Schedule-word sources shared by the single-channel batch engine
-/// (sim/batch_engine.cpp) and the C-channel batch engine
-/// (sim/mc_batch_engine.cpp).  A source fills one row of the engines'
+/// Schedule-word sources of the static batch engine (sim/batch_engine.cpp),
+/// for one channel and C alike.  A source fills one row of the engine's
 /// station-major word matrix per resolve round: `tile` writes `n_words`
 /// consecutive 64-slot schedule words starting at the 64-aligned slot
 /// `from`, amortizing the virtual `schedule_block` dispatch (and the cache

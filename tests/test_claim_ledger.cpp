@@ -439,20 +439,19 @@ TEST(SweepWorker, SigkilledWorkersLeaseExpiresOthersStealAndMergeIsIdentical) {
     ::_exit(1);
   }
 
-  // Wait until the hang lease (the victim's second claim line) is on the
-  // books, so the survivors cannot drain the grid without stealing it.
+  // Wait until the victim's banked cell is marked done (worker mode appends
+  // the shard record before the done mark) and the hang lease claimed after
+  // it is on the books, so the survivors cannot drain the grid without
+  // stealing it.  Worker mode writes two claim lines before banking its
+  // cell, so counting claims alone would not prove the shard is written.
   bool leased = false;
   for (int i = 0; i < 10000 && !leased; ++i) {
     std::ifstream in(claims, std::ios::binary);
     std::ostringstream text;
     text << in.rdbuf();
-    std::size_t count = 0;
-    for (std::size_t at = 0;
-         (at = text.str().find("\"kind\":\"claim\",\"worker\":2", at)) != std::string::npos;
-         ++at) {
-      ++count;
-    }
-    leased = count >= 2;
+    const std::size_t done = text.str().find("\"kind\":\"done\",\"worker\":2");
+    leased = done != std::string::npos &&
+             text.str().find("\"kind\":\"claim\",\"worker\":2", done) != std::string::npos;
     if (!leased) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(leased);

@@ -16,7 +16,6 @@
 #include "sim/batch_engine.hpp"
 #include "sim/dynamic.hpp"
 #include "sim/impairment_engine.hpp"
-#include "sim/mc_batch_engine.hpp"
 #include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"

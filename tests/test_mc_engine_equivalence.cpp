@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,6 @@
 #include "protocols/rpd.hpp"
 #include "protocols/wait_and_go.hpp"
 #include "sim/batch_engine.hpp"
-#include "sim/mc_batch_engine.hpp"
 #include "sim/run.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -200,6 +201,43 @@ TEST(McEngineEquivalence, BatchThrowsWithoutCapability) {
   const auto adapter = wp::make_single_channel_adapter(wp::RpdProtocol::for_n(64, 3), 4);
   EXPECT_EQ(adapter->oblivious_schedule(), nullptr);
   EXPECT_THROW((void)run_mc(*adapter, pattern, ws::Engine::kBatch), std::invalid_argument);
+}
+
+namespace {
+
+/// A broken capability: every station claims lane channels(), one past
+/// the last lane.
+class OutOfRangeLaneProtocol final : public wp::McProtocol, public wp::ObliviousSchedule {
+ public:
+  [[nodiscard]] std::string name() const override { return "out_of_range_lane"; }
+  [[nodiscard]] std::uint32_t channels() const override { return 2; }
+  [[nodiscard]] std::unique_ptr<wp::McStationRuntime> make_runtime(
+      wm::StationId /*u*/, wm::Slot /*wake*/) const override {
+    return nullptr;
+  }
+  [[nodiscard]] const wp::ObliviousSchedule* oblivious_schedule() const override { return this; }
+  [[nodiscard]] std::uint32_t schedule_channels() const override { return 2; }
+  [[nodiscard]] std::uint32_t channel_lane(wm::StationId /*u*/,
+                                           wm::Slot /*wake*/) const override {
+    return 2;
+  }
+  void schedule_block(wm::StationId /*u*/, wm::Slot /*wake*/, wm::Slot /*from*/,
+                      std::uint64_t* out_words, std::size_t n_words) const override {
+    std::fill(out_words, out_words + n_words, ~std::uint64_t{0});
+  }
+};
+
+}  // namespace
+
+TEST(McEngineEquivalence, BatchRejectsOutOfRangeLane) {
+  // The engine trusts channel_lane to index its lane rows; a schedule that
+  // breaks the < schedule_channels() contract must be refused, not read
+  // past the reduction rows.
+  const OutOfRangeLaneProtocol protocol;
+  ASSERT_TRUE(ws::mc_batch_supports(protocol));
+  wu::Rng rng(3);
+  const auto pattern = wm::patterns::simultaneous(16, 4, 0, rng);
+  EXPECT_THROW((void)run_mc(protocol, pattern, ws::Engine::kBatch), std::invalid_argument);
 }
 
 TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {

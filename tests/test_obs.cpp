@@ -20,6 +20,7 @@
 #include "mac/wake_pattern.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "protocols/multichannel.hpp"
 #include "protocols/registry.hpp"
 #include "sim/run.hpp"
 
@@ -360,6 +361,35 @@ TEST(ObsInstrumentation, ForcedCacheCellEmitsHitAndOccupancyMetrics) {
     EXPECT_GT(obs::snapshot_value(snap, "cache.bytes_resident"), 0u);
     EXPECT_GT(obs::snapshot_value(snap, "cache.entries"), 0u);
     EXPECT_EQ(obs::snapshot_value(snap, "cache.census_declines"), 0u);
+  } else {
+    EXPECT_TRUE(snap.empty());
+  }
+}
+
+TEST(ObsInstrumentation, ForcedCacheMultichannelCellEmitsBatchCounters) {
+  // C-channel cells run the same tile loop as single-channel ones, so a
+  // forced-cache striped round-robin cell at C = 4 must report its tiles
+  // and fetched words like any other batched cell.
+  ObsReset guard;
+  obs::set_enabled(true);
+
+  wu::sim::RunSpec spec;
+  spec.make_mc_protocol = [](std::uint64_t /*seed*/) {
+    return wu::proto::make_striped_round_robin(256, 4);
+  };
+  spec.make_pattern = [](wu::util::Rng& rng) {
+    return wu::mac::patterns::uniform_window(256, 16, 0, 64, rng);
+  };
+  spec.base_seed = 20130522;
+  spec.trials = 16;
+  spec.batching = wu::sim::TrialBatching::kForce;
+  const auto out = wu::sim::Run(spec, nullptr);
+  EXPECT_EQ(out.cell.failures, 0u);
+
+  const auto snap = obs::snapshot();
+  if (obs::kCompiled) {
+    EXPECT_GT(obs::snapshot_value(snap, "batch.tiles"), 0u);
+    EXPECT_GT(obs::snapshot_value(snap, "batch.words_fetched"), 0u);
   } else {
     EXPECT_TRUE(snap.empty());
   }
