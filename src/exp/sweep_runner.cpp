@@ -476,7 +476,11 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     // pass the inline pool itself, or Run would silently fan trials onto
     // the multi-threaded shared pool against the "0 = inline" contract.
     util::ThreadPool* trial_pool = pool->worker_count() == 0 ? pool : nullptr;
-    pool->parallel_for(0, pending.size(), [&](std::size_t i) { run_one(i, trial_pool); });
+    // One cell per task: neighbouring cells share a protocol and rise in
+    // n or k, so contiguous chunks would stack a grid's costliest cells on
+    // one worker and hang the sweep's wall time on that worker alone.
+    pool->parallel_for(0, pending.size(), [&](std::size_t i) { run_one(i, trial_pool); },
+                       /*chunk=*/1);
   } else {
     for (std::size_t i = 0; i < pending.size(); ++i) run_one(i, options.pool);
   }

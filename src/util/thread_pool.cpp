@@ -44,7 +44,7 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
+                              const std::function<void(std::size_t)>& fn, std::size_t chunk) {
   if (begin >= end) return;
   if (threads_.empty()) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
@@ -52,7 +52,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   const std::size_t total = end - begin;
   // A few chunks per worker balances load without flooding the queue.
-  const std::size_t chunks = std::min(total, threads_.size() * 4);
+  const std::size_t chunks =
+      chunk > 0 ? (total + chunk - 1) / chunk : std::min(total, threads_.size() * 4);
   const std::size_t chunk_size = (total + chunks - 1) / chunks;
 
   std::mutex done_mutex;

@@ -30,10 +30,11 @@ class ThreadPool {
   [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
 
   /// Runs fn(i) for i in [begin, end), blocking until all items finish.
-  /// Work is dealt in contiguous chunks; exceptions propagate to the caller
-  /// (the first one thrown wins).
+  /// Work is dealt in contiguous chunks of `chunk` items (0: a few chunks
+  /// per worker); exceptions propagate to the caller (the first one thrown
+  /// wins).
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn);
+                    const std::function<void(std::size_t)>& fn, std::size_t chunk = 0);
 
   /// A reasonable default worker count for this machine.
   [[nodiscard]] static std::size_t default_workers() noexcept;

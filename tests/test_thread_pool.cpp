@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace wu = wakeup::util;
@@ -50,6 +52,34 @@ TEST(ThreadPool, ResultsIndependentOfWorkerCount) {
   };
   EXPECT_EQ(run(0), run(1));
   EXPECT_EQ(run(0), run(4));
+}
+
+TEST(ThreadPool, ExplicitChunkCoversEveryItemOnce) {
+  wu::ThreadPool pool(3);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    std::vector<std::atomic<int>> counts(40);
+    pool.parallel_for(0, 40, [&](std::size_t i) { counts[i].fetch_add(1); }, chunk);
+    for (const auto& c : counts) EXPECT_EQ(c.load(), 1) << "chunk " << chunk;
+  }
+}
+
+TEST(ThreadPool, ChunkOfOneDealsNeighboursToDifferentWorkers) {
+  // The default dealing puts items 14 and 15 of 16 in one 2-item chunk on
+  // a 2-worker pool; with chunk = 1 item 14 can wait for item 15 to start,
+  // because the other worker claims it.
+  wu::ThreadPool pool(2);
+  std::atomic<bool> last_started{false};
+  std::atomic<bool> overlapped{false};
+  pool.parallel_for(0, 16, [&](std::size_t i) {
+    if (i == 15) last_started = true;
+    if (i != 14) return;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!last_started && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    overlapped = last_started.load();
+  }, /*chunk=*/1);
+  EXPECT_TRUE(overlapped.load());
 }
 
 TEST(ThreadPool, ExceptionPropagates) {
