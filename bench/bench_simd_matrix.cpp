@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
 
     sim::ScheduleCache::Config cache_config;
     cache_config.window = 1 << 17;
-    cache_config.force = true;
     sim::ScheduleCache cache(*schedule, cache_config);
     cache.populate(members, &bench::pool());
     if (cell.expect_no_overflow && cache.overflowed() != 0) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -253,6 +254,15 @@ void emit_heartbeat(const SweepOptions& options, std::uint64_t done_now, std::ui
                static_cast<unsigned long long>(hb.total), hb.cells_per_sec, hb.eta_sec, registry);
 }
 
+/// True once `path` holds a complete header line.  ManifestWriter creates
+/// a file and flushes its header in two steps, so a worker scanning the
+/// directory can catch a sibling's shard empty in between.
+bool has_header_line(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  return std::getline(in, line) && !in.eof();
+}
+
 /// Worker-mode run_sweep: lease contiguous chunks from the claim ledger,
 /// run their cells sequentially (trials still fan onto options.pool),
 /// append each result to this worker's single-writer shard, and repeat
@@ -290,9 +300,11 @@ SweepOutcome run_sweep_worker(const SweepSpec& spec, const SweepOptions& options
   // Cells already banked anywhere count as completed: this worker's own
   // shard from a previous attempt, other workers' shards, or a legacy
   // single-process manifest.  Worker mode is inherently resume-shaped —
-  // fresh fleets clear the directory up front (run_sweep_fleet).
+  // fresh fleets clear the directory up front (run_sweep_fleet).  A shard
+  // with no header line yet holds no cells.
   std::vector<std::uint8_t> completed(cells.size(), 0);
   for (const std::string& path : list_manifest_paths(options.out_dir)) {
+    if (!has_header_line(path)) continue;
     const ManifestData data = load_manifest(path);
     if (data.header.base_seed != header.base_seed ||
         data.header.grid_hash != header.grid_hash || data.header.cells != header.cells) {
@@ -308,7 +320,7 @@ SweepOutcome run_sweep_worker(const SweepSpec& spec, const SweepOptions& options
   for (const std::uint8_t done : completed) outcome.cells_resumed += done;
 
   ManifestWriter writer(outcome.manifest_path, header,
-                        /*append=*/std::filesystem::exists(outcome.manifest_path));
+                        /*append=*/has_header_line(outcome.manifest_path));
   ClaimLedgerOptions ledger_options;
   ledger_options.now_ms = options.ledger_now_ms;
   ClaimLedger ledger(options.out_dir + "/claims.jsonl", header, std::move(ledger_options));

@@ -9,7 +9,8 @@
 /// paper compares against (Chlebus–Gąsieniec–Kowalski–Radzik [9],
 /// O(k log² n)); see DESIGN.md for the inspired-by caveat.  With a
 /// simultaneous wake pattern it degenerates to the synchronized
-/// Komlós–Greenberg setting, which is how the T2/T5 benches use it too.
+/// Komlós–Greenberg setting, which is how the paper-claims test compares
+/// it against wakeup_matrix.
 
 #include "combinatorics/doubling_schedule.hpp"
 #include "protocols/protocol.hpp"

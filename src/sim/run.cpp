@@ -445,10 +445,8 @@ ProbeStats run_probe_trials(const RunSpec& spec, const CellPatterns& patterns,
 
 /// Cache sizing from the probes: window shrunk to a multiple of observed
 /// trial lengths instead of the (deliberately generous) failure budget.
-ScheduleCache::Config sized_cache_config(const RunSpec& spec, bool force,
-                                         const ProbeStats& stats) {
+ScheduleCache::Config sized_cache_config(const RunSpec& spec, const ProbeStats& stats) {
   ScheduleCache::Config config = spec.cache;
-  config.force = force;
   config.horizon = stats.horizon;
   config.window = std::clamp<mac::Slot>(2 * stats.observed, 256,
                                         std::max<mac::Slot>(spec.cache.window, 256));
@@ -615,7 +613,7 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   };
 
   const proto::ObliviousSchedule* schedule = protocol->oblivious_schedule();
-  const bool force = spec.batching == TrialBatching::kForce || spec.cache.force;
+  const bool force = spec.batching == TrialBatching::kForce;
   // Same cost model as the kAuto dispatch: cheap-word schedules (strided
   // bits) recompute faster than a memo can be populated; the cache earns
   // its keep on table-, family- and hash-walking schedules.  Cells with no
@@ -673,7 +671,7 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
     return walked_slots(spec.sim, patterns[i], outs[i]);
   });
 
-  ScheduleCache cache(*schedule, sized_cache_config(spec, force, stats));
+  ScheduleCache cache(*schedule, sized_cache_config(spec, stats));
   const bool declined = plan_census_gate_declines(cache, spec, patterns, force, stats);
   SimConfig rest = spec.sim;
   if (declined) {

@@ -59,8 +59,9 @@ enum class TrialBatching : std::uint8_t {
   kAuto,
   /// Plain per-trial loop (protocol still hoisted per the seed contract).
   kOff,
-  /// Like kAuto but the memo is always populated and served — equivalent
-  /// to ScheduleCache::Config::force.  For tests and benches.
+  /// Like kAuto but the memo is always populated and served, bypassing
+  /// the population cost gate and the cheap-word and probe-count checks.
+  /// For tests and benches.
   kForce,
 };
 

@@ -50,10 +50,6 @@ class ScheduleCache {
     /// Hard cap on cached words across all entries; once reached, new
     /// (station, wake-class) pairs stay uncached and reads fall back.
     std::size_t max_bytes = std::size_t{256} << 20;
-    /// Bypass the sweep harness's population cost gate: populate and serve
-    /// the memo even when the probe-based estimate says recomputing would
-    /// be cheaper (low cross-trial reuse).  For tests and benches.
-    bool force = false;
     /// Contended-prefix policy (0 = off): cap, in slots, on the words
     /// cached per entry.  Folds whose head + wheel would exceed the cap
     /// degrade to windowed entries, and windowed spans are clamped to it.

@@ -94,16 +94,6 @@ class Log2Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Ordinary least squares fit y = a + b*x; used by the harness to check
-/// that measured cost scales linearly with the theory bound.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-
-  [[nodiscard]] static LinearFit of(const std::vector<double>& x, const std::vector<double>& y);
-};
-
 /// Percentile bootstrap confidence interval for the mean of a sample.
 struct BootstrapCI {
   double mean = 0.0;

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mac/impairment.hpp"
 #include "protocols/local_doubling.hpp"
 #include "protocols/round_robin.hpp"
 #include "protocols/wakeup_matrix.hpp"
+#include "protocols/wakeup_with_k.hpp"
+#include "protocols/wakeup_with_s.hpp"
 #include "sim/batch_engine.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -41,12 +46,22 @@ TEST(SwapAdversary, RoundRobinIsExactlyTight) {
   EXPECT_LE(result.rounds_forced, static_cast<std::int64_t>(n));
 }
 
+// Theorem 2.1 against the selective-family protocols: the Scenario A and B
+// interleavings and the local-clock doubling baseline.
 TEST(SwapAdversary, WorksOnSelectiveSchedules) {
-  const std::uint32_t n = 64, k = 8;
-  const auto protocol = wp::make_local_doubling(n, n, wc::FamilyKind::kRandomized, 3);
-  const auto result = ws::run_swap_adversary(*protocol, n, k);
-  EXPECT_FALSE(result.protocol_stalled);
-  EXPECT_GE(result.rounds_forced, result.bound);
+  const std::uint32_t n = 64;
+  for (const std::uint32_t k : {2u, 8u, 48u}) {
+    const std::vector<std::pair<std::string, wp::ProtocolPtr>> protocols = {
+        {"local_doubling", wp::make_local_doubling(n, n, wc::FamilyKind::kRandomized, 3)},
+        {"wakeup_with_s", wp::make_wakeup_with_s(n, 0, wc::FamilyKind::kRandomized, 3)},
+        {"wakeup_with_k", wp::make_wakeup_with_k(n, k, wc::FamilyKind::kRandomized, 3)},
+    };
+    for (const auto& [name, protocol] : protocols) {
+      const auto result = ws::run_swap_adversary(*protocol, n, k);
+      EXPECT_FALSE(result.protocol_stalled) << name << " k=" << k;
+      EXPECT_GE(result.rounds_forced, result.bound) << name << " k=" << k;
+    }
+  }
 }
 
 TEST(SwapAdversary, WorksOnWakeupMatrix) {

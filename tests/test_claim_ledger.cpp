@@ -1,9 +1,10 @@
 /// Multi-process sweep execution (src/exp/claim_ledger + worker mode +
 /// merge): ledger round-trips, expired-lease stealing, lowest-id
 /// double-claim resolution, torn claim tails, capped-worker release,
-/// deterministic shard merges (byte-identical to a single-process run),
-/// merge refusals on foreign shards and conflicting duplicates, and a real
-/// mid-grid SIGKILL of one worker in a forked three-worker fleet.
+/// header-less shards at worker start-up, deterministic shard merges
+/// (byte-identical to a single-process run), merge refusals on foreign
+/// shards and conflicting duplicates, and a real mid-grid SIGKILL of one
+/// worker in a forked three-worker fleet.
 ///
 /// Every run_sweep in this file uses an inline ThreadPool(0): the SIGKILL
 /// test forks, and fork() carries only the calling thread — a process that
@@ -308,6 +309,50 @@ TEST(SweepWorker, SameWorkerIdResumesItsOwnShard) {
   ASSERT_TRUE(merged.completed);
   EXPECT_EQ(slurp(classic.csv_path), slurp(merged.csv_path));
   EXPECT_EQ(slurp(classic.json_path), slurp(merged.json_path));
+}
+
+TEST(SweepWorker, SiblingShardWithoutHeaderHoldsNoCells) {
+  // A sibling has created manifest-9.jsonl but not yet flushed its header
+  // line: a worker that scans the directory now must count it as empty
+  // rather than fail the fleet.
+  const auto spec = worker_spec();
+  wu::ThreadPool pool0(0);
+  const auto classic = classic_run(spec, fresh_dir("headerless_classic"), &pool0);
+
+  const std::string dir = fresh_dir("headerless_sibling");
+  ASSERT_TRUE(wu::ensure_directory(dir));
+  std::ofstream(dir + "/manifest-9.jsonl").close();
+  const auto outcome = we::run_sweep(spec, worker_options(dir, &pool0, 0));
+  EXPECT_TRUE(outcome.drained);
+  EXPECT_EQ(outcome.cells_run, 8u);
+
+  // The merge still refuses a header-less shard.  Once the sibling's
+  // header lands (it then finds every cell done), the merge is exact.
+  EXPECT_THROW((void)we::merge_sweep(dir), std::runtime_error);
+  const std::string shard0 = slurp(dir + "/manifest-0.jsonl");
+  std::ofstream(dir + "/manifest-9.jsonl") << shard0.substr(0, shard0.find('\n') + 1);
+  const auto merged = we::merge_sweep(dir);
+  ASSERT_TRUE(merged.completed);
+  EXPECT_EQ(slurp(classic.csv_path), slurp(merged.csv_path));
+  EXPECT_EQ(slurp(classic.json_path), slurp(merged.json_path));
+}
+
+TEST(SweepWorker, OwnShardWithoutHeaderIsRewritten) {
+  // A worker killed between creating its shard and flushing the header
+  // comes back under the same id: the shard restarts with a header.
+  const auto spec = worker_spec();
+  wu::ThreadPool pool0(0);
+  const auto classic = classic_run(spec, fresh_dir("own_headerless_classic"), &pool0);
+
+  const std::string dir = fresh_dir("own_headerless");
+  ASSERT_TRUE(wu::ensure_directory(dir));
+  std::ofstream(dir + "/manifest-0.jsonl").close();
+  const auto outcome = we::run_sweep(spec, worker_options(dir, &pool0, 0));
+  EXPECT_EQ(outcome.cells_run, 8u);
+  EXPECT_EQ(we::load_manifest(dir + "/manifest-0.jsonl").by_tag.size(), 8u);
+  const auto merged = we::merge_sweep(dir);
+  ASSERT_TRUE(merged.completed);
+  EXPECT_EQ(slurp(classic.csv_path), slurp(merged.csv_path));
 }
 
 TEST(SweepWorker, RejectsAPerTrialCsvSink) {

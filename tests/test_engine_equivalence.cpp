@@ -275,11 +275,11 @@ TEST(TrialBatching, CachedAndUncachedTrialsBitIdentical) {
       spec.base_seed = 20130522;
       spec.sim.full_resolution = full_resolution;
       // Tiny window cap: forces reads past the cached prefix, so the
-      // fallback path is exercised too.  `force` bypasses the population
+      // fallback path is exercised too.  kForce bypasses the population
       // cost gate — this test is about bit-identity of the cached path,
       // not about when caching pays.
       spec.cache.window = 256;
-      spec.cache.force = true;
+      spec.batching = wu::sim::TrialBatching::kForce;
 
       std::vector<wu::sim::SimResult> uncached(spec.trials);
       spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { uncached[i] = r; };
@@ -411,7 +411,7 @@ TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
     spec.trials = 12;
     spec.base_seed = 20130522;
     spec.cache.window = 256;
-    spec.cache.force = true;
+    spec.batching = wu::sim::TrialBatching::kForce;
 
     wu::sim::set_tile_words(0);
     wu::util::simd::set_force_scalar(false);

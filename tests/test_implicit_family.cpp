@@ -198,12 +198,9 @@ TEST(ImplicitFamily, ContendedPrefixCacheBitIdentity) {
   const auto* schedule = protocol->oblivious_schedule();
   ASSERT_NE(schedule, nullptr);
 
-  ws::ScheduleCache::Config full_config;
-  full_config.force = true;
-  ws::ScheduleCache full(*schedule, full_config);
+  ws::ScheduleCache full(*schedule, ws::ScheduleCache::Config{});
 
   ws::ScheduleCache::Config capped_config;
-  capped_config.force = true;
   capped_config.contended_prefix = 128;  // far below the fold size
   capped_config.window = 1 << 12;
   ws::ScheduleCache capped(*schedule, capped_config);
@@ -244,7 +241,6 @@ TEST(ImplicitFamily, ContendedPrefixClampsWindowedEntries) {
   ASSERT_NE(schedule, nullptr);
 
   ws::ScheduleCache::Config config;
-  config.force = true;
   config.window = 1 << 14;
   config.contended_prefix = 256;
   ws::ScheduleCache cache(*schedule, config);

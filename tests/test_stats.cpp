@@ -142,33 +142,3 @@ TEST(Log2Histogram, Buckets) {
   EXPECT_EQ(h.buckets()[6], 1u);
   EXPECT_FALSE(h.to_string().empty());
 }
-
-TEST(LinearFit, ExactLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const auto fit = wu::LinearFit::of(x, y);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-9);
-}
-
-TEST(LinearFit, DegenerateInputs) {
-  const auto fit = wu::LinearFit::of({1.0}, {2.0});
-  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
-  const auto flat = wu::LinearFit::of({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(flat.slope, 0.0);  // zero x-variance guarded
-}
-
-TEST(LinearFit, NoisyLineHighR2) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 100; ++i) {
-    x.push_back(i);
-    y.push_back(5.0 * i + ((i % 3) - 1));  // tiny structured noise
-  }
-  const auto fit = wu::LinearFit::of(x, y);
-  EXPECT_NEAR(fit.slope, 5.0, 0.01);
-  EXPECT_GT(fit.r2, 0.999);
-}
