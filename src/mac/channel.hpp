@@ -5,8 +5,7 @@
 ///
 /// The channel is memoryless: the outcome of a slot is a pure function of
 /// how many stations transmit in it, and the feedback each station receives
-/// is a pure function of the outcome and the feedback model.  `Channel`
-/// additionally keeps running outcome counters for reporting.
+/// is a pure function of the outcome and the feedback model.
 
 #include <cstddef>
 
@@ -38,36 +37,5 @@ namespace wakeup::mac {
   }
   return ChannelFeedback::kNothing;
 }
-
-/// Stateful wrapper: resolves slots and accumulates outcome counts.
-class Channel {
- public:
-  explicit Channel(FeedbackModel model = FeedbackModel::kNone) noexcept : model_(model) {}
-
-  [[nodiscard]] FeedbackModel model() const noexcept { return model_; }
-
-  /// Resolves one slot with `transmitter_count` transmitters and updates
-  /// counters.
-  SlotOutcome transmit(std::size_t transmitter_count) noexcept;
-
-  /// Feedback stations receive for the given outcome under this model.
-  [[nodiscard]] ChannelFeedback feedback(SlotOutcome outcome) const noexcept {
-    return feedback_for(outcome, model_);
-  }
-
-  [[nodiscard]] std::uint64_t slots() const noexcept { return slots_; }
-  [[nodiscard]] std::uint64_t silences() const noexcept { return silences_; }
-  [[nodiscard]] std::uint64_t successes() const noexcept { return successes_; }
-  [[nodiscard]] std::uint64_t collisions() const noexcept { return collisions_; }
-
-  void reset_counters() noexcept { slots_ = silences_ = successes_ = collisions_ = 0; }
-
- private:
-  FeedbackModel model_;
-  std::uint64_t slots_ = 0;
-  std::uint64_t silences_ = 0;
-  std::uint64_t successes_ = 0;
-  std::uint64_t collisions_ = 0;
-};
 
 }  // namespace wakeup::mac

@@ -11,7 +11,6 @@
 /// first slot in which ANY channel carries a solo transmission.
 
 #include <cstdint>
-#include <vector>
 
 #include "mac/types.hpp"
 
@@ -24,17 +23,5 @@ struct ChannelAction {
   /// must be < channel count.
   std::uint32_t channel = 0;
 };
-
-/// Per-slot result over all channels.
-struct MultiSlotResult {
-  std::vector<SlotOutcome> outcomes;  ///< one per channel
-  std::int32_t success_channel = -1;  ///< lowest channel with a solo transmission
-  [[nodiscard]] bool any_success() const noexcept { return success_channel >= 0; }
-};
-
-/// Resolves one slot: `actions[i]` belongs to station `stations[i]`.
-/// Returns per-channel outcomes and the winning channel if any.
-[[nodiscard]] MultiSlotResult resolve_multi_slot(std::uint32_t channels,
-                                                 const std::vector<ChannelAction>& actions);
 
 }  // namespace wakeup::mac

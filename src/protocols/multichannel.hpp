@@ -51,7 +51,7 @@ class McProtocol {
   /// channel_lane`), with `schedule_channels() == channels()`.  The
   /// returned schedule must agree with `make_runtime` action for action;
   /// the batch engine (sim/batch_engine.hpp) then resolves runs 64 slots
-  /// per lane at a time instead of one `resolve_multi_slot` per slot.
+  /// per lane at a time instead of one `act` per station per slot.
   [[nodiscard]] virtual const ObliviousSchedule* oblivious_schedule() const { return nullptr; }
   /// True for coin-flipping protocols (random-channel RPD): the sweep
   /// harness rebuilds them per trial from a per-trial stream instead of

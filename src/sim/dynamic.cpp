@@ -115,10 +115,8 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     stations.push_back(std::move(st));
   }
 
-  mac::Channel channel(mac::FeedbackModel::kNone);
   std::vector<Active*> transmitters;
   const mac::Slot horizon = scenario.horizon();
-  std::uint64_t silences = 0, collisions = 0, delivered = 0;
 
   for (mac::Slot t = 0; t < horizon; ++t) {
     // Admit this slot's arrivals; a station going from empty to backlogged
@@ -152,24 +150,21 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
       }
     }
 
-    mac::SlotOutcome outcome;
-    if (plan != nullptr) {
-      outcome = plan->effective_outcome(t, transmitters.size());
-      switch (outcome) {
-        case mac::SlotOutcome::kSilence:
-          ++silences;
-          break;
-        case mac::SlotOutcome::kSuccess:
-          ++delivered;
-          break;
-        case mac::SlotOutcome::kCollision:
-          ++collisions;
-          break;
-      }
-    } else {
-      outcome = channel.transmit(transmitters.size());
+    const mac::SlotOutcome outcome = plan != nullptr
+                                         ? plan->effective_outcome(t, transmitters.size())
+                                         : mac::resolve_slot(transmitters.size());
+    switch (outcome) {
+      case mac::SlotOutcome::kSilence:
+        ++result.silences;
+        break;
+      case mac::SlotOutcome::kSuccess:
+        ++result.delivered;
+        break;
+      case mac::SlotOutcome::kCollision:
+        ++result.collisions;
+        break;
     }
-    const mac::ChannelFeedback fb = channel.feedback(outcome);
+    const mac::ChannelFeedback fb = mac::feedback_for(outcome, mac::FeedbackModel::kNone);
     Active* winner =
         outcome == mac::SlotOutcome::kSuccess ? transmitters.front() : nullptr;
     for (Active& st : stations) {
@@ -189,9 +184,6 @@ DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
     }
   }
 
-  result.silences = plan != nullptr ? silences : channel.silences();
-  result.collisions = plan != nullptr ? collisions : channel.collisions();
-  result.delivered = plan != nullptr ? delivered : channel.successes();
   result.backlog = result.arrivals - result.delivered;
   return result;
 }

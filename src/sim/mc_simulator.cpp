@@ -1,11 +1,10 @@
 #include "sim/mc_simulator.hpp"
 
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
-#include "sim/impairment_engine.hpp"
 #include "sim/batch_engine.hpp"
+#include "sim/impairment_engine.hpp"
+#include "sim/interpreter.hpp"
 
 namespace wakeup::sim {
 
@@ -21,84 +20,6 @@ McSimResult to_mc_result(const SimResult& r, std::int32_t success_channel) {
   mc.silences = r.silences;
   mc.successes = r.successes;
   return mc;
-}
-
-McSimResult run_mc_interpreter(const proto::McProtocol& protocol,
-                               const mac::WakePattern& pattern, mac::Slot max_slots,
-                               const ImpairmentPlan* plan) {
-  McSimResult result;
-  if (pattern.empty()) return result;
-  if (plan != nullptr && plan->clean()) plan = nullptr;
-
-  struct Active {
-    mac::StationId id;
-    std::unique_ptr<proto::McStationRuntime> runtime;
-    mac::ChannelAction last_action;
-  };
-
-  const auto& arrivals = pattern.arrivals();
-  const mac::Slot s = pattern.first_wake();
-  result.s = s;
-  const mac::Slot budget = slot_budget(max_slots, pattern);
-
-  std::vector<Active> active;
-  active.reserve(pattern.k());
-  std::size_t next_arrival = 0;
-  std::vector<mac::ChannelAction> actions;
-
-  for (mac::Slot t = s; t - s < budget; ++t) {
-    while (next_arrival < arrivals.size() && arrivals[next_arrival].wake == t) {
-      const auto& a = arrivals[next_arrival];
-      active.push_back({a.station, protocol.make_runtime(a.station, a.wake), {}});
-      ++next_arrival;
-    }
-
-    actions.clear();
-    for (Active& st : active) {
-      st.last_action = st.runtime->act(t);
-      actions.push_back(st.last_action);
-    }
-
-    auto slot = mac::resolve_multi_slot(protocol.channels(), actions);
-    // Wideband impairment: a corrupted slot collides on every lane; a noisy
-    // slot garbles every lane's solo into a collision (silence stays
-    // silence).  Listeners hear only the effective outcomes.
-    if (plan != nullptr && (plan->corrupted(t) || plan->noisy(t))) {
-      const bool corrupt = plan->corrupted(t);
-      for (auto& outcome : slot.outcomes) {
-        if (corrupt || outcome == mac::SlotOutcome::kSuccess) {
-          outcome = mac::SlotOutcome::kCollision;
-        }
-      }
-      slot.success_channel = -1;
-    }
-    for (std::uint32_t c = 0; c < protocol.channels(); ++c) {
-      if (slot.outcomes[c] == mac::SlotOutcome::kCollision) ++result.collisions;
-      if (slot.outcomes[c] == mac::SlotOutcome::kSilence) ++result.silences;
-      if (slot.outcomes[c] == mac::SlotOutcome::kSuccess) ++result.successes;
-    }
-    // Stations hear the outcome of the channel they acted on (no-CD model).
-    for (Active& st : active) {
-      const auto outcome = slot.outcomes[st.last_action.channel];
-      st.runtime->feedback(t, mac::feedback_for(outcome, mac::FeedbackModel::kNone));
-    }
-
-    if (slot.any_success()) {
-      result.success = true;
-      result.success_slot = t;
-      result.rounds = t - s;
-      result.success_channel = slot.success_channel;
-      for (const Active& st : active) {
-        if (st.last_action.transmit &&
-            st.last_action.channel == static_cast<std::uint32_t>(slot.success_channel)) {
-          result.winner = st.id;
-          break;
-        }
-      }
-      return result;
-    }
-  }
-  return result;
 }
 
 namespace {
@@ -142,9 +63,12 @@ McSimResult dispatch_mc_wakeup(const proto::McProtocol& protocol,
     throw std::invalid_argument(
         "multichannel runs support neither traces, full resolution, nor CD feedback");
   }
+  // McSimResult reports no energy, so the slot loop skips its accounting.
+  SimConfig slot_config = config;
+  slot_config.energy = EnergyModel::kOff;
   switch (config.engine) {
     case Engine::kInterpreter:
-      return run_mc_interpreter(protocol, pattern, config.max_slots, config.impairment);
+      return run_wakeup_interpreter(protocol, pattern, slot_config);
     case Engine::kBatch:
       // throws if unsupported
       return run_mc_batch(protocol, pattern, config.max_slots, config.impairment);
@@ -157,7 +81,7 @@ McSimResult dispatch_mc_wakeup(const proto::McProtocol& protocol,
   if (mc_batch_supports(protocol)) {
     return run_mc_batch(protocol, pattern, config.max_slots, config.impairment);
   }
-  return run_mc_interpreter(protocol, pattern, config.max_slots, config.impairment);
+  return run_wakeup_interpreter(protocol, pattern, slot_config);
 }
 
 }  // namespace wakeup::sim

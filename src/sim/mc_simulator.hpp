@@ -7,8 +7,8 @@
 ///
 /// `dispatch_mc_wakeup` is the engine-selection layer under the `sim::Run`
 /// facade (sim/run.hpp), mirroring the single-channel `dispatch_wakeup`:
-/// it routes between the slot-by-slot multichannel interpreter
-/// (`run_mc_interpreter`, universal) and the static batch engine
+/// it routes between the slot-by-slot interpreter (sim/interpreter.hpp,
+/// universal; one loop for one channel and C) and the static batch engine
 /// (sim/batch_engine.hpp, `run_mc_batch`: the single-channel engine with C
 /// lanes) for protocols exposing the channel-aware
 /// `proto::ObliviousSchedule` capability, per SimConfig::engine.
@@ -46,19 +46,6 @@ struct McSimResult {
 /// `r` as a C-channel result whose first success (if any) fell on lane
 /// `success_channel`; every counter carries over unchanged.
 [[nodiscard]] McSimResult to_mc_result(const SimResult& r, std::int32_t success_channel);
-
-/// Reference slot-by-slot engine: one `act` per awake station per slot,
-/// `mac::resolve_multi_slot` per slot, feedback from the acted-on channel.
-/// Works for every McProtocol (including adapters, run generically).
-/// `max_slots <= 0` selects the same auto budget as the single-channel
-/// simulator.  `plan` (nullable, not owned) applies one trial's channel
-/// impairments *wideband* — noise and jamming hit every lane of a slot
-/// alike (a jammed slot collides on all C channels, a noisy slot garbles
-/// every lane's solo).
-[[nodiscard]] McSimResult run_mc_interpreter(const proto::McProtocol& protocol,
-                                             const mac::WakePattern& pattern,
-                                             mac::Slot max_slots = 0,
-                                             const ImpairmentPlan* plan = nullptr);
 
 /// Engine-selection layer: runs `protocol` against `pattern` on the engine
 /// selected by `config.engine` (kAuto routes adapters through the

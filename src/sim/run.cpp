@@ -716,11 +716,6 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
   return out;
 }
 
-double normalized_mean(const CellResult& result, double bound) {
-  if (bound <= 0.0 || result.rounds.count == 0) return 0.0;
-  return result.rounds.mean / bound;
-}
-
 // Seed derivations — the documented RunSpec contract, stable since the
 // pre-facade harness so historical sweep results stay reproducible.
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell_tag, std::uint64_t trial) {

@@ -17,7 +17,7 @@
 /// auto r = sim::Run({.protocol = &rr, .pattern = &pattern}).sim;
 /// // Single run, C channels, forced slot interpreter:
 /// auto m = sim::Run({.mc_protocol = &striped, .pattern = &pattern,
-///                    .sim = {.engine = sim::Engine::kInterpret}}).mc;
+///                    .sim = {.engine = sim::Engine::kInterpreter}}).mc;
 /// // Trial-batched sweep cell (protocol hoisted, schedule words memoized):
 /// auto c = sim::Run({.make_protocol = factory, .make_pattern = gen,
 ///                    .trials = 256, .base_seed = 1}, &pool).cell;
@@ -190,10 +190,6 @@ struct RunOutcome {
 /// ambiguous or incomplete specs (see RunSpec) and on engine/feature
 /// combinations the chosen model cannot serve.
 [[nodiscard]] RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool = nullptr);
-
-/// Convenience: mean rounds normalized by a theory bound, the headline
-/// statistic of the scaling tables.
-[[nodiscard]] double normalized_mean(const CellResult& result, double bound);
 
 // -- Seed-contract hooks ----------------------------------------------------
 //

@@ -41,8 +41,6 @@ enum class Engine : std::uint8_t {
   /// Force the word-parallel batch engine; throws std::invalid_argument if
   /// the protocol is not oblivious or a trace is requested.
   kBatch,
-  /// RunSpec-facade spelling of kInterpreter.
-  kInterpret = kInterpreter,
 };
 
 /// Channel-energy cost model (De Marco–Kowalski–Stachowiak: energy = the

@@ -33,35 +33,6 @@ TEST(FeedbackFor, CollisionDetectionModel) {
       wm::ChannelFeedback::kSuccess);
 }
 
-TEST(Channel, CountsOutcomes) {
-  wm::Channel ch(wm::FeedbackModel::kNone);
-  EXPECT_EQ(ch.transmit(0), wm::SlotOutcome::kSilence);
-  EXPECT_EQ(ch.transmit(1), wm::SlotOutcome::kSuccess);
-  EXPECT_EQ(ch.transmit(3), wm::SlotOutcome::kCollision);
-  EXPECT_EQ(ch.transmit(2), wm::SlotOutcome::kCollision);
-  EXPECT_EQ(ch.slots(), 4u);
-  EXPECT_EQ(ch.silences(), 1u);
-  EXPECT_EQ(ch.successes(), 1u);
-  EXPECT_EQ(ch.collisions(), 2u);
-}
-
-TEST(Channel, ResetCounters) {
-  wm::Channel ch;
-  (void)ch.transmit(1);
-  ch.reset_counters();
-  EXPECT_EQ(ch.slots(), 0u);
-  EXPECT_EQ(ch.successes(), 0u);
-}
-
-TEST(Channel, FeedbackUsesModel) {
-  wm::Channel none(wm::FeedbackModel::kNone);
-  wm::Channel cd(wm::FeedbackModel::kCollisionDetection);
-  EXPECT_EQ(none.feedback(wm::SlotOutcome::kCollision), wm::ChannelFeedback::kNothing);
-  EXPECT_EQ(cd.feedback(wm::SlotOutcome::kCollision), wm::ChannelFeedback::kCollision);
-  EXPECT_EQ(none.model(), wm::FeedbackModel::kNone);
-  EXPECT_EQ(cd.model(), wm::FeedbackModel::kCollisionDetection);
-}
-
 TEST(SlotOutcome, ToString) {
   EXPECT_EQ(wm::to_string(wm::SlotOutcome::kSilence), "silence");
   EXPECT_EQ(wm::to_string(wm::SlotOutcome::kSuccess), "success");

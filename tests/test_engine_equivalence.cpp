@@ -418,7 +418,7 @@ TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
     std::vector<wu::sim::SimResult> reference(spec.trials);
     auto plain_spec = spec;
     plain_spec.batching = wu::sim::TrialBatching::kOff;
-    plain_spec.sim.engine = wu::sim::Engine::kInterpret;
+    plain_spec.sim.engine = wu::sim::Engine::kInterpreter;
     plain_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
       reference[i] = r;
     };

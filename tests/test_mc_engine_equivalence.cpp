@@ -1,7 +1,7 @@
 /// C-channel engine equivalence: the multichannel batch engine must
 /// produce bit-identical McSimResults — every counter: successes,
 /// silences, collisions, success_channel, winner — to the slot-by-slot
-/// multichannel interpreter, across the three native strategies (striped
+/// interpreter run over C lanes, across the three native strategies (striped
 /// round-robin, group wait_and_go, channel-0 adapter) over seeded trials,
 /// including budget-exhaustion runs.  Also checks the channel-aware
 /// ObliviousSchedule capability contract action for action against the
@@ -20,6 +20,7 @@
 #include "protocols/wait_and_go.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/run.hpp"
+#include "tests/test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -92,7 +93,7 @@ TEST(McEngineEquivalence, BitIdenticalAcrossSeededTrials) {
         const std::string label = strategy.label + " kind=" +
                                   std::string(wm::patterns::kind_name(kind)) + " trial=" +
                                   std::to_string(trial);
-        const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpret);
+        const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter);
         expect_identical(reference, run_mc(*strategy.protocol, pattern, ws::Engine::kBatch),
                          label + " batch");
         expect_identical(reference, run_mc(*strategy.protocol, pattern, ws::Engine::kAuto),
@@ -114,7 +115,7 @@ TEST(McEngineEquivalence, BudgetExhaustionCountersMatch) {
     for (const wm::Slot budget : {1, 2, 63, 64, 65, 130}) {
       const std::string label = strategy.label + " budget=" + std::to_string(budget);
       const auto reference =
-          run_mc(*strategy.protocol, pattern, ws::Engine::kInterpret, budget);
+          run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter, budget);
       expect_identical(reference,
                        run_mc(*strategy.protocol, pattern, ws::Engine::kBatch, budget),
                        label + " batch");
@@ -143,7 +144,7 @@ TEST(McEngineEquivalence, TileWidthsAndKernelsBitIdentical) {
     for (const wm::Slot budget : {wm::Slot{0}, wm::Slot{65}, wm::Slot{129}, wm::Slot{513}}) {
       ws::set_tile_words(0);
       wakeup::util::simd::set_force_scalar(false);
-      const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpret, budget);
+      const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter, budget);
       for (const std::size_t tile : {1u, 2u, 8u}) {
         for (const bool scalar : {false, true}) {
           ws::set_tile_words(tile);
@@ -240,6 +241,21 @@ TEST(McEngineEquivalence, BatchRejectsOutOfRangeLane) {
   EXPECT_THROW((void)run_mc(protocol, pattern, ws::Engine::kBatch), std::invalid_argument);
 }
 
+TEST(McEngineEquivalence, InterpreterRejectsOutOfRangeChannel) {
+  // A runtime acting on channel >= C — transmitting or only listening —
+  // breaks the McStationRuntime contract; the slot loop must refuse it
+  // rather than index a lane that does not exist.
+  wu::Rng rng(3);
+  const auto pattern = wm::patterns::simultaneous(16, 4, 0, rng);
+  for (const bool transmit : {true, false}) {
+    const wakeup::test::FixedActionProtocol protocol(2, {{transmit, 2}});
+    for (const auto engine : {ws::Engine::kInterpreter, ws::Engine::kAuto}) {
+      EXPECT_THROW((void)run_mc(protocol, pattern, engine), std::invalid_argument)
+          << "transmit=" << transmit;
+    }
+  }
+}
+
 TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
   // Trial-level batching over the C-channel memo: every per-trial
   // McSimResult from the batched cell (forced cache) must equal the
@@ -258,7 +274,7 @@ TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
 
     std::vector<ws::McSimResult> interpreted(spec.trials), batched(spec.trials);
     auto interp_spec = spec;
-    interp_spec.sim.engine = ws::Engine::kInterpret;
+    interp_spec.sim.engine = ws::Engine::kInterpreter;
     interp_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
       interpreted[i] = r;
     };

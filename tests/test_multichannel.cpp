@@ -26,33 +26,6 @@ ws::McSimResult run_mc(const wp::McProtocol& protocol, const wm::WakePattern& pa
 
 }  // namespace
 
-TEST(MultiSlot, ResolvesPerChannel) {
-  // Stations: tx on ch0, tx on ch0, tx on ch1, listen ch2.
-  std::vector<wm::ChannelAction> actions = {
-      {true, 0}, {true, 0}, {true, 1}, {false, 2}};
-  const auto result = wm::resolve_multi_slot(3, actions);
-  ASSERT_EQ(result.outcomes.size(), 3u);
-  EXPECT_EQ(result.outcomes[0], wm::SlotOutcome::kCollision);
-  EXPECT_EQ(result.outcomes[1], wm::SlotOutcome::kSuccess);
-  EXPECT_EQ(result.outcomes[2], wm::SlotOutcome::kSilence);
-  EXPECT_EQ(result.success_channel, 1);
-  EXPECT_TRUE(result.any_success());
-}
-
-TEST(MultiSlot, NoSuccess) {
-  std::vector<wm::ChannelAction> actions = {{true, 0}, {true, 0}};
-  const auto result = wm::resolve_multi_slot(2, actions);
-  EXPECT_FALSE(result.any_success());
-  EXPECT_EQ(result.success_channel, -1);
-}
-
-TEST(MultiSlot, OutOfRangeChannelIgnored) {
-  std::vector<wm::ChannelAction> actions = {{true, 5}};
-  const auto result = wm::resolve_multi_slot(2, actions);
-  EXPECT_EQ(result.outcomes[0], wm::SlotOutcome::kSilence);
-  EXPECT_EQ(result.outcomes[1], wm::SlotOutcome::kSilence);
-}
-
 TEST(StripedRoundRobin, CompletesWithinCeilNOverC) {
   const std::uint32_t n = 64;
   wu::Rng rng(3);

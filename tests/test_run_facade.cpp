@@ -150,16 +150,6 @@ TEST(RunFacade, RandomizedProtocolSeedsVaryPerTrial) {
   EXPECT_GT(result.rounds.max, result.rounds.min);
 }
 
-TEST(RunFacade, NormalizedMean) {
-  ws::CellResult r;
-  r.rounds.count = 5;
-  r.rounds.mean = 50.0;
-  EXPECT_DOUBLE_EQ(ws::normalized_mean(r, 10.0), 5.0);
-  EXPECT_DOUBLE_EQ(ws::normalized_mean(r, 0.0), 0.0);
-  ws::CellResult empty;
-  EXPECT_DOUBLE_EQ(ws::normalized_mean(empty, 10.0), 0.0);
-}
-
 TEST(RunFacade, NestedRunInsideAPoolWorkerStaysInline) {
   // A Run issued from inside a pool task must not queue on the same pool
   // (deadlock risk with few workers) — it detects the worker context and
@@ -297,7 +287,7 @@ TEST(RunFacade, WarmupOverrideIsBitIdentical) {
     wu::Rng rng(wu::hash_words({0x57524d55ULL /* "WRMU" */, trial}));
     const auto pattern = wm::patterns::uniform_window(96, 8, 3, 48, rng);
     ws::SimConfig interp;
-    interp.engine = ws::Engine::kInterpret;
+    interp.engine = ws::Engine::kInterpreter;
     const auto reference =
         ws::Run({.protocol = protocol.get(), .pattern = &pattern, .sim = interp}).sim;
     for (const wm::Slot warmup : {0, 1, 63, 64, 65, 128, 256}) {

@@ -479,7 +479,7 @@ proto::ProtocolPtr build_protocol(const util::Args& args, std::uint64_t seed) {
 
 sim::Engine parse_engine(const std::string& label) {
   if (label == "auto") return sim::Engine::kAuto;
-  if (label == "interpret") return sim::Engine::kInterpret;
+  if (label == "interpret") return sim::Engine::kInterpreter;
   if (label == "batch") return sim::Engine::kBatch;
   throw std::invalid_argument("unknown engine: " + label);
 }
