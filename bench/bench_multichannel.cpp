@@ -39,7 +39,7 @@ struct Timed {
 
 Timed timed_cell(const proto::McProtocol& protocol, std::uint32_t n, std::uint32_t k,
                  std::uint64_t trials, sim::Engine engine,
-                 std::vector<sim::McSimResult>* per_trial) {
+                 std::vector<sim::SimResult>* per_trial) {
   sim::RunSpec spec;
   spec.mc_protocol = &protocol;
   spec.make_pattern = [n, k](util::Rng& rng) {
@@ -53,7 +53,7 @@ Timed timed_cell(const proto::McProtocol& protocol, std::uint32_t n, std::uint32
   spec.sim.engine = engine;
   if (per_trial != nullptr) {
     per_trial->assign(trials, {});
-    spec.per_trial_mc = [per_trial](std::uint64_t i, const sim::McSimResult& r) {
+    spec.per_trial = [per_trial](std::uint64_t i, const sim::SimResult& r) {
       (*per_trial)[i] = r;
     };
   }
@@ -64,8 +64,8 @@ Timed timed_cell(const proto::McProtocol& protocol, std::uint32_t n, std::uint32
   return out;
 }
 
-bool identical(const std::vector<sim::McSimResult>& a,
-               const std::vector<sim::McSimResult>& b) {
+bool identical(const std::vector<sim::SimResult>& a,
+               const std::vector<sim::SimResult>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].success != b[i].success || a[i].success_slot != b[i].success_slot ||
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
             proto::make_wait_and_go(n, cell_k, comb::FamilyKind::kRandomized, 7), channels);
       }
 
-      std::vector<sim::McSimResult> interp_results, batch_results;
+      std::vector<sim::SimResult> interp_results, batch_results;
       const Timed interp =
           timed_cell(*protocol, n, cell_k, trials, sim::Engine::kInterpreter, &interp_results);
       // kAuto: native strategies take the C-lane batch engine; the adapter

@@ -35,16 +35,6 @@ void Aggregator::add(std::uint64_t trial, const sim::SimResult& result) {
   fold_energy(result.station_energy, slot);
 }
 
-void Aggregator::add(std::uint64_t trial, const sim::McSimResult& result) {
-  // The C-channel model does not account energy yet; its cells finalize
-  // with empty energy summaries.
-  TrialSlot& slot = slots_.at(trial);
-  slot.success = result.success;
-  slot.rounds = static_cast<double>(result.rounds);
-  slot.collisions = static_cast<double>(result.collisions);
-  slot.silences = static_cast<double>(result.silences);
-}
-
 void Aggregator::add(std::uint64_t trial, const sim::DynamicResult& result) {
   DynamicSlot& slot = dynamic_slots_.at(trial);
   slot.throughput = result.throughput();

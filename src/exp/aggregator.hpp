@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/dynamic.hpp"
-#include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
@@ -60,8 +59,9 @@ class Aggregator {
  public:
   explicit Aggregator(std::uint64_t trials, bool dynamic = false);
 
+  /// Static trials of either channel model (C-channel results carry no
+  /// energy, so their cells finalize with empty energy summaries).
   void add(std::uint64_t trial, const sim::SimResult& result);
-  void add(std::uint64_t trial, const sim::McSimResult& result);
   void add(std::uint64_t trial, const sim::DynamicResult& result);
 
   /// Statistics over the recorded trials, CIs seeded by `ci_seed`

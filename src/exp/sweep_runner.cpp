@@ -153,15 +153,9 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
   }
 
   Aggregator aggregator(cell.trials);
-  if (multichannel) {
-    run.per_trial_mc = [&aggregator](std::uint64_t i, const sim::McSimResult& r) {
-      aggregator.add(i, r);
-    };
-  } else {
-    run.per_trial = [&aggregator](std::uint64_t i, const sim::SimResult& r) {
-      aggregator.add(i, r);
-    };
-  }
+  run.per_trial = [&aggregator](std::uint64_t i, const sim::SimResult& r) {
+    aggregator.add(i, r);
+  };
 
   (void)sim::Run(run, trial_pool);
 

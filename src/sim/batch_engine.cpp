@@ -34,9 +34,10 @@ bool batch_engine_supports(const proto::Protocol& protocol, const SimConfig& con
   return schedule != nullptr && schedule->schedule_channels() == 1 && !config.record_trace;
 }
 
-bool mc_batch_supports(const proto::McProtocol& protocol) {
+bool batch_engine_supports(const proto::McProtocol& protocol, const SimConfig& config) {
   const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
-  return schedule != nullptr && schedule->schedule_channels() == protocol.channels();
+  return schedule != nullptr && schedule->schedule_channels() == protocol.channels() &&
+         !config.record_trace && !config.full_resolution;
 }
 
 namespace {
@@ -111,12 +112,12 @@ void accumulate_energy(const Words& words, const mac::WakePattern& pattern,
 /// pending words), so the words a run requests are position-stable and
 /// shareable across trials with different first-wake slots.  The
 /// full-resolution drain is single-channel only (the C-channel model has
-/// none; dispatch_mc_wakeup rejects it).  `success_channel` (nullable)
-/// receives the lane of the first success and is left as is without one.
+/// none; its entry points reject it).  A C-channel run (`report_channel`)
+/// names the lane of its first success in `success_channel`.
 template <class Words>
 SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
                          const SimConfig& config, mac::Slot start, const SimResult* carry,
-                         std::int32_t* success_channel = nullptr) {
+                         bool report_channel = false) {
   SimResult result;
   if (pattern.empty()) return result;
 
@@ -324,7 +325,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
         result.success_slot = t;
         result.rounds = t - s;
         result.winner = active[r].id;
-        if (success_channel != nullptr) *success_channel = static_cast<std::int32_t>(lane);
+        if (report_channel) result.success_channel = static_cast<std::int32_t>(lane);
       }
       if (!config.full_resolution) {
         halted = true;
@@ -365,20 +366,6 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
   return result;
 }
 
-/// C-lane entry: the multichannel model is the core with only the budget
-/// and the impairment plan of a SimConfig, repackaged as an McSimResult.
-template <class Words>
-McSimResult run_lanes(const Words& words, const mac::WakePattern& pattern,
-                      mac::Slot max_slots, const ImpairmentPlan* plan) {
-  SimConfig config;
-  config.max_slots = max_slots;
-  config.impairment = plan;
-  std::int32_t channel = -1;
-  const SimResult r =
-      run_batch_from(words, pattern, config, pattern.first_wake(), nullptr, &channel);
-  return to_mc_result(r, channel);
-}
-
 /// The schedule of a run the engine supports, or std::invalid_argument.
 const proto::ObliviousSchedule& checked_schedule(const proto::Protocol& protocol,
                                                  const SimConfig& config) {
@@ -389,12 +376,21 @@ const proto::ObliviousSchedule& checked_schedule(const proto::Protocol& protocol
   return *protocol.oblivious_schedule();
 }
 
-const proto::ObliviousSchedule& checked_schedule(const proto::McProtocol& protocol) {
-  if (!mc_batch_supports(protocol)) {
+const proto::ObliviousSchedule& checked_schedule(const proto::McProtocol& protocol,
+                                                 const SimConfig& config) {
+  if (!batch_engine_supports(protocol, config)) {
     throw std::invalid_argument(
-        "mc batch engine requires an oblivious schedule spanning all channels");
+        "mc batch engine requires an oblivious schedule spanning all channels, no trace and "
+        "no full resolution");
   }
   return *protocol.oblivious_schedule();
+}
+
+/// The C-channel model accounts no energy.
+SimConfig without_energy(const SimConfig& config) {
+  SimConfig lanes = config;
+  lanes.energy = EnergyModel::kOff;
+  return lanes;
 }
 
 }  // namespace
@@ -445,16 +441,17 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
                         pattern.first_wake() + warmup, &warm);
 }
 
-McSimResult run_mc_batch(const proto::McProtocol& protocol, const mac::WakePattern& pattern,
-                         mac::Slot max_slots, const ImpairmentPlan* plan) {
-  return run_lanes(DirectWords{checked_schedule(protocol)}, pattern, max_slots, plan);
+SimResult run_wakeup_batch(const proto::McProtocol& protocol, const mac::WakePattern& pattern,
+                           const SimConfig& config) {
+  return run_batch_from(DirectWords{checked_schedule(protocol, config)}, pattern,
+                        without_energy(config), pattern.first_wake(), nullptr, true);
 }
 
-McSimResult run_mc_batch_cached(const proto::McProtocol& protocol, const ScheduleCache& cache,
-                                const mac::WakePattern& pattern, mac::Slot max_slots,
-                                const ImpairmentPlan* plan) {
-  return run_lanes(detail::make_cached_words(checked_schedule(protocol), cache, pattern),
-                   pattern, max_slots, plan);
+SimResult run_wakeup_batch_cached(const proto::McProtocol& protocol, const ScheduleCache& cache,
+                                  const mac::WakePattern& pattern, const SimConfig& config) {
+  return run_batch_from(
+      detail::make_cached_words(checked_schedule(protocol, config), cache, pattern), pattern,
+      without_energy(config), pattern.first_wake(), nullptr, true);
 }
 
 }  // namespace wakeup::sim

@@ -2,7 +2,7 @@
 
 /// \file batch_engine.hpp
 /// The word-parallel static engine for oblivious protocols, one channel or
-/// C: the batch back-end of `dispatch_wakeup` and `dispatch_mc_wakeup`.
+/// C: the batch back-end of both `dispatch_wakeup` overloads.
 ///
 /// Advances one *tile* of 64 * W slots per resolve round (W = tile_words(),
 /// default 8 -> 512 slots): each live station contributes one row of W
@@ -24,7 +24,6 @@
 
 #include <cstddef>
 
-#include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
 
 namespace wakeup::sim {
@@ -50,10 +49,23 @@ void set_tile_words(std::size_t words) noexcept;
 [[nodiscard]] bool batch_engine_supports(const proto::Protocol& protocol,
                                          const SimConfig& config);
 
+/// The C-channel twin: requires an oblivious schedule spanning exactly
+/// protocol.channels() lanes, and neither a trace nor full resolution.
+[[nodiscard]] bool batch_engine_supports(const proto::McProtocol& protocol,
+                                         const SimConfig& config);
+
 /// Runs `protocol` against `pattern` one word-matrix tile at a time.
 /// Preconditions: `batch_engine_supports(protocol, config)`; throws
 /// std::invalid_argument otherwise.
 [[nodiscard]] SimResult run_wakeup_batch(const proto::Protocol& protocol,
+                                         const mac::WakePattern& pattern,
+                                         const SimConfig& config);
+
+/// The C-channel twin, all lanes per round.  Same preconditions; also
+/// throws std::invalid_argument when a station's `channel_lane` is out of
+/// range.  `config.impairment` folds one trial's wideband impairment words
+/// into every lane's reduction rows, and the run accounts no energy.
+[[nodiscard]] SimResult run_wakeup_batch(const proto::McProtocol& protocol,
                                          const mac::WakePattern& pattern,
                                          const SimConfig& config);
 
@@ -65,6 +77,10 @@ void set_tile_words(std::size_t words) noexcept;
 /// the cache itself is only read, making concurrent trials over one
 /// shared cache safe.
 [[nodiscard]] SimResult run_wakeup_batch_cached(const proto::Protocol& protocol,
+                                                const ScheduleCache& cache,
+                                                const mac::WakePattern& pattern,
+                                                const SimConfig& config);
+[[nodiscard]] SimResult run_wakeup_batch_cached(const proto::McProtocol& protocol,
                                                 const ScheduleCache& cache,
                                                 const mac::WakePattern& pattern,
                                                 const SimConfig& config);
@@ -80,29 +96,5 @@ void set_tile_words(std::size_t words) noexcept;
 [[nodiscard]] SimResult run_wakeup_hybrid(const proto::Protocol& protocol,
                                           const mac::WakePattern& pattern,
                                           const SimConfig& config);
-
-/// Can the C-channel entry points execute this protocol?  Requires an
-/// oblivious schedule spanning exactly protocol.channels() lanes.
-[[nodiscard]] bool mc_batch_supports(const proto::McProtocol& protocol);
-
-/// Runs a C-channel `protocol` against `pattern` one word-matrix tile at a
-/// time, all lanes per round.  Precondition: `mc_batch_supports(protocol)`;
-/// throws std::invalid_argument otherwise, and when a station's
-/// `channel_lane` is out of range.  `max_slots <= 0` selects the auto
-/// budget.  `plan` (nullable, not owned) folds one trial's wideband
-/// impairment words into every lane's reduction rows — bit-identical to
-/// the impaired multichannel interpreter.
-[[nodiscard]] McSimResult run_mc_batch(const proto::McProtocol& protocol,
-                                       const mac::WakePattern& pattern,
-                                       mac::Slot max_slots = 0,
-                                       const ImpairmentPlan* plan = nullptr);
-
-/// Trial-batched variant of run_mc_batch over a read-only ScheduleCache,
-/// like run_wakeup_batch_cached.  Same preconditions as run_mc_batch.
-[[nodiscard]] McSimResult run_mc_batch_cached(const proto::McProtocol& protocol,
-                                              const ScheduleCache& cache,
-                                              const mac::WakePattern& pattern,
-                                              mac::Slot max_slots = 0,
-                                              const ImpairmentPlan* plan = nullptr);
 
 }  // namespace wakeup::sim

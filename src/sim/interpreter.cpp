@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "sim/impairment_engine.hpp"
@@ -21,11 +22,11 @@ mac::ChannelAction act(proto::McStationRuntime& runtime, mac::Slot t) { return r
 /// channel is its one-lane case.  `P` is proto::Protocol or
 /// proto::McProtocol and fixes the runtime kind.  Each station hears the
 /// outcome of the lane it acted on, counters are summed over lanes, and
-/// the winner is the transmitter on the lowest solo lane.  `success_lane`
-/// receives that lane and is left as is without a success.
+/// the winner is the transmitter on the lowest solo lane, which a C-channel
+/// run names in `success_channel`.
 template <class P>
 SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePattern& pattern,
-                    const SimConfig& config, std::int32_t& success_lane) {
+                    const SimConfig& config) {
   SimResult result;
   if (pattern.empty()) return result;
 
@@ -165,7 +166,9 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
         result.success_slot = t;
         result.rounds = t - s;
         result.winner = active[lane[solo].first].id;
-        success_lane = static_cast<std::int32_t>(solo);
+        if constexpr (std::is_same_v<P, proto::McProtocol>) {
+          result.success_channel = static_cast<std::int32_t>(solo);
+        }
       }
       if (!config.full_resolution) break;
       // Full resolution: each solo winner's message is delivered; it leaves.
@@ -192,15 +195,12 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
 
 SimResult run_wakeup_interpreter(const proto::Protocol& protocol,
                                  const mac::WakePattern& pattern, const SimConfig& config) {
-  std::int32_t success_lane = -1;
-  return run_slots(protocol, 1, pattern, config, success_lane);
+  return run_slots(protocol, 1, pattern, config);
 }
 
-McSimResult run_wakeup_interpreter(const proto::McProtocol& protocol,
-                                   const mac::WakePattern& pattern, const SimConfig& config) {
-  std::int32_t success_lane = -1;
-  const SimResult r = run_slots(protocol, protocol.channels(), pattern, config, success_lane);
-  return to_mc_result(r, success_lane);
+SimResult run_wakeup_interpreter(const proto::McProtocol& protocol,
+                                 const mac::WakePattern& pattern, const SimConfig& config) {
+  return run_slots(protocol, protocol.channels(), pattern, config);
 }
 
 }  // namespace wakeup::sim

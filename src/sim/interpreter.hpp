@@ -8,7 +8,8 @@
 /// and is the only one that can record execution traces.  Oblivious
 /// protocols are normally routed to the word-parallel batch engine instead
 /// (see batch_engine.hpp, which serves one channel and C alike); the
-/// dispatching front-ends live in simulator.cpp and mc_simulator.cpp.
+/// dispatching front-end is `dispatch_wakeup` (simulator.hpp), one
+/// overload per channel model.
 ///
 /// Both entry points run one loop over C lanes, and the paper's channel is
 /// its one-lane case: a single-channel runtime's `transmits(t)` is a lane-0
@@ -18,7 +19,6 @@
 /// over lanes, and the winner is the transmitter on the lowest solo lane.
 /// A station acting on a channel >= C throws std::invalid_argument.
 
-#include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
 
 namespace wakeup::sim {
@@ -30,12 +30,12 @@ namespace wakeup::sim {
                                                const mac::WakePattern& pattern,
                                                const SimConfig& config);
 
-/// The same loop over `protocol.channels()` lanes.  Traces record lane 0
-/// only, and full resolution departs each solo winner of a slot; the
-/// C-channel dispatch (`dispatch_mc_wakeup`) rejects both, along with CD
-/// feedback.
-[[nodiscard]] McSimResult run_wakeup_interpreter(const proto::McProtocol& protocol,
-                                                 const mac::WakePattern& pattern,
-                                                 const SimConfig& config);
+/// The same loop over `protocol.channels()` lanes; the result names the
+/// winning lane in `success_channel`.  Traces record lane 0 only, and full
+/// resolution departs each solo winner of a slot; the C-channel
+/// `dispatch_wakeup` rejects both, along with CD feedback.
+[[nodiscard]] SimResult run_wakeup_interpreter(const proto::McProtocol& protocol,
+                                               const mac::WakePattern& pattern,
+                                               const SimConfig& config);
 
 }  // namespace wakeup::sim

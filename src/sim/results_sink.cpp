@@ -73,10 +73,6 @@ const std::vector<std::string> kTrialHeader = {
 TrialCsvSink::TrialCsvSink(const std::string& path) : path_(path), csv_(path, kTrialHeader) {}
 
 void TrialCsvSink::write(std::uint64_t trial, const SimResult& result) {
-  write(trial, to_mc_result(result, -1));  // single-channel rows carry channel -1
-}
-
-void TrialCsvSink::write(std::uint64_t trial, const McSimResult& result) {
   const std::scoped_lock lock(mutex_);
   csv_.cell(trial)
       .cell(std::uint64_t{result.success ? 1u : 0u})

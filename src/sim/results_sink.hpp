@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -71,7 +70,6 @@ class TrialCsvSink {
   explicit TrialCsvSink(const std::string& path);
 
   void write(std::uint64_t trial, const SimResult& result);
-  void write(std::uint64_t trial, const McSimResult& result);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::size_t rows() const;

@@ -35,7 +35,7 @@ struct TrialOut {
   double energy_max = 0;   ///< max station energy of this trial
 };
 
-/// Per-trial energy reduction shared by the engines' result types.
+/// Per-trial energy reduction shared by static and dynamic results.
 void fold_energy(const std::vector<std::uint64_t>& station_energy, TrialOut& t) {
   if (station_energy.empty()) return;
   t.has_energy = true;
@@ -293,14 +293,6 @@ void validate(const RunSpec& spec) {
     throw std::invalid_argument(
         "RunSpec: scenario / per_trial_dynamic need dynamic mode (horizon > 0)");
   }
-  // A sink of the wrong channel model would compile and run but never
-  // fire — reject it instead of silently dropping every trial.
-  if (multichannel && spec.per_trial) {
-    throw std::invalid_argument("RunSpec: multichannel runs report through per_trial_mc");
-  }
-  if (!multichannel && spec.per_trial_mc) {
-    throw std::invalid_argument("RunSpec: single-channel runs report through per_trial");
-  }
   if (multichannel && (spec.sim.record_trace || spec.sim.full_resolution ||
                        spec.sim.feedback != mac::FeedbackModel::kNone)) {
     throw std::invalid_argument(
@@ -500,7 +492,6 @@ bool plan_census_gate_declines(ScheduleCache& cache, const RunSpec& spec,
 struct SingleChannel {
   using Protocol = proto::Protocol;
   using Ptr = proto::ProtocolPtr;
-  using Result = SimResult;
 
   static const Protocol* fixed(const RunSpec& spec) { return spec.protocol; }
   static const auto& builder(const RunSpec& spec) { return spec.make_protocol; }
@@ -509,14 +500,6 @@ struct SingleChannel {
   }
   static bool batches(const Protocol& protocol, const SimConfig& sim) {
     return batch_engine_supports(protocol, sim);
-  }
-  static Result run(const Protocol& protocol, const mac::WakePattern& pattern,
-                    const SimConfig& cfg) {
-    return dispatch_wakeup(protocol, pattern, cfg);
-  }
-  static Result run_cached(const Protocol& protocol, const ScheduleCache& cache,
-                           const mac::WakePattern& pattern, const SimConfig& cfg) {
-    return run_wakeup_batch_cached(protocol, cache, pattern, cfg);
   }
   /// Census decline: the kAuto warm-up prefix is re-sized from the probes'
   /// measured schedule-word cost.
@@ -533,14 +516,6 @@ struct SingleChannel {
     }
     return rest;
   }
-  static void record(const RunSpec& spec, RunOutcome& out, TrialOut& t, std::uint64_t i,
-                     const Result& r) {
-    t.completed = r.completed;
-    t.completion = static_cast<double>(r.completion_rounds);
-    fold_energy(r.station_energy, t);
-    if (spec.trials == 1) out.sim = r;
-    if (spec.per_trial) spec.per_trial(i, r);
-  }
 };
 
 /// The C-channel model of a static cell.  Adapters already ride the
@@ -549,21 +524,12 @@ struct SingleChannel {
 struct MultiChannel {
   using Protocol = proto::McProtocol;
   using Ptr = proto::McProtocolPtr;
-  using Result = McSimResult;
 
   static const Protocol* fixed(const RunSpec& spec) { return spec.mc_protocol; }
   static const auto& builder(const RunSpec& spec) { return spec.make_mc_protocol; }
   static bool randomized(const Protocol& protocol) { return protocol.randomized(); }
-  static bool batches(const Protocol& protocol, const SimConfig& /*sim*/) {
-    return protocol.single_channel() == nullptr && mc_batch_supports(protocol);
-  }
-  static Result run(const Protocol& protocol, const mac::WakePattern& pattern,
-                    const SimConfig& cfg) {
-    return dispatch_mc_wakeup(protocol, pattern, cfg);
-  }
-  static Result run_cached(const Protocol& protocol, const ScheduleCache& cache,
-                           const mac::WakePattern& pattern, const SimConfig& cfg) {
-    return run_mc_batch_cached(protocol, cache, pattern, cfg.max_slots, cfg.impairment);
+  static bool batches(const Protocol& protocol, const SimConfig& sim) {
+    return protocol.single_channel() == nullptr && batch_engine_supports(protocol, sim);
   }
   /// Census decline: the C-channel model has no interpreted warm-up hybrid,
   /// so kAuto's probe-informed counterpart lives here — when trials end
@@ -577,11 +543,6 @@ struct MultiChannel {
     SimConfig rest = spec.sim;
     if (rest.engine == Engine::kAuto && stats.mean_run < 32) rest.engine = Engine::kInterpreter;
     return rest;
-  }
-  static void record(const RunSpec& spec, RunOutcome& out, TrialOut& /*t*/, std::uint64_t i,
-                     const Result& r) {
-    if (spec.trials == 1) out.mc = r;
-    if (spec.per_trial_mc) spec.per_trial_mc(i, r);
   }
 };
 
@@ -602,13 +563,18 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   const bool randomized = Model::randomized(*protocol) && static_cast<bool>(build);
 
   std::vector<TrialOut> outs(spec.trials);
-  const auto record = [&](std::uint64_t i, const typename Model::Result& r) {
+  const auto record = [&](std::uint64_t i, const SimResult& r) {
     TrialOut& t = outs[i];
     t.success = r.success;
     t.rounds = static_cast<double>(r.rounds);
     t.collisions = static_cast<double>(r.collisions);
     t.silences = static_cast<double>(r.silences);
-    Model::record(spec, out, t, i, r);
+    t.completed = r.completed;
+    t.completion = static_cast<double>(r.completion_rounds);
+    fold_energy(r.station_energy, t);
+    if (spec.trials == 1) out.sim = r;
+    if (spec.per_trial) spec.per_trial(i, r);
+    if (spec.per_trial_mc) spec.per_trial_mc(i, r);
     if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
   };
 
@@ -654,7 +620,7 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
           randomized ? build(trial_protocol_seed(seed)) : nullptr;
       ImpairmentPlan plan;
       const SimConfig cfg = trial_config(i, pattern, spec.sim, plan);
-      record(i, Model::run(rebuilt ? *rebuilt : *protocol, pattern, cfg));
+      record(i, dispatch_wakeup(rebuilt ? *rebuilt : *protocol, pattern, cfg));
     });
     out.cell = aggregate(spec, outs);
     return;
@@ -667,7 +633,7 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
                                             [&](std::uint64_t i) {
     ImpairmentPlan plan;
     const SimConfig cfg = trial_config(i, patterns[i], spec.sim, plan);
-    record(i, Model::run(*protocol, patterns[i], cfg));
+    record(i, dispatch_wakeup(*protocol, patterns[i], cfg));
     return walked_slots(spec.sim, patterns[i], outs[i]);
   });
 
@@ -686,8 +652,8 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
     const std::size_t i = j + stats.probes;
     ImpairmentPlan plan;
     const SimConfig cfg = trial_config(i, patterns[i], rest, plan);
-    record(i, declined ? Model::run(*protocol, patterns[i], cfg)
-                       : Model::run_cached(*protocol, cache, patterns[i], cfg));
+    record(i, declined ? dispatch_wakeup(*protocol, patterns[i], cfg)
+                       : run_wakeup_batch_cached(*protocol, cache, patterns[i], cfg));
   });
   out.cell = aggregate(spec, outs);
 }
@@ -704,11 +670,10 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
     pool = &util::ThreadPool::shared();
   }
   RunOutcome out;
-  out.multichannel = spec.mc_protocol != nullptr || static_cast<bool>(spec.make_mc_protocol);
   out.dynamic_mode = spec.horizon > 0;
   if (out.dynamic_mode) {
     run_dynamic(spec, pool, out);
-  } else if (out.multichannel) {
+  } else if (spec.mc_protocol != nullptr || spec.make_mc_protocol) {
     run_static<MultiChannel>(spec, pool, out);
   } else {
     run_static<SingleChannel>(spec, pool, out);

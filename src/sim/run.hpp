@@ -15,9 +15,9 @@
 /// ```cpp
 /// // Single run, single channel:
 /// auto r = sim::Run({.protocol = &rr, .pattern = &pattern}).sim;
-/// // Single run, C channels, forced slot interpreter:
+/// // Single run, C channels, forced slot interpreter (same result type):
 /// auto m = sim::Run({.mc_protocol = &striped, .pattern = &pattern,
-///                    .sim = {.engine = sim::Engine::kInterpreter}}).mc;
+///                    .sim = {.engine = sim::Engine::kInterpreter}}).sim;
 /// // Trial-batched sweep cell (protocol hoisted, schedule words memoized):
 /// auto c = sim::Run({.make_protocol = factory, .make_pattern = gen,
 ///                    .trials = 256, .base_seed = 1}, &pool).cell;
@@ -40,7 +40,6 @@
 #include "protocols/multichannel.hpp"
 #include "protocols/protocol.hpp"
 #include "sim/dynamic.hpp"
-#include "sim/mc_simulator.hpp"
 #include "sim/schedule_cache.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -88,7 +87,7 @@ struct CellResult {
   /// Per-trial mean and max station energy (slots spent transmitting or
   /// listening under the selected EnergyModel), summarized over trials.
   /// Filled for static single-channel and dynamic runs; the C-channel
-  /// model does not account energy yet.
+  /// model accounts no energy.
   util::Summary energy_mean;
   util::Summary energy_max;
 };
@@ -141,9 +140,8 @@ struct RunSpec {
   mac::ImpairmentSpec impairment;
 
   /// Engine selection, slot budget, trace/full-resolution flags.  The
-  /// engine flows through `dispatch_wakeup` / `dispatch_mc_wakeup`, so
-  /// oblivious protocols (either channel model) batch word-parallel by
-  /// default.
+  /// engine flows through `dispatch_wakeup`, so oblivious protocols
+  /// (either channel model) batch word-parallel by default.
   SimConfig sim;
 
   std::uint64_t trials = 1;
@@ -159,10 +157,12 @@ struct RunSpec {
 
   /// Optional per-trial sinks, called as sink(i, result) from worker
   /// threads (each trial index exactly once; the callee must tolerate
-  /// concurrent calls for distinct i).  `per_trial` fires for
-  /// single-channel runs, `per_trial_mc` for C-channel runs.
+  /// concurrent calls for distinct i).  `per_trial` fires for static runs
+  /// of either channel model.  `per_trial_mc`, its former C-channel
+  /// spelling, fires alike; it stays only because the frozen preset-sweep
+  /// benchmark (perfbench/sweep.cpp) still sets it.
   std::function<void(std::uint64_t trial, const SimResult& result)> per_trial;
-  std::function<void(std::uint64_t trial, const McSimResult& result)> per_trial_mc;
+  std::function<void(std::uint64_t trial, const SimResult& result)> per_trial_mc;
   /// ... and `per_trial_dynamic` for dynamic (horizon > 0) runs.
   std::function<void(std::uint64_t trial, const DynamicResult& result)> per_trial_dynamic;
   /// Optional streaming CSV sink (sim/results_sink.hpp): one row per
@@ -171,13 +171,11 @@ struct RunSpec {
 };
 
 /// Everything a Run produces.  `cell` aggregates all trials; for 1-trial
-/// specs the matching per-run result (`sim` or `mc`, per the channel
-/// model) is filled too.
+/// specs the per-run result (`sim` for static runs of either channel
+/// model, `dynamic` for dynamic traffic) is filled too.
 struct RunOutcome {
-  bool multichannel = false;  ///< which of sim/mc is meaningful
   bool dynamic_mode = false;  ///< spec.horizon > 0: `dynamic` is meaningful
-  SimResult sim;              ///< trials == 1, single-channel
-  McSimResult mc;             ///< trials == 1, C-channel
+  SimResult sim;              ///< trials == 1, static
   DynamicResult dynamic;      ///< trials == 1, dynamic traffic
   CellResult cell;
 };

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/batch_engine.hpp"
+#include "sim/impairment_engine.hpp"
 #include "sim/interpreter.hpp"
 #include "util/math.hpp"
 
@@ -59,6 +60,61 @@ SimResult dispatch_wakeup(const proto::Protocol& protocol, const mac::WakePatter
   return batch_engine_supports(protocol, config)
              ? run_wakeup_hybrid(protocol, pattern, config)
              : run_wakeup_interpreter(protocol, pattern, config);
+}
+
+namespace {
+
+/// Adapter fast path: a single-channel protocol embedded on channel 0 runs
+/// through the single-channel engine stack (so oblivious baselines get the
+/// word-parallel engines), and the C - 1 permanently silent side channels
+/// are charged afterwards — one silence per channel per processed slot,
+/// exactly what the slot loop would have counted.
+SimResult run_adapter_fast_path(const proto::McProtocol& protocol, const proto::Protocol& inner,
+                                const mac::WakePattern& pattern, const SimConfig& config) {
+  if (pattern.empty()) return {};
+
+  SimResult result = dispatch_wakeup(inner, pattern, config);
+  if (result.success) result.success_channel = 0;
+
+  const mac::Slot budget = slot_budget(config.max_slots, pattern);
+  const mac::Slot processed = result.success ? result.rounds + 1 : budget;
+  // Wideband impairment reaches the side channels too: a corrupted slot is
+  // a collision on every idle lane, not a silence — exactly what the slot
+  // loop counts.
+  const ImpairmentPlan* plan = config.impairment;
+  if (plan != nullptr && plan->clean()) plan = nullptr;
+  const std::uint64_t corrupted =
+      plan != nullptr ? plan->corrupted_in(result.s, result.s + processed) : 0;
+  const auto side = static_cast<std::uint64_t>(protocol.channels() - 1);
+  result.silences += side * (static_cast<std::uint64_t>(processed) - corrupted);
+  result.collisions += side * corrupted;
+  return result;
+}
+
+}  // namespace
+
+SimResult dispatch_wakeup(const proto::McProtocol& protocol, const mac::WakePattern& pattern,
+                          const SimConfig& config) {
+  if (config.record_trace || config.full_resolution ||
+      config.feedback != mac::FeedbackModel::kNone) {
+    throw std::invalid_argument(
+        "multichannel runs support neither traces, full resolution, nor CD feedback");
+  }
+  SimConfig lanes = config;
+  lanes.energy = EnergyModel::kOff;
+  switch (config.engine) {
+    case Engine::kInterpreter:
+      return run_wakeup_interpreter(protocol, pattern, lanes);
+    case Engine::kBatch:
+      return run_wakeup_batch(protocol, pattern, lanes);  // throws if unsupported
+    case Engine::kAuto:
+      break;
+  }
+  if (const proto::Protocol* inner = protocol.single_channel()) {
+    return run_adapter_fast_path(protocol, *inner, pattern, lanes);
+  }
+  return batch_engine_supports(protocol, lanes) ? run_wakeup_batch(protocol, pattern, lanes)
+                                                : run_wakeup_interpreter(protocol, pattern, lanes);
 }
 
 }  // namespace wakeup::sim

@@ -12,11 +12,13 @@
 /// successfully once.
 ///
 /// `dispatch_wakeup` is the engine-selection layer under the `sim::Run`
-/// facade (sim/run.hpp): it routes a single-channel run to one of two
-/// back-ends with identical semantics — the universal slot-by-slot
-/// interpreter (sim/interpreter.hpp) or the word-parallel batch engine for
-/// oblivious protocols (sim/batch_engine.hpp, which serves C-channel runs
-/// too; a single-channel run is its one-lane case) — per SimConfig::engine.
+/// facade (sim/run.hpp), one overload per channel model: it routes a run
+/// to one of two back-ends with identical semantics — the universal
+/// slot-by-slot interpreter (sim/interpreter.hpp) or the word-parallel
+/// batch engine for oblivious protocols (sim/batch_engine.hpp) — per
+/// SimConfig::engine.  Both back-ends serve one channel and C alike (the
+/// paper's channel is the one-lane case of the C-channel extension,
+/// mac/multichannel.hpp), and both channel models share one result type.
 
 #include <optional>
 #include <string>
@@ -25,6 +27,7 @@
 #include "mac/channel.hpp"
 #include "mac/trace.hpp"
 #include "mac/wake_pattern.hpp"
+#include "protocols/multichannel.hpp"
 #include "protocols/protocol.hpp"
 
 namespace wakeup::sim {
@@ -95,15 +98,23 @@ struct SimConfig {
   EnergyModel energy = EnergyModel::kOff;
 };
 
+/// The result of one static run, in either channel model.  In a C-channel
+/// run the outcome counters are summed over all C channels for the whole
+/// run — uniformly, including a single-channel adapter's permanently idle
+/// side channels — and `successes` counts every solo channel-slot, not
+/// just the one that completed wake-up.
 struct SimResult {
   bool success = false;        ///< wake-up achieved within the budget
   mac::Slot s = 0;             ///< first wake slot
   mac::Slot success_slot = -1; ///< first slot with a solo transmission
   std::int64_t rounds = -1;    ///< success_slot - s (the paper's cost measure)
   mac::StationId winner = 0;   ///< the isolated station
+  /// The lowest channel carrying a solo in the success slot of a C-channel
+  /// run; -1 for single-channel runs and for failures.
+  std::int32_t success_channel = -1;
   std::uint64_t silences = 0;
   std::uint64_t collisions = 0;
-  std::uint64_t successes = 0; ///< > 1 only in full-resolution mode
+  std::uint64_t successes = 0; ///< can exceed 1 in full-resolution and C-channel runs
 
   /// Full-resolution extension: slot by which all stations succeeded and
   /// rounds from s (-1 when not requested / not reached).
@@ -111,7 +122,8 @@ struct SimResult {
   std::int64_t completion_rounds = -1;
   bool completed = false;
 
-  /// Per-station energy (SimConfig::energy != kOff; empty otherwise), in
+  /// Per-station energy (SimConfig::energy != kOff; empty otherwise, and
+  /// the C-channel `dispatch_wakeup` and batch entries never fill it), in
   /// pattern arrival order: station_energy[i] = slots the i-th waking
   /// station spent transmitting or listening under the selected model, and
   /// station_transmits[i] its transmit-slot component.  The interpreter
@@ -126,6 +138,10 @@ struct SimResult {
   std::optional<mac::ExecutionTrace> trace;
 };
 
+/// The C-channel result's former name, kept only because the frozen
+/// preset-sweep benchmark (perfbench/sweep.cpp) still spells it.
+using McSimResult = SimResult;
+
 /// The automatic slot budget used when SimConfig::max_slots <= 0.
 [[nodiscard]] mac::Slot auto_slot_budget(std::uint32_t n, std::size_t k);
 
@@ -138,6 +154,16 @@ struct SimResult {
 /// rounds -1.  Most callers want the `sim::Run` facade (sim/run.hpp)
 /// instead; this is the layer the facade and the engines share.
 [[nodiscard]] SimResult dispatch_wakeup(const proto::Protocol& protocol,
+                                        const mac::WakePattern& pattern,
+                                        const SimConfig& config);
+
+/// The same layer for a C-channel `protocol`: kAuto routes adapters
+/// through the single-channel engine stack and capability-bearing
+/// strategies through the batch engine.  The C-channel model accounts no
+/// energy (the whole dispatch runs with `energy = kOff`); traces,
+/// collision-detection feedback and full resolution throw
+/// std::invalid_argument.
+[[nodiscard]] SimResult dispatch_wakeup(const proto::McProtocol& protocol,
                                         const mac::WakePattern& pattern,
                                         const SimConfig& config);
 

@@ -68,7 +68,6 @@
 #include "sim/batch_engine.hpp"    // IWYU pragma: export
 #include "sim/dynamic.hpp"         // IWYU pragma: export
 #include "sim/interpreter.hpp"     // IWYU pragma: export
-#include "sim/mc_simulator.hpp"    // IWYU pragma: export
 #include "sim/results_sink.hpp"    // IWYU pragma: export
 #include "sim/run.hpp"             // IWYU pragma: export
 #include "sim/simulator.hpp"       // IWYU pragma: export

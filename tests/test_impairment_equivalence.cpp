@@ -16,7 +16,6 @@
 #include "sim/batch_engine.hpp"
 #include "sim/dynamic.hpp"
 #include "sim/impairment_engine.hpp"
-#include "sim/mc_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -81,21 +80,10 @@ void expect_identical(const wu::sim::SimResult& a, const wu::sim::SimResult& b,
   EXPECT_EQ(a.s, b.s) << label;
   EXPECT_EQ(a.success_slot, b.success_slot) << label;
   EXPECT_EQ(a.rounds, b.rounds) << label;
-  EXPECT_EQ(a.winner, b.winner) << label;
-  EXPECT_EQ(a.silences, b.silences) << label;
-  EXPECT_EQ(a.collisions, b.collisions) << label;
-  EXPECT_EQ(a.successes, b.successes) << label;
-}
-
-void expect_identical(const wu::sim::McSimResult& a, const wu::sim::McSimResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.success, b.success) << label;
-  EXPECT_EQ(a.success_slot, b.success_slot) << label;
-  EXPECT_EQ(a.rounds, b.rounds) << label;
   EXPECT_EQ(a.success_channel, b.success_channel) << label;
   EXPECT_EQ(a.winner, b.winner) << label;
-  EXPECT_EQ(a.collisions, b.collisions) << label;
   EXPECT_EQ(a.silences, b.silences) << label;
+  EXPECT_EQ(a.collisions, b.collisions) << label;
   EXPECT_EQ(a.successes, b.successes) << label;
 }
 
@@ -171,7 +159,7 @@ TEST(ImpairmentEquivalence, MultichannelEnginesBitIdenticalWideband) {
         config.max_slots = budget;
         config.impairment = &plan;
         config.engine = wu::sim::Engine::kInterpreter;
-        const auto reference = wu::sim::dispatch_mc_wakeup(*protocol, pattern, config);
+        const auto reference = wu::sim::dispatch_wakeup(*protocol, pattern, config);
 
         for (const std::size_t tile : tile_widths()) {
           for (const bool scalar : {false, true}) {
@@ -183,7 +171,7 @@ TEST(ImpairmentEquivalence, MultichannelEnginesBitIdenticalWideband) {
                                           std::to_string(tile) +
                                           (scalar ? " scalar" : " simd");
             expect_identical(reference,
-                             wu::sim::dispatch_mc_wakeup(*protocol, pattern, config),
+                             wu::sim::dispatch_wakeup(*protocol, pattern, config),
                              run_label);
           }
         }

@@ -1,5 +1,5 @@
 /// C-channel engine equivalence: the multichannel batch engine must
-/// produce bit-identical McSimResults — every counter: successes,
+/// produce bit-identical SimResults — every counter: successes,
 /// silences, collisions, success_channel, winner — to the slot-by-slot
 /// interpreter run over C lanes, across the three native strategies (striped
 /// round-robin, group wait_and_go, channel-0 adapter) over seeded trials,
@@ -31,7 +31,7 @@ namespace wu = wakeup::util;
 
 namespace {
 
-void expect_identical(const ws::McSimResult& a, const ws::McSimResult& b,
+void expect_identical(const ws::SimResult& a, const ws::SimResult& b,
                       const std::string& label) {
   EXPECT_EQ(a.success, b.success) << label;
   EXPECT_EQ(a.s, b.s) << label;
@@ -44,12 +44,12 @@ void expect_identical(const ws::McSimResult& a, const ws::McSimResult& b,
   EXPECT_EQ(a.successes, b.successes) << label;
 }
 
-ws::McSimResult run_mc(const wp::McProtocol& protocol, const wm::WakePattern& pattern,
-                       ws::Engine engine, wm::Slot max_slots = 0) {
+ws::SimResult run_mc(const wp::McProtocol& protocol, const wm::WakePattern& pattern,
+                     ws::Engine engine, wm::Slot max_slots = 0) {
   return ws::Run({.mc_protocol = &protocol,
                   .pattern = &pattern,
                   .sim = {.max_slots = max_slots, .engine = engine}})
-      .mc;
+      .sim;
 }
 
 /// The native strategies under test, each with its channel counts.
@@ -83,7 +83,7 @@ TEST(McEngineEquivalence, BitIdenticalAcrossSeededTrials) {
   const auto& kinds = wm::patterns::all_kinds();
   std::uint64_t checked = 0;
   for (const Strategy& strategy : native_strategies(n, k)) {
-    ASSERT_TRUE(ws::mc_batch_supports(*strategy.protocol)) << strategy.label;
+    ASSERT_TRUE(ws::batch_engine_supports(*strategy.protocol, {})) << strategy.label;
     for (const auto kind : kinds) {
       for (std::uint64_t trial = 0; trial < 6; ++trial) {
         const std::uint64_t seed = wu::hash_words(
@@ -194,7 +194,7 @@ TEST(McEngineEquivalence, BatchThrowsWithoutCapability) {
   // random_rpd hops channels per slot — no fixed lane, no capability.
   const auto rpd = wp::make_random_channel_rpd(64, 4, 1);
   EXPECT_EQ(rpd->oblivious_schedule(), nullptr);
-  EXPECT_FALSE(ws::mc_batch_supports(*rpd));
+  EXPECT_FALSE(ws::batch_engine_supports(*rpd, {}));
   wu::Rng rng(2);
   const auto pattern = wm::patterns::simultaneous(64, 4, 0, rng);
   EXPECT_THROW((void)run_mc(*rpd, pattern, ws::Engine::kBatch), std::invalid_argument);
@@ -235,7 +235,7 @@ TEST(McEngineEquivalence, BatchRejectsOutOfRangeLane) {
   // breaks the < schedule_channels() contract must be refused, not read
   // past the reduction rows.
   const OutOfRangeLaneProtocol protocol;
-  ASSERT_TRUE(ws::mc_batch_supports(protocol));
+  ASSERT_TRUE(ws::batch_engine_supports(protocol, {}));
   wu::Rng rng(3);
   const auto pattern = wm::patterns::simultaneous(16, 4, 0, rng);
   EXPECT_THROW((void)run_mc(protocol, pattern, ws::Engine::kBatch), std::invalid_argument);
@@ -258,7 +258,7 @@ TEST(McEngineEquivalence, InterpreterRejectsOutOfRangeChannel) {
 
 TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
   // Trial-level batching over the C-channel memo: every per-trial
-  // McSimResult from the batched cell (forced cache) must equal the
+  // SimResult from the batched cell (forced cache) must equal the
   // interpreted per-trial loop, counter for counter.
   const std::uint32_t n = 96, k = 12;
   for (const Strategy& strategy : native_strategies(n, k)) {
@@ -272,17 +272,17 @@ TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
     spec.base_seed = 20130522;
     spec.cache.window = 256;  // force reads past the memo: fallback path too
 
-    std::vector<ws::McSimResult> interpreted(spec.trials), batched(spec.trials);
+    std::vector<ws::SimResult> interpreted(spec.trials), batched(spec.trials);
     auto interp_spec = spec;
     interp_spec.sim.engine = ws::Engine::kInterpreter;
-    interp_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
+    interp_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
       interpreted[i] = r;
     };
     const auto plain = ws::Run(interp_spec, nullptr).cell;
 
     auto batch_spec = spec;
     batch_spec.batching = ws::TrialBatching::kForce;
-    batch_spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
+    batch_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
       batched[i] = r;
     };
     wu::ThreadPool pool(3);

@@ -1,11 +1,8 @@
-#include "sim/mc_simulator.hpp"
-
 #include <gtest/gtest.h>
-
-#include "sim/run.hpp"
 
 #include "protocols/round_robin.hpp"
 #include "protocols/wait_and_go.hpp"
+#include "sim/run.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -17,11 +14,11 @@ namespace wu = wakeup::util;
 
 namespace {
 
-ws::McSimResult run_mc(const wp::McProtocol& protocol, const wm::WakePattern& pattern,
-                       wm::Slot max_slots = 0) {
+ws::SimResult run_mc(const wp::McProtocol& protocol, const wm::WakePattern& pattern,
+                     wm::Slot max_slots = 0) {
   return ws::Run({.mc_protocol = &protocol, .pattern = &pattern,
                   .sim = {.max_slots = max_slots}})
-      .mc;
+      .sim;
 }
 
 }  // namespace

@@ -216,11 +216,11 @@ void expect_matches_reference(const wp::McProtocol& protocol, const wm::WakePatt
                               wm::Slot budget, const std::string& label) {
   const McReferenceResult reference = reference_mc_run(protocol, pattern, budget);
   for (const auto engine : {ws::Engine::kInterpreter, ws::Engine::kAuto}) {
-    const ws::McSimResult fast =
+    const ws::SimResult fast =
         ws::Run({.mc_protocol = &protocol,
                  .pattern = &pattern,
                  .sim = {.max_slots = budget, .engine = engine}})
-            .mc;
+            .sim;
     const std::string where = label + (engine == ws::Engine::kAuto ? " auto" : " interpreter");
     ASSERT_EQ(fast.success, reference.success) << where;
     EXPECT_EQ(fast.success_slot, reference.success_slot) << where;

@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "protocols/multichannel.hpp"
@@ -187,38 +189,26 @@ TEST(RunFacade, RejectsAmbiguousSpecs) {
                               .pattern = &pattern,
                               .sim = {.record_trace = true}}),
                std::invalid_argument);
-  // A sink of the wrong channel model would silently never fire.
-  ws::RunSpec wrong_sink;
-  wrong_sink.mc_protocol = mc.get();
-  wrong_sink.pattern = &pattern;
-  wrong_sink.per_trial = [](std::uint64_t, const ws::SimResult&) {};
-  EXPECT_THROW((void)ws::Run(wrong_sink), std::invalid_argument);
-  ws::RunSpec wrong_mc_sink;
-  wrong_mc_sink.protocol = &rr;
-  wrong_mc_sink.pattern = &pattern;
-  wrong_mc_sink.per_trial_mc = [](std::uint64_t, const ws::McSimResult&) {};
-  EXPECT_THROW((void)ws::Run(wrong_mc_sink), std::invalid_argument);
 }
 
 TEST(RunFacade, SingleRunFillsBothSimAndCell) {
   const wp::RoundRobinProtocol rr(8);
   const wm::WakePattern pattern(8, {{2, 11}});
   const auto out = ws::Run({.protocol = &rr, .pattern = &pattern});
-  EXPECT_FALSE(out.multichannel);
   ASSERT_TRUE(out.sim.success);
   EXPECT_EQ(out.sim.success_slot, 18);
+  EXPECT_EQ(out.sim.success_channel, -1) << "single-channel runs name no channel";
   EXPECT_EQ(out.cell.trials, 1u);
   EXPECT_EQ(out.cell.failures, 0u);
   EXPECT_DOUBLE_EQ(out.cell.rounds.mean, static_cast<double>(out.sim.rounds));
 }
 
-TEST(RunFacade, SingleMcRunFillsMc) {
+TEST(RunFacade, SingleMcRunFillsSim) {
   const auto mc = wp::make_striped_round_robin(16, 4);
   const wm::WakePattern pattern(16, {{5, 0}});
   const auto out = ws::Run({.mc_protocol = mc.get(), .pattern = &pattern});
-  EXPECT_TRUE(out.multichannel);
-  ASSERT_TRUE(out.mc.success);
-  EXPECT_EQ(out.mc.success_channel, static_cast<std::int32_t>(5 % 4));
+  ASSERT_TRUE(out.sim.success);
+  EXPECT_EQ(out.sim.success_channel, static_cast<std::int32_t>(5 % 4));
   EXPECT_EQ(out.cell.trials, 1u);
 }
 
@@ -230,12 +220,11 @@ TEST(RunFacade, McCellAggregatesTrials) {
   spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(128, 16, 0, rng); };
   spec.trials = 12;
   std::vector<int> seen(12, 0);
-  spec.per_trial_mc = [&](std::uint64_t i, const ws::McSimResult& r) {
+  spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
     ++seen[i];
     EXPECT_TRUE(r.success);
   };
   const auto out = ws::Run(spec, nullptr);
-  EXPECT_TRUE(out.multichannel);
   EXPECT_EQ(out.cell.trials, 12u);
   EXPECT_EQ(out.cell.failures, 0u);
   EXPECT_EQ(out.cell.rounds.count, 12u);
@@ -337,6 +326,7 @@ TEST(RunFacade, StreamingTrialCsvWritesOneRowPerTrial) {
     const auto& r = results[trial];
     EXPECT_EQ(fields[1], r.success ? "1" : "0");
     EXPECT_EQ(std::stoll(fields[4]), r.rounds);
+    EXPECT_EQ(fields[6], "-1") << "single-channel rows carry channel -1";
     EXPECT_EQ(std::stoull(fields[7]), r.silences);
     EXPECT_EQ(std::stoull(fields[9]), r.successes);
   }
@@ -345,33 +335,83 @@ TEST(RunFacade, StreamingTrialCsvWritesOneRowPerTrial) {
 }
 
 TEST(RunFacade, McStreamingCsvRecordsChannel) {
-  const std::string path = ::testing::TempDir() + "run_facade_mc_trials.csv";
-  {
-    ws::TrialCsvSink sink(path);
-    const auto mc = wp::make_striped_round_robin(64, 4);
+  // Native striped round-robin names each trial's winning lane; an adapter
+  // (single-channel engine stack) wins on channel 0, its embedding.
+  const std::vector<std::pair<const char*, wp::McProtocolPtr>> cells = {
+      {"striped_rr", wp::make_striped_round_robin(64, 4)},
+      {"adapter", wp::make_single_channel_adapter(std::make_shared<wp::RoundRobinProtocol>(64),
+                                                  4)}};
+  for (const auto& [label, mc] : cells) {
+    const std::string path = ::testing::TempDir() + "run_facade_mc_trials.csv";
+    {
+      ws::TrialCsvSink sink(path);
+      ws::RunSpec spec;
+      spec.mc_protocol = mc.get();
+      spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(64, 4, 0, rng); };
+      spec.trials = 8;
+      spec.trial_csv = &sink;
+      (void)ws::Run(spec, nullptr);
+      EXPECT_EQ(sink.rows(), 8u) << label;
+    }
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));  // header
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+      std::stringstream row(line);
+      std::string field;
+      std::vector<std::string> fields;
+      while (std::getline(row, field, ',')) fields.push_back(field);
+      ASSERT_EQ(fields.size(), 10u) << label;
+      ASSERT_EQ(fields[1], "1") << label << ": " << line;
+      if (std::string(label) == "adapter") {
+        EXPECT_EQ(fields[6], "0") << "adapter rows win on channel 0: " << line;
+      } else {
+        EXPECT_NE(std::stoi(fields[6]), -1) << "mc rows carry the winning channel";
+      }
+      ++rows;
+    }
+    EXPECT_EQ(rows, 8u) << label;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(RunFacade, McRunsAccountNoEnergy) {
+  // The C-channel model accounts no energy on any engine path — the
+  // energy columns of multichannel-scaling reports stay empty.
+  struct Cell {
+    const char* label;
+    wp::McProtocolPtr protocol;
+    ws::Engine engine;
+    ws::TrialBatching batching;
+  };
+  const std::vector<Cell> cells = {
+      {"adapter(round_robin) C=4",
+       wp::make_single_channel_adapter(std::make_shared<wp::RoundRobinProtocol>(64), 4),
+       ws::Engine::kAuto, ws::TrialBatching::kAuto},
+      {"striped_rr batch", wp::make_striped_round_robin(64, 4), ws::Engine::kAuto,
+       ws::TrialBatching::kForce},
+      {"striped_rr interpreter", wp::make_striped_round_robin(64, 4),
+       ws::Engine::kInterpreter, ws::TrialBatching::kAuto},
+  };
+  for (const Cell& cell : cells) {
     ws::RunSpec spec;
-    spec.mc_protocol = mc.get();
-    spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(64, 4, 0, rng); };
-    spec.trials = 8;
-    spec.trial_csv = &sink;
-    (void)ws::Run(spec, nullptr);
-    EXPECT_EQ(sink.rows(), 8u);
+    spec.mc_protocol = cell.protocol.get();
+    spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(64, 8, 0, rng); };
+    spec.trials = 12;
+    spec.sim.engine = cell.engine;
+    spec.sim.energy = ws::EnergyModel::kListenAll;
+    spec.batching = cell.batching;
+    std::vector<std::size_t> energy_sizes(spec.trials, 1);
+    spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
+      energy_sizes[i] = r.station_energy.size() + r.station_transmits.size();
+    };
+    const auto out = ws::Run(spec, nullptr);
+    EXPECT_EQ(out.cell.failures, 0u) << cell.label;
+    for (const std::size_t size : energy_sizes) EXPECT_EQ(size, 0u) << cell.label;
+    EXPECT_EQ(out.cell.energy_mean.count, 0u) << cell.label;
+    EXPECT_EQ(out.cell.energy_max.count, 0u) << cell.label;
   }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));  // header
-  std::size_t rows = 0;
-  while (std::getline(in, line)) {
-    std::stringstream row(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(row, field, ',')) fields.push_back(field);
-    ASSERT_EQ(fields.size(), 10u);
-    EXPECT_NE(std::stoi(fields[6]), -1) << "mc rows carry the winning channel";
-    ++rows;
-  }
-  EXPECT_EQ(rows, 8u);
-  std::remove(path.c_str());
 }
 
 TEST(RunFacade, ForcedBatchingServesTheCacheEvenForTinyCells) {

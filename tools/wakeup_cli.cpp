@@ -25,7 +25,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <mutex>
+#include <vector>
 
 #include "combinatorics/waking_search.hpp"
 #include "mac/pattern_io.hpp"
@@ -211,6 +211,27 @@ std::int64_t bounded_flag(const util::Args& args, const char* key, std::int64_t 
                                 ", " + std::to_string(hi) + "]");
   }
   return v;
+}
+
+/// --n / --k style station counts, [1, 2^32 - 1].
+std::uint32_t count_flag(const util::Args& args, const char* key, std::int64_t fallback) {
+  return static_cast<std::uint32_t>(
+      bounded_flag(args, key, fallback, 1, std::numeric_limits<std::uint32_t>::max()));
+}
+
+/// --s: the first wake slot, >= 0.
+mac::Slot start_flag(const util::Args& args) {
+  return bounded_flag(args, "s", 0, 0, std::numeric_limits<std::int64_t>::max());
+}
+
+/// --trials for run: at least one trial (0 would exit 0 having run nothing).
+std::uint64_t trials_flag(const util::Args& args) {
+  return static_cast<std::uint64_t>(bounded_flag(args, "trials", 1, 1, 1'000'000'000));
+}
+
+/// --channels for run: the C of the C-channel model.
+std::uint32_t channels_flag(const util::Args& args) {
+  return static_cast<std::uint32_t>(bounded_flag(args, "channels", 1, 1, 65536));
 }
 
 /// The --threads flag, shared by run/sweep: builds a dedicated pool
@@ -470,9 +491,9 @@ int cmd_sweep(const util::Args& args) {
 proto::ProtocolPtr build_protocol(const util::Args& args, std::uint64_t seed) {
   proto::ProtocolSpec spec;
   spec.name = args.get("protocol", "wakeup_matrix");
-  spec.n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  spec.k = static_cast<std::uint32_t>(args.get_int("k", 8));
-  spec.s = args.get_int("s", 0);
+  spec.n = count_flag(args, "n", 1024);
+  spec.k = count_flag(args, "k", 8);
+  spec.s = start_flag(args);
   spec.seed = seed;
   return proto::make_protocol_by_name(spec);
 }
@@ -486,8 +507,8 @@ sim::Engine parse_engine(const std::string& label) {
 
 proto::McProtocolPtr build_mc_protocol(const util::Args& args, std::uint32_t channels,
                                        std::uint64_t seed) {
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 8));
+  const std::uint32_t n = count_flag(args, "n", 1024);
+  const std::uint32_t k = count_flag(args, "k", 8);
   const std::string strategy = args.get("mc", "adapter");
   if (strategy == "adapter") {
     return proto::make_single_channel_adapter(build_protocol(args, seed), channels);
@@ -503,11 +524,11 @@ proto::McProtocolPtr build_mc_protocol(const util::Args& args, std::uint32_t cha
 /// `run --arrival=...` / `run --arrival-file=...`: sustained-load traffic on
 /// per-station packet queues instead of a one-shot wake pattern.
 int cmd_run_dynamic(const util::Args& args) {
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 8));
-  const auto trials = static_cast<std::uint64_t>(args.get_int("trials", 1));
+  const std::uint32_t n = count_flag(args, "n", 1024);
+  const std::uint32_t k = count_flag(args, "k", 8);
+  const std::uint64_t trials = trials_flag(args);
   const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (args.get_int("channels", 1) != 1 || args.has("mc")) {
+  if (channels_flag(args) != 1 || args.has("mc")) {
     throw std::invalid_argument("dynamic traffic is single-channel — drop --channels/--mc");
   }
   if (args.has("trace") || args.get_flag("cd")) {
@@ -591,11 +612,12 @@ int cmd_run_dynamic(const util::Args& args) {
 
 int cmd_run(const util::Args& args) {
   if (args.has("arrival") || args.has("arrival-file")) return cmd_run_dynamic(args);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1024));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 8));
-  const auto trials = static_cast<std::uint64_t>(args.get_int("trials", 1));
+  const std::uint32_t n = count_flag(args, "n", 1024);
+  const std::uint32_t k = count_flag(args, "k", 8);
+  const std::uint64_t trials = trials_flag(args);
   const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto channels = static_cast<std::uint32_t>(args.get_int("channels", 1));
+  const std::uint32_t channels = channels_flag(args);
+  const mac::Slot s = start_flag(args);
   const bool multichannel = channels > 1 || args.has("mc");
   if (multichannel && (args.has("trace") || args.get_flag("cd"))) {
     throw std::invalid_argument(
@@ -642,58 +664,40 @@ int cmd_run(const util::Args& args) {
     // save it, replay it for every trial.
     const auto kind = parse_kind(args.get("pattern", "staggered"));
     util::Rng rng(util::hash_words({base_seed, 0x434c49ULL /* "CLI" */}));
-    fixed = mac::patterns::generate(kind, n, k, args.get_int("s", 0), rng);
+    fixed = mac::patterns::generate(kind, n, k, s, rng);
     mac::save_pattern_csv(args.get("save-pattern"), fixed);
     spec.pattern = &fixed;
   } else {
     const auto kind = parse_kind(args.get("pattern", "staggered"));
-    const mac::Slot s = args.get_int("s", 0);
     spec.make_pattern = [kind, n, k, s](util::Rng& rng) {
       return mac::patterns::generate(kind, n, k, s, rng);
     };
   }
 
   std::string name;
-  util::Sample rounds;
-  std::mutex sample_mutex;
   if (multichannel) {
-    const std::uint32_t c = channels < 1 ? 1 : channels;
-    spec.make_mc_protocol = [&args, c](std::uint64_t seed) {
-      return build_mc_protocol(args, c, seed);
+    spec.make_mc_protocol = [&args, channels](std::uint64_t seed) {
+      return build_mc_protocol(args, channels, seed);
     };
-    name = build_mc_protocol(args, c, base_seed)->name();
-    spec.per_trial_mc = [&](std::uint64_t, const sim::McSimResult& r) {
-      const std::lock_guard<std::mutex> lock(sample_mutex);
-      if (r.success) rounds.push(static_cast<double>(r.rounds));
-    };
+    name = build_mc_protocol(args, channels, base_seed)->name();
   } else {
     spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
     name = build_protocol(args, base_seed)->name();
-    spec.per_trial = [&](std::uint64_t, const sim::SimResult& r) {
-      const std::lock_guard<std::mutex> lock(sample_mutex);
-      if (r.success) rounds.push(static_cast<double>(r.rounds));
-    };
   }
+  // Trial i's rounds (-1 on failure) land in slot i, so the bootstrap CI
+  // below resamples the same sample in the same order for every thread
+  // count and completion order.
+  std::vector<std::int64_t> trial_rounds(trials, -1);
+  spec.per_trial = [&trial_rounds](std::uint64_t i, const sim::SimResult& r) {
+    if (r.success) trial_rounds[i] = r.rounds;
+  };
 
   const auto out = sim::Run(spec, own_pool.get());
 
   if (trials == 1) {
-    sim::SimResult result;
-    if (multichannel) {
-      result.success = out.mc.success;
-      result.s = out.mc.s;
-      result.success_slot = out.mc.success_slot;
-      result.rounds = out.mc.rounds;
-      result.winner = out.mc.winner;
-      result.silences = out.mc.silences;
-      result.collisions = out.mc.collisions;
-      result.successes = out.mc.successes;
-      if (out.mc.success) {
-        std::cout << "winning channel: " << out.mc.success_channel << " of " << channels
-                  << "\n";
-      }
-    } else {
-      result = out.sim;
+    const sim::SimResult& result = out.sim;
+    if (multichannel && result.success) {
+      std::cout << "winning channel: " << result.success_channel << " of " << channels << "\n";
     }
     // Report the simulated pattern's k, which --pattern-file may decouple
     // from the --k flag.
@@ -711,7 +715,7 @@ int cmd_run(const util::Args& args) {
     } else {
       std::cout << "FAILED: no wake-up within the slot budget\n";
     }
-    if (trace_print && !multichannel && out.sim.trace) out.sim.trace->print(std::cout, 48);
+    if (trace_print && result.trace) result.trace->print(std::cout, 48);
   }
   if (csv) std::cout << "[per-trial csv] " << csv->path() << " (" << csv->rows() << " rows)\n";
   if (spec.sim.energy != sim::EnergyModel::kOff) {
@@ -732,6 +736,10 @@ int cmd_run(const util::Args& args) {
   }
 
   if (trials > 1) {
+    util::Sample rounds;
+    for (const std::int64_t r : trial_rounds) {
+      if (r >= 0) rounds.push(static_cast<double>(r));
+    }
     const auto summary = util::Summary::of(rounds);
     const auto ci = util::BootstrapCI::of_mean(rounds, 0.95, 2000, base_seed);
     std::cout << "trials=" << trials << " success=" << rounds.size() << "\n"
@@ -743,8 +751,8 @@ int cmd_run(const util::Args& args) {
 }
 
 int cmd_adversary(const util::Args& args) {
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 128));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 16));
+  const std::uint32_t n = count_flag(args, "n", 128);
+  const std::uint32_t k = count_flag(args, "k", 16);
   const auto protocol = build_protocol(args, static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto result = sim::run_swap_adversary(*protocol, n, k);
   std::cout << "protocol: " << protocol->name() << "  n=" << n << " k=" << k << "\n"
@@ -756,10 +764,13 @@ int cmd_adversary(const util::Args& args) {
 
 int cmd_certify(const util::Args& args) {
   comb::WakingSearchConfig config;
-  config.n = static_cast<std::uint32_t>(args.get_int("n", 16));
-  config.c = static_cast<unsigned>(args.get_int("c", 2));
-  config.k_exhaustive = static_cast<std::uint32_t>(args.get_int("k-exhaustive", 2));
-  config.k_random = static_cast<std::uint32_t>(args.get_int("k-random", 8));
+  config.n = count_flag(args, "n", 16);
+  config.c = static_cast<unsigned>(bounded_flag(args, "c", 2, 1, 1024));
+  // 0 switches a battery off.
+  constexpr std::int64_t kMaxK = std::numeric_limits<std::uint32_t>::max();
+  config.k_exhaustive =
+      static_cast<std::uint32_t>(bounded_flag(args, "k-exhaustive", 2, 0, kMaxK));
+  config.k_random = static_cast<std::uint32_t>(bounded_flag(args, "k-random", 8, 0, kMaxK));
   const auto result =
       comb::find_certified_seed(config, static_cast<std::uint64_t>(args.get_int("seed", 1)));
   if (!result.found) {
