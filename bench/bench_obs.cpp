@@ -7,11 +7,12 @@
 ///   1. Results are bit-identical with obs on and off — the registry is
 ///      side-state only, nothing in the simulation reads it.  Every
 ///      per-trial SimResult field (station energy included) is compared.
-///   2. Enabled overhead on a gated cell is <= 5% (min-of-reps on both
-///      flavors, interleaved, so machine noise hits both equally).
+///   2. Enabled overhead on a gated cell is <= 5%: min-of-reps of both
+///      flavors from bench::measure (interleaved reps until each flavor has
+///      at least 100 ms measured), so machine noise hits both equally.
 ///
 /// Each JSON row carries the enabled run's registry snapshot as a nested
-/// `metrics` object (cache hit counts, warm-up lengths, ...), so the perf
+/// `metrics` object (batch tiles, fetched words, ...), so the perf
 /// trajectory records what the instrumentation actually saw.
 ///
 /// Usage: bench_obs [--quick]
@@ -94,7 +95,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   const std::uint64_t trials = quick ? 64 : 256;
-  const int reps = quick ? 3 : 5;
 
   const std::vector<ObsCell> cells = {
       {"wakeup_with_k", 1 << 14, 64, trials, sim::Engine::kBatch},
@@ -107,40 +107,40 @@ int main(int argc, char** argv) {
   json.config("obs_compiled", obs::kCompiled);
   json.config("kernel", util::simd::active_name());
 
-  std::printf("%-16s %8s %5s %9s | %12s %12s | %9s %9s\n", "protocol", "n", "k", "engine",
-              "off ms/run", "on ms/run", "overhead", "identical");
+  std::printf("%-16s %8s %5s %9s | %12s %12s %5s | %9s %9s\n", "protocol", "n", "k", "engine",
+              "off ms/run", "on ms/run", "reps", "overhead", "identical");
 
   bool pass = true;
   for (const auto& cell : cells) {
     const sim::RunSpec spec = spec_for(cell);
-    obs::set_enabled(false);
-    (void)run_once(spec);  // warm-up (pools, allocator, branch predictors)
-
-    double t_off = 0;
-    double t_on = 0;
     std::vector<sim::SimResult> results_off;
     std::vector<sim::SimResult> results_on;
-    for (int rep = 0; rep < reps; ++rep) {
-      obs::set_enabled(false);
-      RunOut off = run_once(spec);
-      obs::set_enabled(true);
-      if (rep == reps - 1) obs::reset();  // snapshot below sees one clean run
-      RunOut on = run_once(spec);
-      if (rep == 0 || off.secs < t_off) t_off = off.secs;
-      if (rep == 0 || on.secs < t_on) t_on = on.secs;
-      results_off = std::move(off.results);
-      results_on = std::move(on.results);
-    }
+    const bench::Measured m = bench::measure(
+        [&] {
+          obs::set_enabled(false);
+          RunOut off = run_once(spec);
+          results_off = std::move(off.results);
+          return off.secs;
+        },
+        [&] {
+          obs::set_enabled(true);
+          obs::reset();  // the snapshot below sees the last run only
+          RunOut on = run_once(spec);
+          results_on = std::move(on.results);
+          return on.secs;
+        });
     obs::set_enabled(false);
+    const double t_off = m.a_secs;
+    const double t_on = m.b_secs;
 
     const bool same = identical(results_off, results_on);
     const double overhead = t_off > 0 ? (t_on - t_off) / t_off : 0;
     const bool cell_pass = same && overhead <= 0.05;
     pass = pass && cell_pass;
 
-    std::printf("%-16s %8u %5u %9s | %12.2f %12.2f | %8.1f%% %9s\n", cell.protocol.c_str(),
+    std::printf("%-16s %8u %5u %9s | %12.2f %12.2f %5d | %8.1f%% %9s\n", cell.protocol.c_str(),
                 cell.n, cell.k, cell.engine == sim::Engine::kBatch ? "batch" : "interpret",
-                t_off * 1e3, t_on * 1e3, overhead * 100, same ? "ok" : "MISMATCH");
+                t_off * 1e3, t_on * 1e3, m.reps, overhead * 100, same ? "ok" : "MISMATCH");
     json.row({{"protocol", cell.protocol},
               {"n", cell.n},
               {"k", cell.k},
@@ -148,6 +148,7 @@ int main(int argc, char** argv) {
               {"trials", cell.trials},
               {"off_ms", t_off * 1e3},
               {"on_ms", t_on * 1e3},
+              {"reps", m.reps},
               {"overhead", overhead},
               {"identical", same},
               {"metrics", bench::raw_json(obs::metrics_object_text(obs::snapshot()))}});

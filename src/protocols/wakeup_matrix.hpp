@@ -35,16 +35,6 @@ class WakeupMatrixProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
   void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
                       std::size_t n_words) const override;
-  /// Emission depends on the wake only through the operative slot µ(σ).
-  /// Past it, the row scan repeats every total_scan() slots and the column
-  /// index every ℓ slots: combined period lcm (0 when it overflows).
-  [[nodiscard]] std::uint64_t wake_key(Slot wake) const override {
-    return static_cast<std::uint64_t>(matrix_.params().mu(wake));
-  }
-  [[nodiscard]] std::uint64_t period() const override {
-    return util::lcm_or_zero(matrix_.params().total_scan(), matrix_.params().ell);
-  }
-  [[nodiscard]] Slot steady_from(Slot wake) const override { return matrix_.params().mu(wake); }
 
   [[nodiscard]] const comb::LazyTransmissionMatrix& matrix() const noexcept { return matrix_; }
 

@@ -10,8 +10,6 @@
 #include "obs/metrics.hpp"
 #include "sim/impairment_engine.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/schedule_cache.hpp"
-#include "sim/word_source.hpp"
 #include "util/simd.hpp"
 
 namespace wakeup::sim {
@@ -42,58 +40,26 @@ bool batch_engine_supports(const proto::McProtocol& protocol, const SimConfig& c
 
 namespace {
 
-using detail::DirectWords;
 namespace simd = util::simd;
 
-/// Post-hoc per-station energy over the finished run: the awake span is
-/// arithmetic (the models only move its endpoint), and the transmit
-/// component is a masked popcount over the station's schedule words in
-/// [wake, tx_end] — `masked_popcount_pair(row, row, mask, ...)` delivers
-/// transmit slots in its collision accumulator (popcount(row & mask)) and
-/// in-span listen slots in its silence accumulator in one kernel call.
-/// Refetching through `words` is cheap for cached runs and O(span/64) for
-/// direct ones; nothing here feeds back into the simulation.
-/// `depart[i]` is the i-th arrival's full-resolution departure slot (-1 if
-/// it never departed); `last_slot` the last slot the run examined.
-template <class Words>
-void accumulate_energy(const Words& words, const mac::WakePattern& pattern,
-                       const SimConfig& config, mac::Slot last_slot,
-                       const std::vector<mac::Slot>& depart, SimResult& result) {
+/// Per-station awake span of the finished run, arithmetic: the energy
+/// models only move its endpoint.  `depart[i]` is the i-th arrival's
+/// full-resolution departure slot (-1 if it never departed); `last_slot`
+/// the last slot the run examined.
+void account_awake_slots(const mac::WakePattern& pattern, const SimConfig& config,
+                         mac::Slot last_slot, const std::vector<mac::Slot>& depart,
+                         SimResult& result) {
   const auto& arrivals = pattern.arrivals();
   result.station_energy.assign(arrivals.size(), 0);
-  result.station_transmits.assign(arrivals.size(), 0);
-  std::array<std::uint64_t, kMaxTileWords> row{};
-  std::array<std::uint64_t, kMaxTileWords> mask{};
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const mac::Slot wake = arrivals[i].wake;
     if (wake > last_slot) break;  // sorted by wake: nobody later woke either
-    // A departed station stops transmitting at its departure; whether it
-    // keeps listening afterwards is the model.
+    // A departed station stops at its departure; whether it keeps
+    // listening afterwards is the model.
     const mac::Slot tx_end = depart[i] >= 0 ? std::min(depart[i], last_slot) : last_slot;
     const mac::Slot span_end =
         config.energy == EnergyModel::kListenUntilWoken ? tx_end : last_slot;
     result.station_energy[i] = static_cast<std::uint64_t>(span_end - wake + 1);
-
-    std::uint64_t transmits = 0;
-    std::uint64_t listens = 0;  // computed by the pair kernel, span covers it
-    mac::Slot from = wake / 64 * 64;
-    while (from <= tx_end) {
-      const auto nw = std::min<std::size_t>(
-          kMaxTileWords, static_cast<std::size_t>((tx_end - from) / 64) + 1);
-      words.tile(i, arrivals[i].station, wake, from, row.data(), nw);
-      for (std::size_t w = 0; w < nw; ++w) {
-        const mac::Slot ws = from + static_cast<mac::Slot>(64 * w);
-        std::uint64_t m = ~std::uint64_t{0};
-        if (wake > ws) m &= ~std::uint64_t{0} << (wake - ws);
-        const mac::Slot rem = tx_end - ws;
-        if (rem < 63) m &= (std::uint64_t{1} << (rem + 1)) - 1;
-        mask[w] = m;
-      }
-      simd::active().masked_popcount_pair(row.data(), row.data(), mask.data(), nw, &listens,
-                                          &transmits);
-      from += static_cast<mac::Slot>(64 * nw);
-    }
-    result.station_transmits[i] = transmits;
   }
 }
 
@@ -109,13 +75,11 @@ void accumulate_energy(const Words& words, const mac::WakePattern& pattern,
 /// immediately) and `carry` holds outcome counters already accumulated by
 /// a warm-up prefix [s, start) run elsewhere.  Tiles are aligned to
 /// absolute 64-slot boundaries (slots below `start` are masked out of the
-/// pending words), so the words a run requests are position-stable and
-/// shareable across trials with different first-wake slots.  The
+/// pending words), so impairment words index by slot / 64 directly.  The
 /// full-resolution drain is single-channel only (the C-channel model has
 /// none; its entry points reject it).  A C-channel run (`report_channel`)
 /// names the lane of its first success in `success_channel`.
-template <class Words>
-SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
+SimResult run_batch_from(const proto::ObliviousSchedule& schedule, const mac::WakePattern& pattern,
                          const SimConfig& config, mac::Slot start, const SimResult* carry,
                          bool report_channel = false) {
   SimResult result;
@@ -129,7 +93,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
     bool done = false;    ///< full-resolution: already delivered
   };
 
-  const std::uint32_t channels = words.schedule.schedule_channels();
+  const std::uint32_t channels = schedule.schedule_channels();
   const auto& arrivals = pattern.arrivals();  // sorted by wake
   const mac::Slot s = pattern.first_wake();
   result.s = s;
@@ -191,9 +155,20 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
   std::uint64_t successes = carry != nullptr ? carry->successes : 0;
   bool halted = false;
   // Energy bookkeeping (side-state only): per-arrival departure slots and
-  // the last slot examined.  The hot loop pays one store per departure.
+  // transmit counts, and the last slot examined.  Transmits are popcounted
+  // off the station rows as their slots are examined — at a departure, and
+  // at the end of each tile — so no word is fetched twice; a hybrid run's
+  // interpreted warm-up [s, start) arrives counted in `carry`.
+  const bool energy = config.energy != EnergyModel::kOff;
   std::vector<mac::Slot> depart;
-  if (config.energy != EnergyModel::kOff) depart.assign(arrivals.size(), -1);
+  std::vector<std::uint64_t> transmits;
+  if (energy) {
+    depart.assign(arrivals.size(), -1);
+    transmits.assign(arrivals.size(), 0);
+    if (carry != nullptr && !carry->station_transmits.empty()) {
+      transmits = carry->station_transmits;
+    }
+  }
   mac::Slot last_slot = end - 1;
   // Observability (side-state only): flushed once after the loop.
   std::uint64_t obs_tiles = 0;
@@ -223,7 +198,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
     while (next_arrival < arrivals.size() && arrivals[next_arrival].wake < tile_end) {
       const auto& a = arrivals[next_arrival];
       const std::uint32_t lane =
-          channels == 1 ? 0 : words.schedule.channel_lane(a.station, a.wake);
+          channels == 1 ? 0 : schedule.channel_lane(a.station, a.wake);
       if (lane >= channels) {
         throw std::invalid_argument("batch engine: channel_lane out of range");
       }
@@ -233,8 +208,8 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
     }
 
     // One schedule tile per live station: fetch from the block containing
-    // the wake (never query blocks wholly before it — cached entries start
-    // there), zero-fill the leading words, mask the straddling one.
+    // the wake (never query blocks wholly before it), zero-fill the leading
+    // words, mask the straddling one.
     for (std::size_t r = 0; r < active.size(); ++r) {
       const Active& st = active[r];
       std::uint64_t* row = matrix.data() + r * W;
@@ -249,7 +224,7 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
         w0 = static_cast<std::size_t>((from - tb) / 64);
         std::fill(row, row + w0, 0);
       }
-      words.tile(st.arrival, st.id, st.wake, from, row + w0, tw - w0);
+      schedule.schedule_block(st.id, st.wake, from, row + w0, tw - w0);
       if (st.wake > from) row[w0] &= ~std::uint64_t{0} << (st.wake - from);
       obs_words += tw - w0;
     }
@@ -336,8 +311,12 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
       // Full resolution (one lane): the winner leaves the channel; zero its
       // row and re-resolve the rest of the tile without it.
       active[r].done = true;
+      if (energy) {
+        transmits[active[r].arrival] +=
+            detail::count_row_bits(matrix.data() + r * W, tb, std::max(tb, start), t + 1);
+        depart[active[r].arrival] = t;
+      }
       std::fill(matrix.data() + r * W + wq, matrix.data() + r * W + tw, 0);
-      if (!depart.empty()) depart[active[r].arrival] = t;
       --remaining;
       if (remaining == 0 && next_arrival == arrivals.size()) {
         result.completed = true;
@@ -349,13 +328,23 @@ SimResult run_batch_from(const Words& words, const mac::WakePattern& pattern,
       }
       reduce(tb, wq, tw);
     }
+
+    if (energy) {
+      const mac::Slot examined_end = halted ? last_slot + 1 : tile_end;
+      for (std::size_t r = 0; r < active.size(); ++r) {
+        if (active[r].done) continue;  // counted at its departure
+        transmits[active[r].arrival] += detail::count_row_bits(
+            matrix.data() + r * W, tb, std::max(tb, start), examined_end);
+      }
+    }
   }
 
   result.silences = silences;
   result.collisions = collisions;
   result.successes = successes;
-  if (config.energy != EnergyModel::kOff) {
-    accumulate_energy(words, pattern, config, last_slot, depart, result);
+  if (energy) {
+    account_awake_slots(pattern, config, last_slot, depart, result);
+    result.station_transmits = std::move(transmits);
   }
   if (obs::active()) {
     static const auto c_tiles = obs::Counter::get("batch.tiles");
@@ -397,15 +386,8 @@ SimConfig without_energy(const SimConfig& config) {
 
 SimResult run_wakeup_batch(const proto::Protocol& protocol, const mac::WakePattern& pattern,
                            const SimConfig& config) {
-  return run_batch_from(DirectWords{checked_schedule(protocol, config)}, pattern, config,
+  return run_batch_from(checked_schedule(protocol, config), pattern, config,
                         pattern.first_wake(), nullptr);
-}
-
-SimResult run_wakeup_batch_cached(const proto::Protocol& protocol, const ScheduleCache& cache,
-                                  const mac::WakePattern& pattern, const SimConfig& config) {
-  return run_batch_from(
-      detail::make_cached_words(checked_schedule(protocol, config), cache, pattern), pattern,
-      config, pattern.first_wake(), nullptr);
 }
 
 SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePattern& pattern,
@@ -413,19 +395,17 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   const proto::ObliviousSchedule& schedule = checked_schedule(protocol, config);
   if (pattern.empty()) return {};
 
-  // Warm-up length: an explicit SimConfig::warmup_slots wins (the sweep
-  // harness sizes it from measured schedule-word cost at tile
-  // granularity); otherwise the static hint — cheap-word schedules
-  // (strided bits) batch profitably from slot one, expensive ones get one
-  // interpreted block, since the paper's near-optimal protocols often
-  // resolve contention within a few slots, where a full schedule tile per
-  // station would be pure waste.  Full resolution drains successes across
-  // many tiles anyway; the warm-up bookkeeping (departed winners) is not
-  // worth carrying over.
+  // Warm-up length: an explicit SimConfig::warmup_slots wins; otherwise the
+  // static hint — cheap-word schedules (strided bits) batch profitably from
+  // slot one, expensive ones get one interpreted block, since the paper's
+  // near-optimal protocols often resolve contention within a few slots,
+  // where a full schedule tile per station would be pure waste.  Full
+  // resolution drains successes across many tiles anyway; the warm-up
+  // bookkeeping (departed winners) is not worth carrying over.
   mac::Slot warmup = config.full_resolution ? 0 : config.warmup_slots;
   if (warmup < 0) warmup = schedule.words_are_cheap() ? 0 : 64;
   if (warmup == 0) {
-    return run_batch_from(DirectWords{schedule}, pattern, config, pattern.first_wake(), nullptr);
+    return run_batch_from(schedule, pattern, config, pattern.first_wake(), nullptr);
   }
 
   const mac::Slot budget = slot_budget(config.max_slots, pattern);
@@ -437,21 +417,13 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   // No success in the warm-up: continue word-parallel with carried counters.
   SimConfig rest_config = config;
   rest_config.max_slots = budget;  // pin the budget the warm-up was cut from
-  return run_batch_from(DirectWords{schedule}, pattern, rest_config,
-                        pattern.first_wake() + warmup, &warm);
+  return run_batch_from(schedule, pattern, rest_config, pattern.first_wake() + warmup, &warm);
 }
 
 SimResult run_wakeup_batch(const proto::McProtocol& protocol, const mac::WakePattern& pattern,
                            const SimConfig& config) {
-  return run_batch_from(DirectWords{checked_schedule(protocol, config)}, pattern,
-                        without_energy(config), pattern.first_wake(), nullptr, true);
-}
-
-SimResult run_wakeup_batch_cached(const proto::McProtocol& protocol, const ScheduleCache& cache,
-                                  const mac::WakePattern& pattern, const SimConfig& config) {
-  return run_batch_from(
-      detail::make_cached_words(checked_schedule(protocol, config), cache, pattern), pattern,
-      without_energy(config), pattern.first_wake(), nullptr, true);
+  return run_batch_from(checked_schedule(protocol, config), pattern, without_energy(config),
+                        pattern.first_wake(), nullptr, true);
 }
 
 }  // namespace wakeup::sim

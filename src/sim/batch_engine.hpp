@@ -7,9 +7,8 @@
 /// Advances one *tile* of 64 * W slots per resolve round (W = tile_words(),
 /// default 8 -> 512 slots): each live station contributes one row of W
 /// consecutive 64-slot schedule words to a station-major word matrix — one
-/// `proto::ObliviousSchedule::schedule_block` (or multi-word
-/// `ScheduleCache::read`) call per station per tile, amortizing the
-/// virtual dispatch W-fold.  Every station is pinned to one channel lane
+/// `proto::ObliviousSchedule::schedule_block` call per station per tile,
+/// amortizing the virtual dispatch W-fold.  Every station is pinned to one channel lane
 /// (`channel_lane`; always 0 for single-channel schedules) and its row is
 /// OR-folded into that lane's (any, multi) reduction rows with the
 /// util/simd.hpp kernels (`any` = some station transmits, `multi` = two or
@@ -22,13 +21,13 @@
 /// tests/test_mc_engine_equivalence.cpp); traces are not supported, the
 /// dispatchers fall back to the interpreter for those.
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/simulator.hpp"
 
 namespace wakeup::sim {
-
-class ScheduleCache;
 
 /// Widest tile the engines allocate for (words per station row).
 inline constexpr std::size_t kMaxTileWords = 8;
@@ -69,28 +68,38 @@ void set_tile_words(std::size_t words) noexcept;
                                          const mac::WakePattern& pattern,
                                          const SimConfig& config);
 
-/// Trial-batched entry point: like run_wakeup_batch, but schedule words
-/// are served from a pre-populated ScheduleCache (sim/schedule_cache.hpp)
-/// via its multi-word read, with schedule_block fallback for any uncached
-/// tail, so results are bit-identical to the uncached engines for any
-/// cache contents.  One cache handle is resolved per arrival up front;
-/// the cache itself is only read, making concurrent trials over one
-/// shared cache safe.
-[[nodiscard]] SimResult run_wakeup_batch_cached(const proto::Protocol& protocol,
-                                                const ScheduleCache& cache,
-                                                const mac::WakePattern& pattern,
-                                                const SimConfig& config);
-[[nodiscard]] SimResult run_wakeup_batch_cached(const proto::McProtocol& protocol,
-                                                const ScheduleCache& cache,
-                                                const mac::WakePattern& pattern,
-                                                const SimConfig& config);
+namespace detail {
+
+/// Popcount of a station row's bits in the absolute-slot range [a, b),
+/// where `row` holds the tile starting at the 64-aligned slot `tb` and
+/// covers b.  Row bits are exactly the station's transmissions (the
+/// engines mask them below the contention start), so counting each
+/// examined range once reproduces the interpreter's per-slot transmit
+/// tally.  Shared by the static and dynamic batch engines.
+[[nodiscard]] inline std::uint64_t count_row_bits(const std::uint64_t* row, mac::Slot tb,
+                                                  mac::Slot a, mac::Slot b) {
+  if (a >= b) return 0;
+  const auto off_b = static_cast<std::size_t>(b - tb);
+  const std::size_t wa = static_cast<std::size_t>(a - tb) / 64;
+  const std::size_t wb = (off_b - 1) / 64;
+  std::uint64_t total = 0;
+  for (std::size_t w = wa; w <= wb; ++w) {
+    std::uint64_t word = row[w];
+    const mac::Slot ws = tb + static_cast<mac::Slot>(64 * w);
+    if (a > ws) word &= ~std::uint64_t{0} << (a - ws);
+    if (b < ws + 64) word &= (std::uint64_t{1} << (b - ws)) - 1;
+    total += static_cast<std::uint64_t>(std::popcount(word));
+  }
+  return total;
+}
+
+}  // namespace detail
 
 /// The Engine::kAuto fast path: interprets a warm-up prefix (runs that
 /// resolve quickly never pay for schedule tiles they do not need), then
 /// continues word-parallel.  The prefix length comes from
 /// SimConfig::warmup_slots, defaulting to one 64-slot block for
-/// expensive-word schedules and zero for cheap ones; the sweep harness
-/// sizes it from measured per-word cost at the engine's tile granularity.
+/// expensive-word schedules and zero for cheap ones (`words_are_cheap`).
 /// Same preconditions and bit-identical results as run_wakeup_batch, for
 /// every prefix length.
 [[nodiscard]] SimResult run_wakeup_hybrid(const proto::Protocol& protocol,

@@ -70,29 +70,6 @@ void fill_row(const proto::ObliviousSchedule& schedule, const Row& st, mac::Slot
   }
 }
 
-/// Popcount of `row` bits in the absolute-slot range [a, b), where the row
-/// covers the tile starting at tb.  Used by the energy pass: row bits are
-/// exactly the station's transmissions (fill_row already masked the
-/// contention start and any crash cutoff), so counting them lazily —
-/// (marker, delivery] at each delivery, (marker, tile_end) at tile end —
-/// reproduces the interpreter's per-slot transmit tally.
-std::uint64_t count_row_bits(const std::uint64_t* row, mac::Slot tb, mac::Slot a,
-                             mac::Slot b) {
-  if (a >= b) return 0;
-  const auto off_b = static_cast<std::size_t>(b - tb);
-  const std::size_t wa = static_cast<std::size_t>(a - tb) / 64;
-  const std::size_t wb = (off_b - 1) / 64;
-  std::uint64_t total = 0;
-  for (std::size_t w = wa; w <= wb; ++w) {
-    std::uint64_t word = row[w];
-    const mac::Slot ws = tb + static_cast<mac::Slot>(64 * w);
-    if (a > ws) word &= ~std::uint64_t{0} << (a - ws);
-    if (b < ws + 64) word &= (std::uint64_t{1} << (b - ws)) - 1;
-    total += static_cast<std::uint64_t>(std::popcount(word));
-  }
-  return total;
-}
-
 }  // namespace
 
 DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
@@ -201,7 +178,8 @@ DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
                                           &silences, &collisions);
       if (energy != EnergyModel::kOff) {
         for (std::size_t r = 0; r < m; ++r) {
-          result.station_transmits[r] += count_row_bits(matrix.data() + r * W, tb, tb, tile_end);
+          result.station_transmits[r] +=
+              detail::count_row_bits(matrix.data() + r * W, tb, tb, tile_end);
         }
       }
       continue;
@@ -245,7 +223,7 @@ DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
           // Count the departing packet's transmit bits before the refill
           // overwrites its row, and close its backlogged span arithmetically
           // (the packet paid every slot from its contention start through t).
-          result.station_transmits[st.index] += count_row_bits(
+          result.station_transmits[st.index] += detail::count_row_bits(
               matrix.data() + winner * W, tb, counted_from[winner], t + 1);
           counted_from[winner] = t + 1;
           if (energy == EnergyModel::kListenUntilWoken) {
@@ -280,7 +258,7 @@ DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
     if (energy != EnergyModel::kOff) {
       for (std::size_t r = 0; r < m; ++r) {
         result.station_transmits[r] +=
-            count_row_bits(matrix.data() + r * W, tb, counted_from[r], tile_end);
+            detail::count_row_bits(matrix.data() + r * W, tb, counted_from[r], tile_end);
       }
     }
   }

@@ -61,8 +61,8 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
 
   // Energy accounting: counted slot by slot, in-run, straight off the
   // runtimes' actions — deliberately NOT derived from schedule words, so
-  // the batch engines' post-hoc masked-popcount derivation is an
-  // independent cross-check (tested bit-identical).
+  // the batch engines' row popcounts are an independent cross-check
+  // (tested bit-identical).
   const EnergyModel energy = config.energy;
   if (energy != EnergyModel::kOff) {
     result.station_energy.assign(arrivals.size(), 0);

@@ -80,9 +80,7 @@ struct SimConfig {
   /// Engine::kAuto only: slots interpreted before switching word-parallel
   /// (ignored under full_resolution, where the drain batches throughout).
   /// < 0 (default) sizes the prefix from the static `words_are_cheap()`
-  /// hint — 0 for cheap words, one 64-slot block otherwise; the sweep
-  /// harness overrides this per cell from the probe trials' measured
-  /// schedule-word cost (adaptive warm-up, sim/run.cpp).  Results are
+  /// hint — 0 for cheap words, one 64-slot block otherwise.  Results are
   /// bit-identical for every value; only the cost profile moves.
   mac::Slot warmup_slots = -1;
   /// One trial's realized channel impairments (noise/jam words, faults),

@@ -31,11 +31,13 @@ Args::Args(int argc, const char* const* argv) {
 }
 
 std::string Args::get(const std::string& key, const std::string& fallback) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
 }
 
 std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
   try {
@@ -47,6 +49,7 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
   try {
@@ -58,10 +61,19 @@ double Args::get_double(const std::string& key, double fallback) const {
 }
 
 bool Args::get_flag(const std::string& key) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return false;
   return it->second.empty() || it->second == "1" || it->second == "true" ||
          it->second == "yes";
+}
+
+void Args::reject_unread() const {
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) {
+      throw std::invalid_argument("unknown flag --" + key + " for this command");
+    }
+  }
 }
 
 }  // namespace wakeup::util

@@ -1,11 +1,17 @@
 #pragma once
 
 /// \file args.hpp
-/// Tiny command-line parser for the CLI driver and bench binaries:
-/// --key=value / --key value / --flag, with typed accessors and defaults.
+/// Tiny command-line parser for the CLI driver: --key=value / --key value /
+/// --flag, with typed accessors and defaults.
+///
+/// Every accessor (`has` included) records the key it was asked for, so a
+/// command that has read all the flags it understands can reject the rest
+/// with `reject_unread` — a misspelled flag fails loudly instead of being
+/// ignored.  The record is not synchronized: read flags on one thread.
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,7 +23,10 @@ class Args {
   /// Throws std::invalid_argument on a malformed option ("--=x").
   Args(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
+  [[nodiscard]] bool has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) > 0;
+  }
 
   /// String value or default.
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback = "") const;
@@ -32,6 +41,10 @@ class Args {
   /// Flag: present with no value, or an explicit true/false value.
   [[nodiscard]] bool get_flag(const std::string& key) const;
 
+  /// Throws std::invalid_argument naming the first option that no accessor
+  /// has asked for yet.
+  void reject_unread() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
@@ -41,6 +54,7 @@ class Args {
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace wakeup::util

@@ -76,3 +76,17 @@ TEST(Args, HasDistinguishesPresence) {
   EXPECT_TRUE(args.has("present"));
   EXPECT_FALSE(args.has("absent"));
 }
+
+TEST(Args, RejectUnreadNamesTheUnaskedFlag) {
+  const auto args = parse({"prog", "run", "--n=4", "--protocl=aloha", "--trace"});
+  (void)args.get_int("n", 0);
+  (void)args.get_flag("trace");
+  try {
+    args.reject_unread();
+    FAIL() << "an unread flag must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--protocl"), std::string::npos) << e.what();
+  }
+  (void)args.has("protocl");
+  EXPECT_NO_THROW(args.reject_unread());
+}

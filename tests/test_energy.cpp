@@ -1,5 +1,5 @@
 /// Per-station energy accounting: bit-identity of the interpreter's in-run
-/// slot counting against the batch engines' post-hoc masked popcounts —
+/// slot counting against the batch engines' station-row popcounts —
 /// across energy models × tile widths {1, 2, 8} × forced-scalar kernels ×
 /// full-resolution × impaired channels, static and dynamic — plus the
 /// structural guarantees: energy is side-accounting (results identical with
@@ -164,6 +164,38 @@ TEST(EnergyParity, StaticEnginesBitIdenticalAcrossTilesAndKernels) {
         wu::util::simd::set_force_scalar(false);
       }
     }
+  }
+}
+
+TEST(EnergyParity, HybridWarmupCarriesItsTransmits) {
+  // kAuto interprets a warm-up prefix and hands its counters — transmits
+  // included — to the batch tail; every prefix length must reproduce the
+  // interpreter's per-station numbers.  Simultaneous wakes at k = 64 keep
+  // the runs (and their collisions) long enough that most trials outlast
+  // every prefix below.
+  for (const char* name : {"wait_and_go", "wakeup_matrix"}) {
+    const auto protocol = registry_protocol(name, 200, 64);
+    std::uint64_t outlasted = 0;
+    for (const auto model : energy_models()) {
+      for (std::uint64_t trial = 0; trial < 4; ++trial) {
+        wu::util::Rng rng(wu::util::hash_words({0x48594252ULL /* "HYBR" */, trial}));
+        const auto pattern = wu::mac::patterns::simultaneous(200, 64, 5, rng);
+        wu::sim::SimConfig interp;
+        interp.engine = wu::sim::Engine::kInterpreter;
+        interp.energy = model;
+        const auto reference = run_one(*protocol, pattern, interp);
+        for (const wu::mac::Slot warmup : {1, 63, 64, 65, 130}) {
+          wu::sim::SimConfig hybrid;
+          hybrid.energy = model;
+          hybrid.warmup_slots = warmup;
+          expect_same_energy(reference, run_one(*protocol, pattern, hybrid),
+                             std::string(name) + " model=" + model_name(model) + " trial=" +
+                                 std::to_string(trial) + " warmup=" + std::to_string(warmup));
+          if (reference.rounds > warmup) ++outlasted;
+        }
+      }
+    }
+    EXPECT_GT(outlasted, 0u) << name << ": no run reached the batch tail";
   }
 }
 

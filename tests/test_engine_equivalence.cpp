@@ -11,7 +11,6 @@
 #include "protocols/registry.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/run.hpp"
-#include "sim/schedule_cache.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "wakeup/wakeup.hpp"
@@ -251,11 +250,10 @@ TEST(HybridWarmup, RegistryProtocolsAgreeAtBoundaryBudgets) {
   }
 }
 
-/// Trial batching: the plain per-trial loop (TrialBatching::kOff) and the
-/// batched cell (shared protocol + read-only ScheduleCache) must produce
-/// bit-identical SimResults for every trial, across all six oblivious
-/// protocols — the acceptance bar for serving memoized schedule words.
-TEST(TrialBatching, CachedAndUncachedTrialsBitIdentical) {
+/// Sweep cells: the per-trial loop on a pool, through the default engine
+/// dispatch, must produce the interpreter-forced loop's SimResult for every
+/// trial, across all six oblivious protocols.
+TEST(CellTrials, PooledBatchTrialsMatchInterpreter) {
   for (const auto& name : oblivious_names()) {
     for (const bool full_resolution : {false, true}) {
       wu::sim::RunSpec spec;
@@ -274,26 +272,22 @@ TEST(TrialBatching, CachedAndUncachedTrialsBitIdentical) {
       spec.trials = 24;
       spec.base_seed = 20130522;
       spec.sim.full_resolution = full_resolution;
-      // Tiny window cap: forces reads past the cached prefix, so the
-      // fallback path is exercised too.  kForce bypasses the population
-      // cost gate — this test is about bit-identity of the cached path,
-      // not about when caching pays.
-      spec.cache.window = 256;
-      spec.batching = wu::sim::TrialBatching::kForce;
 
-      std::vector<wu::sim::SimResult> uncached(spec.trials);
-      spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { uncached[i] = r; };
+      std::vector<wu::sim::SimResult> reference(spec.trials);
       auto plain_spec = spec;
-      plain_spec.batching = wu::sim::TrialBatching::kOff;
+      plain_spec.sim.engine = wu::sim::Engine::kInterpreter;
+      plain_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
+        reference[i] = r;
+      };
       const auto plain = wu::sim::Run(plain_spec, nullptr).cell;
 
-      std::vector<wu::sim::SimResult> cached(spec.trials);
-      spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { cached[i] = r; };
+      std::vector<wu::sim::SimResult> pooled(spec.trials);
+      spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { pooled[i] = r; };
       wu::util::ThreadPool pool(3);
       const auto batched = wu::sim::Run(spec, &pool).cell;
 
       for (std::uint64_t i = 0; i < spec.trials; ++i) {
-        expect_identical(uncached[i], cached[i],
+        expect_identical(reference[i], pooled[i],
                          name + (full_resolution ? " full" : "") + " trial " +
                              std::to_string(i));
       }
@@ -388,11 +382,9 @@ TEST(SimdMatrix, TileRampBudgetEdgesMatchInterpreter) {
   }
 }
 
-/// The cached trial loop under every (tile, kernel) combination: memoized
-/// multi-word reads (wheel wraps, window-end fallback included — the tiny
-/// window forces reads past the cached prefix) must stay bit-identical to
-/// the plain per-trial loop.
-TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
+/// Whole sweep cells under every (tile, kernel) combination must stay
+/// bit-identical, trial by trial, to the interpreter-forced cell.
+TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
   EngineTuningGuard guard;
   for (const auto& name : oblivious_names()) {
     wu::sim::RunSpec spec;
@@ -410,14 +402,11 @@ TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
     };
     spec.trials = 12;
     spec.base_seed = 20130522;
-    spec.cache.window = 256;
-    spec.batching = wu::sim::TrialBatching::kForce;
 
     wu::sim::set_tile_words(0);
     wu::util::simd::set_force_scalar(false);
     std::vector<wu::sim::SimResult> reference(spec.trials);
     auto plain_spec = spec;
-    plain_spec.batching = wu::sim::TrialBatching::kOff;
     plain_spec.sim.engine = wu::sim::Engine::kInterpreter;
     plain_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
       reference[i] = r;
@@ -428,14 +417,14 @@ TEST(SimdMatrix, CachedCellsBitIdenticalAcrossTileAndKernel) {
       for (const bool scalar : {false, true}) {
         wu::sim::set_tile_words(tile);
         wu::util::simd::set_force_scalar(scalar);
-        std::vector<wu::sim::SimResult> cached(spec.trials);
-        auto cached_spec = spec;
-        cached_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
-          cached[i] = r;
+        std::vector<wu::sim::SimResult> tiled(spec.trials);
+        auto tiled_spec = spec;
+        tiled_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
+          tiled[i] = r;
         };
-        (void)wu::sim::Run(cached_spec, nullptr);
+        (void)wu::sim::Run(tiled_spec, nullptr);
         for (std::uint64_t i = 0; i < spec.trials; ++i) {
-          expect_identical(reference[i], cached[i],
+          expect_identical(reference[i], tiled[i],
                            name + " tile=" + std::to_string(tile) +
                                (scalar ? " scalar" : " simd") + " trial " +
                                std::to_string(i));
@@ -496,6 +485,77 @@ TEST(EngineDispatch, ScheduleBlocksMatchRuntimes) {
           const bool batch_says = (words[bit / 64] >> (bit % 64)) & 1u;
           ASSERT_EQ(batch_says, runtime->transmits(t))
               << name << " u=" << u << " wake=" << wake << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineDispatch, MultiWordScheduleBlocksMatchSingleWordCalls) {
+  // The tile fetch contract behind the word-matrix engines: one
+  // schedule_block(from, n) call must emit exactly what n single-word
+  // calls do, for every oblivious protocol (single- and multichannel),
+  // including tiles straddling the wake block and family boundaries.
+  struct Subject {
+    std::string label;
+    const wu::proto::ObliviousSchedule* schedule;
+    wu::proto::ProtocolPtr keep;        // ownership
+    wu::proto::McProtocolPtr keep_mc;   // ownership
+  };
+  std::vector<Subject> subjects;
+  const auto make = [](const std::string& name) {
+    wu::proto::ProtocolSpec spec;
+    spec.name = name;
+    spec.n = 37;
+    spec.k = 5;
+    spec.s = 3;
+    spec.seed = 77;
+    return wu::proto::make_protocol_by_name(spec);
+  };
+  for (const auto& name : oblivious_names()) {
+    auto protocol = make(name);
+    subjects.push_back({name, protocol->oblivious_schedule(), protocol, nullptr});
+  }
+  for (const std::uint32_t c : {1u, 3u}) {
+    auto striped = wu::proto::make_striped_round_robin(37, c);
+    subjects.push_back({"striped_rr/C=" + std::to_string(c), striped->oblivious_schedule(),
+                        nullptr, striped});
+    auto wag = wu::proto::make_group_wait_and_go(37, 5, c, wu::comb::FamilyKind::kRandomized,
+                                                 77);
+    subjects.push_back({"group_wag/C=" + std::to_string(c), wag->oblivious_schedule(),
+                        nullptr, wag});
+  }
+  auto adapter = wu::proto::make_single_channel_adapter(make("wait_and_go"), 3);
+  subjects.push_back({"adapter(wait_and_go)/C=3", adapter->oblivious_schedule(), nullptr,
+                      adapter});
+
+  for (const Subject& subject : subjects) {
+    ASSERT_NE(subject.schedule, nullptr) << subject.label;
+    for (const wu::mac::Slot wake : {wu::mac::Slot{0}, wu::mac::Slot{10}, wu::mac::Slot{129}}) {
+      for (const wu::mac::StationId u : {0u, 17u, 36u, 45u}) {
+        for (const wu::mac::Slot from : {wu::mac::Slot{0}, wu::mac::Slot{64},
+                                         wu::mac::Slot{(wake / 64) * 64}}) {
+          for (const std::size_t n_words : {2u, 5u, 8u}) {
+            std::vector<std::uint64_t> tile(n_words, 0);
+            subject.schedule->schedule_block(u, wake, from, tile.data(), n_words);
+            for (std::size_t w = 0; w < n_words; ++w) {
+              std::uint64_t single = 0;
+              subject.schedule->schedule_block(
+                  u, wake, from + static_cast<wu::mac::Slot>(64 * w), &single, 1);
+              // Bits before the wake are unspecified by contract — mask
+              // both sides to the specified region.
+              const wu::mac::Slot block = from + static_cast<wu::mac::Slot>(64 * w);
+              std::uint64_t specified = ~std::uint64_t{0};
+              if (wake >= block + 64) {
+                specified = 0;
+              } else if (wake > block) {
+                specified <<= (wake - block);
+              }
+              ASSERT_EQ(tile[w] & specified, single & specified)
+                  << subject.label << " u=" << u << " wake=" << wake << " from=" << from
+                  << " w=" << w << " n=" << n_words;
+            }
+          }
         }
       }
     }

@@ -256,10 +256,10 @@ TEST(McEngineEquivalence, InterpreterRejectsOutOfRangeChannel) {
   }
 }
 
-TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
-  // Trial-level batching over the C-channel memo: every per-trial
-  // SimResult from the batched cell (forced cache) must equal the
-  // interpreted per-trial loop, counter for counter.
+TEST(McCellTrials, PooledBatchTrialsMatchSlotLoop) {
+  // Whole C-channel sweep cells: every per-trial SimResult of the pooled
+  // cell on the default dispatch must equal the interpreted per-trial
+  // loop, counter for counter.
   const std::uint32_t n = 96, k = 12;
   for (const Strategy& strategy : native_strategies(n, k)) {
     if (strategy.protocol->single_channel() != nullptr) continue;  // adapters: fast path
@@ -270,7 +270,6 @@ TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
     };
     spec.trials = 20;
     spec.base_seed = 20130522;
-    spec.cache.window = 256;  // force reads past the memo: fallback path too
 
     std::vector<ws::SimResult> interpreted(spec.trials), batched(spec.trials);
     auto interp_spec = spec;
@@ -281,20 +280,19 @@ TEST(McTrialBatching, CachedCellsBitIdenticalToSlotLoop) {
     const auto plain = ws::Run(interp_spec, nullptr).cell;
 
     auto batch_spec = spec;
-    batch_spec.batching = ws::TrialBatching::kForce;
     batch_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
       batched[i] = r;
     };
     wu::ThreadPool pool(3);
-    const auto cached = ws::Run(batch_spec, &pool).cell;
+    const auto pooled = ws::Run(batch_spec, &pool).cell;
 
     for (std::uint64_t i = 0; i < spec.trials; ++i) {
       expect_identical(interpreted[i], batched[i],
                        strategy.label + " trial " + std::to_string(i));
     }
-    EXPECT_EQ(plain.failures, cached.failures) << strategy.label;
-    EXPECT_DOUBLE_EQ(plain.rounds.mean, cached.rounds.mean) << strategy.label;
-    EXPECT_DOUBLE_EQ(plain.silences.mean, cached.silences.mean) << strategy.label;
-    EXPECT_DOUBLE_EQ(plain.collisions.mean, cached.collisions.mean) << strategy.label;
+    EXPECT_EQ(plain.failures, pooled.failures) << strategy.label;
+    EXPECT_DOUBLE_EQ(plain.rounds.mean, pooled.rounds.mean) << strategy.label;
+    EXPECT_DOUBLE_EQ(plain.silences.mean, pooled.silences.mean) << strategy.label;
+    EXPECT_DOUBLE_EQ(plain.collisions.mean, pooled.collisions.mean) << strategy.label;
   }
 }

@@ -324,52 +324,10 @@ TEST(ExecutionTraceRing, PartiallyFilledRingIsChronological) {
 
 // ------------------------------------------------- hot-path instrumentation --
 
-TEST(ObsInstrumentation, ForcedCacheCellEmitsHitAndOccupancyMetrics) {
-  // The smoke grids are short-run cells whose census gate declines the
-  // schedule memo, so only `cache.census_declines` shows up there.  This
-  // forces the memo on a cell that then serves every trial from it, and
-  // pins that the accept-path metrics (find hits/misses, resident bytes,
-  // entry count) actually fire.
-  ObsReset guard;
-  obs::set_enabled(true);
-
-  wu::sim::RunSpec spec;
-  spec.make_protocol = [](std::uint64_t seed) {
-    wu::proto::ProtocolSpec p;
-    p.name = "wait_and_go";
-    p.n = 256;
-    p.k = 16;
-    p.seed = seed;
-    return wu::proto::make_protocol_by_name(p);
-  };
-  spec.make_pattern = [](wu::util::Rng& rng) {
-    return wu::mac::patterns::uniform_window(256, 16, 0, 64, rng);
-  };
-  spec.base_seed = 20130522;
-  spec.trials = 16;
-  spec.batching = wu::sim::TrialBatching::kForce;
-  const auto out = wu::sim::Run(spec, nullptr);
-  EXPECT_EQ(out.cell.failures, 0u);
-
-  const auto snap = obs::snapshot();
-  if (obs::kCompiled) {
-    const std::uint64_t hits = obs::snapshot_value(snap, "cache.find_hits");
-    const std::uint64_t misses = obs::snapshot_value(snap, "cache.find_misses");
-    // Every trial past the probes reads the memo per wake class; the exact
-    // split is an implementation detail but the accept path must be live.
-    EXPECT_GT(hits + misses, 0u);
-    EXPECT_GT(obs::snapshot_value(snap, "cache.bytes_resident"), 0u);
-    EXPECT_GT(obs::snapshot_value(snap, "cache.entries"), 0u);
-    EXPECT_EQ(obs::snapshot_value(snap, "cache.census_declines"), 0u);
-  } else {
-    EXPECT_TRUE(snap.empty());
-  }
-}
-
-TEST(ObsInstrumentation, ForcedCacheMultichannelCellEmitsBatchCounters) {
+TEST(ObsInstrumentation, MultichannelCellEmitsBatchCounters) {
   // C-channel cells run the same tile loop as single-channel ones, so a
-  // forced-cache striped round-robin cell at C = 4 must report its tiles
-  // and fetched words like any other batched cell.
+  // striped round-robin cell at C = 4 must report its tiles and fetched
+  // words like any other batched cell.
   ObsReset guard;
   obs::set_enabled(true);
 
@@ -382,7 +340,6 @@ TEST(ObsInstrumentation, ForcedCacheMultichannelCellEmitsBatchCounters) {
   };
   spec.base_seed = 20130522;
   spec.trials = 16;
-  spec.batching = wu::sim::TrialBatching::kForce;
   const auto out = wu::sim::Run(spec, nullptr);
   EXPECT_EQ(out.cell.failures, 0u);
 

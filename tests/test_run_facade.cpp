@@ -383,16 +383,14 @@ TEST(RunFacade, McRunsAccountNoEnergy) {
     const char* label;
     wp::McProtocolPtr protocol;
     ws::Engine engine;
-    ws::TrialBatching batching;
   };
   const std::vector<Cell> cells = {
       {"adapter(round_robin) C=4",
        wp::make_single_channel_adapter(std::make_shared<wp::RoundRobinProtocol>(64), 4),
-       ws::Engine::kAuto, ws::TrialBatching::kAuto},
-      {"striped_rr batch", wp::make_striped_round_robin(64, 4), ws::Engine::kAuto,
-       ws::TrialBatching::kForce},
+       ws::Engine::kAuto},
+      {"striped_rr batch", wp::make_striped_round_robin(64, 4), ws::Engine::kAuto},
       {"striped_rr interpreter", wp::make_striped_round_robin(64, 4),
-       ws::Engine::kInterpreter, ws::TrialBatching::kAuto},
+       ws::Engine::kInterpreter},
   };
   for (const Cell& cell : cells) {
     ws::RunSpec spec;
@@ -401,7 +399,6 @@ TEST(RunFacade, McRunsAccountNoEnergy) {
     spec.trials = 12;
     spec.sim.engine = cell.engine;
     spec.sim.energy = ws::EnergyModel::kListenAll;
-    spec.batching = cell.batching;
     std::vector<std::size_t> energy_sizes(spec.trials, 1);
     spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
       energy_sizes[i] = r.station_energy.size() + r.station_transmits.size();
@@ -411,41 +408,6 @@ TEST(RunFacade, McRunsAccountNoEnergy) {
     for (const std::size_t size : energy_sizes) EXPECT_EQ(size, 0u) << cell.label;
     EXPECT_EQ(out.cell.energy_mean.count, 0u) << cell.label;
     EXPECT_EQ(out.cell.energy_max.count, 0u) << cell.label;
-  }
-}
-
-TEST(RunFacade, ForcedBatchingServesTheCacheEvenForTinyCells) {
-  // kForce promises the memo is populated AND served; with trials <= the
-  // probe count that means shrinking the probes, not skipping the cache.
-  ws::RunSpec spec;
-  spec.make_protocol = [](std::uint64_t seed) {
-    wp::ProtocolSpec p;
-    p.name = "wait_and_go";
-    p.n = 96;
-    p.k = 8;
-    p.seed = seed;
-    return wp::make_protocol_by_name(p);
-  };
-  spec.make_pattern = [](wu::Rng& rng) {
-    return wm::patterns::uniform_window(96, 8, 0, 48, rng);
-  };
-  spec.base_seed = 20130522;
-  for (const std::uint64_t trials : {1u, 4u}) {
-    spec.trials = trials;
-    std::vector<ws::SimResult> off(trials), forced(trials);
-    auto off_spec = spec;
-    off_spec.batching = ws::TrialBatching::kOff;
-    off_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { off[i] = r; };
-    (void)ws::Run(off_spec, nullptr);
-    auto force_spec = spec;
-    force_spec.batching = ws::TrialBatching::kForce;
-    force_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { forced[i] = r; };
-    (void)ws::Run(force_spec, nullptr);
-    for (std::uint64_t i = 0; i < trials; ++i) {
-      EXPECT_EQ(off[i].success_slot, forced[i].success_slot) << trials << "/" << i;
-      EXPECT_EQ(off[i].silences, forced[i].silences) << trials << "/" << i;
-      EXPECT_EQ(off[i].collisions, forced[i].collisions) << trials << "/" << i;
-    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "combinatorics/waking_verifier.hpp"
 #include "test_helpers.hpp"
 #include "util/math.hpp"
@@ -30,6 +32,44 @@ TEST(WakeupMatrix, RuntimeMatchesDeclarativeRowWalk) {
       ASSERT_EQ(rt->transmits(t), expected) << "wake=" << wake << " t=" << t;
     }
   }
+}
+
+TEST(WakeupMatrix, ScheduleBlockMatchesContains) {
+  // The word path steps the column j = t mod ℓ, ρ(j) and the row-hash
+  // prefix incrementally; every bit must still equal the declarative row
+  // walk + one-call membership.  n = 16, c = 1 keeps ℓ = 256 and one row
+  // scan at 240 slots, so the tiles below straddle both wraps, start
+  // before µ(σ), and start many whole scans past it.
+  const wp::WakeupMatrixProtocol protocol(16, /*c=*/1, /*seed=*/11);
+  const auto& matrix = protocol.matrix();
+  const auto& p = matrix.params();
+  ASSERT_EQ(p.ell, 256u);
+  ASSERT_EQ(p.total_scan(), 240u);
+  ASSERT_GT(p.window, 1u);
+  std::uint64_t ones = 0;
+  for (const wm::Slot wake : {0, 1, 3, 70, 239, 257, 1000}) {
+    for (const wm::Slot from : {wm::Slot{0}, wm::Slot{64}, wm::Slot{192}, wm::Slot{448},
+                                (wake / 64) * 64, wm::Slot{64 * 200}, wm::Slot{64 * 1001}}) {
+      for (const std::size_t n_words : {1u, 3u, 8u}) {
+        for (const wm::StationId u : {0u, 5u, 15u, 20u}) {
+          std::vector<std::uint64_t> words(n_words, ~std::uint64_t{0});
+          protocol.schedule_block(u, wake, from, words.data(), n_words);
+          for (std::size_t bit = 0; bit < 64 * n_words; ++bit) {
+            const wm::Slot t = from + static_cast<wm::Slot>(bit);
+            if (t < wake) continue;  // unspecified by contract
+            const auto row = p.row_at(wake, t);
+            const bool expected =
+                row.has_value() && matrix.contains(*row, static_cast<std::uint64_t>(t), u);
+            const bool got = (words[bit / 64] >> (bit % 64)) & 1u;
+            ASSERT_EQ(got, expected) << "wake=" << wake << " from=" << from
+                                     << " n_words=" << n_words << " u=" << u << " t=" << t;
+            ones += got ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ones, 0u);  // the comparison saw transmissions, not only silence
 }
 
 TEST(WakeupMatrix, AgreesWithWakingVerifier) {

@@ -19,7 +19,9 @@
 ///   wakeup_cli certify --n=16 [--c=2] [--seed=1]          # waking-matrix seed search
 ///   wakeup_cli list                                       # protocols + capabilities
 ///
-/// Exit code 0 on success (wake-up achieved in every trial), 1 otherwise.
+/// Exit code 0 on success (wake-up achieved in every trial), 1 otherwise,
+/// 2 on bad arguments — including any flag the command does not read.
+/// `<command> --help` prints that command's options and exits 0.
 
 #include <algorithm>
 #include <iostream>
@@ -37,9 +39,8 @@ using namespace wakeup;
 
 namespace {
 
-void print_usage() {
-  std::cout <<
-      R"(wakeup_cli — contention resolution on a multiple access channel
+constexpr const char* kCommandsUsage =
+    R"(wakeup_cli — contention resolution on a multiple access channel
 
 commands:
   run        simulate a protocol against a wake pattern
@@ -47,13 +48,20 @@ commands:
   adversary  play the Theorem 2.1 element-swap game against a protocol
   certify    search for a certified waking-matrix seed (small n)
   list       list registered protocols with capability columns
+  <command> --help prints that command's options.  Every command rejects a
+  flag it does not read (exit 2).
+)";
 
-common options:
+constexpr const char* kCommonUsage = R"(
+common options (run, adversary):
   --protocol=<name>      (see `list`; default wakeup_matrix)
-  --n=<int>              universe size (default 1024)
-  --k=<int>              contention bound / pattern size (default 8)
+  --n=<int>              universe size (default 1024; adversary 128)
+  --k=<int>              contention bound / pattern size (default 8; adversary 16)
   --s=<int>              known start slot for Scenario A protocols (default 0)
   --seed=<int>           randomness seed (default 1)
+)";
+
+constexpr const char* kRunUsage = R"(
 run options:
   --pattern=<kind>       staggered|simultaneous|uniform|batched|poisson|exp_spread
   --pattern-file=<csv>   replay arrivals from "station,wake" rows instead
@@ -91,6 +99,11 @@ run options:
                          Perfetto file (slot timeline as instant events);
                          bare --trace keeps the classic stdout print
 
+note: --save-pattern generates one pattern up front, saves it, and replays
+it for every trial (use --pattern-file to re-run it later).
+)";
+
+constexpr const char* kSweepUsage = R"(
 sweep options:
   --preset=<name>        figure-scenario-a/b/c, crossover, multichannel-scaling,
                          smoke, frontier-scaling, dynamic-throughput,
@@ -141,7 +154,7 @@ sweep options:
   --lease-ttl=<ms>       lease duration before a crashed worker's cells
                          become stealable (default 10000)
   --metrics=<json>       write the obs registry snapshot after the sweep
-                         (cache hit rates, cell wall times, ledger steals;
+                         (engine counters, cell wall times, ledger steals;
                          fleet workers shard to <out>/metrics-<w>.json)
   --trace=<json>         write a Perfetto trace: one duration event per
                          cell; fleet workers get their own process row and
@@ -152,10 +165,29 @@ sweep merge:
                          merge every manifest shard in <dir> and write the
                          report (byte-identical to a single-process run);
                          exit 1 while cells are still missing
-
-note: --save-pattern generates one pattern up front, saves it, and replays
-it for every trial (use --pattern-file to re-run it later).
 )";
+
+constexpr const char* kCertifyUsage = R"(
+certify options:
+  --n=<int>              universe size (default 16)
+  --c=<int>              the matrix constant c (default 2)
+  --k-exhaustive=<int>   check every pattern up to this k (default 2; 0 = off)
+  --k-random=<int>       random patterns up to this k (default 8; 0 = off)
+  --seed=<int>           first seed tried (default 1)
+)";
+
+/// The usage text: the command list plus the sections `command` reads, or
+/// every section when the command is empty or unknown.
+void print_usage(const std::string& command = "") {
+  std::cout << kCommandsUsage;
+  if (command == "run" || command == "adversary") std::cout << kCommonUsage;
+  if (command == "run") std::cout << kRunUsage;
+  if (command == "sweep") std::cout << kSweepUsage;
+  if (command == "certify") std::cout << kCertifyUsage;
+  if (command != "list" && command != "run" && command != "adversary" && command != "sweep" &&
+      command != "certify") {
+    std::cout << kCommonUsage << kRunUsage << kSweepUsage << kCertifyUsage;
+  }
 }
 
 /// Composes `run`'s --noise/--jam/--faults flags into one impairment spec:
@@ -234,12 +266,16 @@ std::uint32_t channels_flag(const util::Args& args) {
   return static_cast<std::uint32_t>(bounded_flag(args, "channels", 1, 1, 65536));
 }
 
-/// The --threads flag, shared by run/sweep: builds a dedicated pool
-/// (0 = inline).  Returns nullptr when the flag is absent — callers fall
-/// back to the process-wide shared pool.
-std::unique_ptr<util::ThreadPool> make_own_pool(const util::Args& args) {
-  if (!args.has("threads")) return nullptr;
-  const std::int64_t threads = bounded_flag(args, "threads", 0, 0, 1024);
+/// The --threads flag, shared by run/sweep: the worker count of a
+/// dedicated pool (0 = inline), or -1 when the flag is absent — callers
+/// then fall back to the process-wide shared pool.
+std::int64_t threads_flag(const util::Args& args) {
+  return args.has("threads") ? bounded_flag(args, "threads", 0, 0, 1024) : -1;
+}
+
+/// The dedicated pool a threads_flag value asks for (nullptr for -1).
+std::unique_ptr<util::ThreadPool> make_own_pool(std::int64_t threads) {
+  if (threads < 0) return nullptr;
   return std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads));
 }
 
@@ -252,7 +288,8 @@ mac::patterns::Kind parse_kind(const std::string& label) {
 
 const char* yn(bool v) { return v ? "yes" : "-"; }
 
-int cmd_list() {
+int cmd_list(const util::Args& args) {
+  args.reject_unread();
   // The capability columns are the same answers exp/sweep_spec.cpp
   // validates grids against, so what this table says runs, runs.
   util::ConsoleTable table({"protocol", "oblivious", "cheap-words", "randomized", "needs-k",
@@ -288,6 +325,7 @@ int cmd_list() {
 /// launchers whose workers ran with --worker-id on a shared filesystem.
 int cmd_sweep_merge(const util::Args& args) {
   const std::string out_dir = args.get("out", "sweep_out");
+  args.reject_unread();
   const exp::SweepOutcome outcome = exp::merge_sweep(out_dir);
   std::cout << "cells: " << outcome.cells_total << " total, " << outcome.cells_resumed
             << " merged, " << outcome.cells_remaining << " remaining\n";
@@ -393,13 +431,7 @@ int cmd_sweep(const util::Args& args) {
     if (options.trace_path.empty()) {
       throw std::invalid_argument("sweep --trace needs a file path (there is no timeline print)");
     }
-    obs::set_trace_enabled(true);
-    obs::trace_set_process(0, "sweep");
   }
-  // The registry also powers the --progress heartbeat extras (cache
-  // hit-rate, lease steals); enable it here — before the fleet forks, so
-  // worker processes inherit the flag.
-  if (args.has("progress")) obs::set_enabled(true);
   const std::int64_t workers = bounded_flag(args, "workers", 0, 0, 1024);
   if (args.has("worker-id")) {
     if (workers > 0) {
@@ -410,17 +442,36 @@ int cmd_sweep(const util::Args& args) {
     options.worker_id =
         static_cast<std::int32_t>(bounded_flag(args, "worker-id", 0, 0, 1'000'000));
   }
+  const std::string sharding = args.get("sharding", "auto");
+  if (sharding == "cells") {
+    options.sharding = exp::Sharding::kCells;
+  } else if (sharding == "trials") {
+    options.sharding = exp::Sharding::kTrials;
+  } else if (sharding != "auto") {
+    throw std::invalid_argument("unknown sharding '" + sharding +
+                                "' (one of: auto, cells, trials)");
+  }
+  const std::int64_t threads = threads_flag(args);
+  const bool per_trial_csv = args.has("per-trial-csv");
+  if (workers > 0 && per_trial_csv) {
+    throw std::invalid_argument("--per-trial-csv cannot serialize rows across worker processes");
+  }
+  args.reject_unread();  // every flag is read: nothing has run or been written yet
+
+  if (!options.trace_path.empty()) {
+    obs::set_trace_enabled(true);
+    obs::trace_set_process(0, "sweep");
+  }
+  // The registry also powers the --progress heartbeat extra (lease
+  // steals); enable it here — before the fleet forks, so worker processes
+  // inherit the flag.
+  if (args.has("progress")) obs::set_enabled(true);
 
   // Fleet mode forks before this process owns any threads (fork carries
   // only the calling thread), so it must run before --threads builds a
   // pool and before any sink opens.
   if (workers > 0) {
-    if (args.has("per-trial-csv")) {
-      throw std::invalid_argument(
-          "--per-trial-csv cannot serialize rows across worker processes");
-    }
-    const auto worker_threads =
-        static_cast<std::size_t>(bounded_flag(args, "threads", 0, 0, 1024));
+    const auto worker_threads = static_cast<std::size_t>(threads < 0 ? 0 : threads);
     const exp::SweepOutcome outcome = exp::run_sweep_fleet(
         spec, options, static_cast<std::uint32_t>(workers), worker_threads);
     std::cout << "workers: " << workers << "\ncells: " << outcome.cells_total << " total, "
@@ -435,18 +486,9 @@ int cmd_sweep(const util::Args& args) {
     if (!options.trace_path.empty()) std::cout << "[trace] " << options.trace_path << "\n";
     return 0;
   }
-  const std::string sharding = args.get("sharding", "auto");
-  if (sharding == "cells") {
-    options.sharding = exp::Sharding::kCells;
-  } else if (sharding == "trials") {
-    options.sharding = exp::Sharding::kTrials;
-  } else if (sharding != "auto") {
-    throw std::invalid_argument("unknown sharding '" + sharding +
-                                "' (one of: auto, cells, trials)");
-  }
 
   std::unique_ptr<sim::TrialCsvSink> csv;
-  if (args.has("per-trial-csv")) {
+  if (per_trial_csv) {
     // The sink may target the (not yet created) output directory.
     if (!util::ensure_directory(options.out_dir)) {
       throw std::runtime_error("cannot create output directory " + options.out_dir);
@@ -454,7 +496,7 @@ int cmd_sweep(const util::Args& args) {
     csv = std::make_unique<sim::TrialCsvSink>(args.get("per-trial-csv"));
     options.trial_csv = csv.get();
   }
-  const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(args);
+  const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(threads);
   if (own_pool) options.pool = own_pool.get();
 
   const exp::SweepOutcome outcome = exp::run_sweep(spec, options);
@@ -488,12 +530,19 @@ int cmd_sweep(const util::Args& args) {
   return 0;
 }
 
-proto::ProtocolPtr build_protocol(const util::Args& args, std::uint64_t seed) {
+/// The protocol flags (--protocol, --n, --k, --s) as a registry spec; each
+/// build fills in its own seed.  Read once on the main thread: trial
+/// builders run on pool workers, so they capture the spec, not the flags.
+proto::ProtocolSpec protocol_flags(const util::Args& args) {
   proto::ProtocolSpec spec;
   spec.name = args.get("protocol", "wakeup_matrix");
   spec.n = count_flag(args, "n", 1024);
   spec.k = count_flag(args, "k", 8);
   spec.s = start_flag(args);
+  return spec;
+}
+
+proto::ProtocolPtr build_protocol(proto::ProtocolSpec spec, std::uint64_t seed) {
   spec.seed = seed;
   return proto::make_protocol_by_name(spec);
 }
@@ -505,27 +554,29 @@ sim::Engine parse_engine(const std::string& label) {
   throw std::invalid_argument("unknown engine: " + label);
 }
 
-proto::McProtocolPtr build_mc_protocol(const util::Args& args, std::uint32_t channels,
+/// The --mc strategy over `channels` lanes; `inner` is the protocol the
+/// adapter embeds on channel 0 (and the n/k of the native strategies).
+proto::McProtocolPtr build_mc_protocol(const proto::ProtocolSpec& inner,
+                                       const std::string& strategy, std::uint32_t channels,
                                        std::uint64_t seed) {
-  const std::uint32_t n = count_flag(args, "n", 1024);
-  const std::uint32_t k = count_flag(args, "k", 8);
-  const std::string strategy = args.get("mc", "adapter");
   if (strategy == "adapter") {
-    return proto::make_single_channel_adapter(build_protocol(args, seed), channels);
+    return proto::make_single_channel_adapter(build_protocol(inner, seed), channels);
   }
-  if (strategy == "striped_rr") return proto::make_striped_round_robin(n, channels);
+  if (strategy == "striped_rr") return proto::make_striped_round_robin(inner.n, channels);
   if (strategy == "group_wag") {
-    return proto::make_group_wait_and_go(n, k, channels, comb::FamilyKind::kRandomized, seed);
+    return proto::make_group_wait_and_go(inner.n, inner.k, channels,
+                                         comb::FamilyKind::kRandomized, seed);
   }
-  if (strategy == "random_rpd") return proto::make_random_channel_rpd(n, channels, seed);
+  if (strategy == "random_rpd") return proto::make_random_channel_rpd(inner.n, channels, seed);
   throw std::invalid_argument("unknown mc strategy: " + strategy);
 }
 
 /// `run --arrival=...` / `run --arrival-file=...`: sustained-load traffic on
 /// per-station packet queues instead of a one-shot wake pattern.
 int cmd_run_dynamic(const util::Args& args) {
-  const std::uint32_t n = count_flag(args, "n", 1024);
-  const std::uint32_t k = count_flag(args, "k", 8);
+  const proto::ProtocolSpec pspec = protocol_flags(args);
+  const std::uint32_t n = pspec.n;
+  const std::uint32_t k = pspec.k;
   const std::uint64_t trials = trials_flag(args);
   const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (channels_flag(args) != 1 || args.has("mc")) {
@@ -542,7 +593,7 @@ int cmd_run_dynamic(const util::Args& args) {
     throw std::invalid_argument("--per-trial-csv has no row schema for dynamic trials yet");
   }
 
-  const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(args);
+  const std::int64_t threads = threads_flag(args);
   const std::string metrics_path = metrics_flag(args);
 
   sim::RunSpec spec;
@@ -551,7 +602,7 @@ int cmd_run_dynamic(const util::Args& args) {
   spec.sim.engine = parse_engine(args.get("engine", "auto"));
   spec.sim.energy = parse_energy_flag(args);
   spec.impairment = parse_impairment_flags(args);
-  spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
+  spec.make_protocol = [pspec](std::uint64_t seed) { return build_protocol(pspec, seed); };
 
   const std::int64_t horizon_flag = args.get_int("horizon", 0);
   if (horizon_flag < 0) throw std::invalid_argument("--horizon must be >= 1");
@@ -568,11 +619,13 @@ int cmd_run_dynamic(const util::Args& args) {
     spec.dynamic_n = n;
     spec.dynamic_k = k;
   }
+  args.reject_unread();
 
+  const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(threads);
   const auto out = sim::Run(spec, own_pool.get());
   const sim::CellResult& cell = out.cell;
 
-  std::cout << "protocol: " << build_protocol(args, base_seed)->name() << "\n"
+  std::cout << "protocol: " << build_protocol(pspec, base_seed)->name() << "\n"
             << "n=" << n << " k=" << k << " arrival=" << arrival.name()
             << " horizon=" << spec.horizon << " trials=" << trials << "\n";
   if (!spec.impairment.clean()) {
@@ -612,13 +665,15 @@ int cmd_run_dynamic(const util::Args& args) {
 
 int cmd_run(const util::Args& args) {
   if (args.has("arrival") || args.has("arrival-file")) return cmd_run_dynamic(args);
-  const std::uint32_t n = count_flag(args, "n", 1024);
-  const std::uint32_t k = count_flag(args, "k", 8);
+  const proto::ProtocolSpec pspec = protocol_flags(args);
+  const std::uint32_t n = pspec.n;
+  const std::uint32_t k = pspec.k;
+  const mac::Slot s = pspec.s;
   const std::uint64_t trials = trials_flag(args);
   const auto base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::uint32_t channels = channels_flag(args);
-  const mac::Slot s = start_flag(args);
   const bool multichannel = channels > 1 || args.has("mc");
+  const std::string strategy = args.get("mc", "adapter");
   if (multichannel && (args.has("trace") || args.get_flag("cd"))) {
     throw std::invalid_argument(
         "--trace and --cd are single-channel features; drop --channels/--mc to use them");
@@ -626,18 +681,11 @@ int cmd_run(const util::Args& args) {
   const std::string metrics_path = metrics_flag(args);
   const std::string trace_path = trace_path_flag(args);
   const bool trace_print = args.get_flag("trace");
-  if (!trace_path.empty()) {
-    obs::set_trace_enabled(true);
-    obs::trace_set_process(0, "wakeup_cli run");
-  }
-
-  std::unique_ptr<sim::TrialCsvSink> csv;
-  if (args.has("per-trial-csv")) {
-    csv = std::make_unique<sim::TrialCsvSink>(args.get("per-trial-csv"));
-  }
+  const std::string csv_path = args.get("per-trial-csv");
+  const bool per_trial_csv = args.has("per-trial-csv");
   // --threads=N builds a dedicated pool (0 = inline); otherwise sim::Run
   // parallelizes multi-trial sweeps on the process-wide shared pool.
-  const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(args);
+  const std::int64_t threads = threads_flag(args);
 
   // One sim::Run call covers the whole sweep: pattern per trial from the
   // facade's seed contract, protocol hoisted per cell (randomized
@@ -645,7 +693,6 @@ int cmd_run(const util::Args& args) {
   sim::RunSpec spec;
   spec.trials = trials;
   spec.base_seed = base_seed;
-  spec.trial_csv = csv.get();
   spec.impairment = parse_impairment_flags(args);
   spec.sim.max_slots = args.get_int("max-slots", 0);
   spec.sim.engine = parse_engine(args.get("engine", "auto"));
@@ -656,34 +703,48 @@ int cmd_run(const util::Args& args) {
                                           : mac::FeedbackModel::kNone;
 
   mac::WakePattern fixed;
+  std::string save_path;
   if (args.has("pattern-file")) {
     fixed = mac::load_pattern_csv(args.get("pattern-file"), n);
     spec.pattern = &fixed;
-  } else if (args.has("save-pattern")) {
-    // Reproducibility beats per-trial variety here: generate one pattern,
-    // save it, replay it for every trial.
-    const auto kind = parse_kind(args.get("pattern", "staggered"));
-    util::Rng rng(util::hash_words({base_seed, 0x434c49ULL /* "CLI" */}));
-    fixed = mac::patterns::generate(kind, n, k, s, rng);
-    mac::save_pattern_csv(args.get("save-pattern"), fixed);
-    spec.pattern = &fixed;
   } else {
     const auto kind = parse_kind(args.get("pattern", "staggered"));
-    spec.make_pattern = [kind, n, k, s](util::Rng& rng) {
-      return mac::patterns::generate(kind, n, k, s, rng);
-    };
+    if (args.has("save-pattern")) {
+      // Reproducibility beats per-trial variety here: generate one
+      // pattern, save it, replay it for every trial.
+      util::Rng rng(util::hash_words({base_seed, 0x434c49ULL /* "CLI" */}));
+      fixed = mac::patterns::generate(kind, n, k, s, rng);
+      save_path = args.get("save-pattern");
+      spec.pattern = &fixed;
+    } else {
+      spec.make_pattern = [kind, n, k, s](util::Rng& rng) {
+        return mac::patterns::generate(kind, n, k, s, rng);
+      };
+    }
   }
 
   std::string name;
   if (multichannel) {
-    spec.make_mc_protocol = [&args, channels](std::uint64_t seed) {
-      return build_mc_protocol(args, channels, seed);
+    spec.make_mc_protocol = [pspec, strategy, channels](std::uint64_t seed) {
+      return build_mc_protocol(pspec, strategy, channels, seed);
     };
-    name = build_mc_protocol(args, channels, base_seed)->name();
+    name = build_mc_protocol(pspec, strategy, channels, base_seed)->name();
   } else {
-    spec.make_protocol = [&args](std::uint64_t seed) { return build_protocol(args, seed); };
-    name = build_protocol(args, base_seed)->name();
+    spec.make_protocol = [pspec](std::uint64_t seed) { return build_protocol(pspec, seed); };
+    name = build_protocol(pspec, base_seed)->name();
   }
+  args.reject_unread();  // every flag is read: nothing has run or been written yet
+
+  if (!trace_path.empty()) {
+    obs::set_trace_enabled(true);
+    obs::trace_set_process(0, "wakeup_cli run");
+  }
+  if (!save_path.empty()) mac::save_pattern_csv(save_path, fixed);
+  std::unique_ptr<sim::TrialCsvSink> csv;
+  if (per_trial_csv) csv = std::make_unique<sim::TrialCsvSink>(csv_path);
+  spec.trial_csv = csv.get();
+  const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(threads);
+
   // Trial i's rounds (-1 on failure) land in slot i, so the bootstrap CI
   // below resamples the same sample in the same order for every thread
   // count and completion order.
@@ -753,7 +814,10 @@ int cmd_run(const util::Args& args) {
 int cmd_adversary(const util::Args& args) {
   const std::uint32_t n = count_flag(args, "n", 128);
   const std::uint32_t k = count_flag(args, "k", 16);
-  const auto protocol = build_protocol(args, static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  const proto::ProtocolSpec pspec = protocol_flags(args);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unread();
+  const auto protocol = build_protocol(pspec, seed);
   const auto result = sim::run_swap_adversary(*protocol, n, k);
   std::cout << "protocol: " << protocol->name() << "  n=" << n << " k=" << k << "\n"
             << "Theorem 2.1 bound min{k, n-k+1} = " << result.bound << "\n"
@@ -771,8 +835,9 @@ int cmd_certify(const util::Args& args) {
   config.k_exhaustive =
       static_cast<std::uint32_t>(bounded_flag(args, "k-exhaustive", 2, 0, kMaxK));
   config.k_random = static_cast<std::uint32_t>(bounded_flag(args, "k-random", 8, 0, kMaxK));
-  const auto result =
-      comb::find_certified_seed(config, static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unread();
+  const auto result = comb::find_certified_seed(config, seed);
   if (!result.found) {
     std::cout << "no certified seed in " << result.attempts << " attempts\n";
     return 1;
@@ -789,12 +854,16 @@ int cmd_certify(const util::Args& args) {
 int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv);
-    if (args.positional().empty()) {
+    const std::string command = args.positional().empty() ? "" : args.positional().front();
+    if (args.has("help")) {  // before dispatch: --help runs nothing
+      print_usage(command);
+      return 0;
+    }
+    if (command.empty()) {
       print_usage();
       return 2;
     }
-    const std::string& command = args.positional().front();
-    if (command == "list") return cmd_list();
+    if (command == "list") return cmd_list(args);
     if (command == "run") return cmd_run(args);
     if (command == "sweep") return cmd_sweep(args);
     if (command == "adversary") return cmd_adversary(args);
