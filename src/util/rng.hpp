@@ -43,13 +43,21 @@ namespace wakeup::util {
   return mix64(a + 0x9e3779b97f4a7c15ULL + (b ^ (a << 6) ^ (a >> 2)));
 }
 
+/// Continues a `hash_words` fold past words already folded into `acc`:
+/// hash_words({a..., b...}) == hash_words_from(hash_words({a...}), {b...}).
+/// Callers hashing many lists that share their leading words hash the
+/// shared part once.
+[[nodiscard]] constexpr std::uint64_t hash_words_from(
+    std::uint64_t acc, std::initializer_list<std::uint64_t> words) noexcept {
+  for (std::uint64_t w : words) acc = hash_combine(acc, mix64(w));
+  return acc;
+}
+
 /// Hashes an arbitrary list of words into a single pseudo-random word.
 /// `hash_words({seed, tag, i, j})` is the canonical substream-derivation
 /// idiom used throughout the library.
 [[nodiscard]] constexpr std::uint64_t hash_words(std::initializer_list<std::uint64_t> words) noexcept {
-  std::uint64_t acc = 0x243f6a8885a308d3ULL;  // pi fractional bits
-  for (std::uint64_t w : words) acc = hash_combine(acc, mix64(w));
-  return acc;
+  return hash_words_from(0x243f6a8885a308d3ULL /* pi fractional bits */, words);
 }
 
 /// xoshiro256** 1.0 — fast, high-quality 256-bit-state generator.

@@ -167,6 +167,13 @@ TEST(Mix, HashWordsLengthSensitive) {
   EXPECT_NE(wu::hash_words({1}), wu::hash_words({1, 0}));
 }
 
+TEST(Mix, HashWordsFromContinuesTheFold) {
+  EXPECT_EQ(wu::hash_words_from(wu::hash_words({7, 8, 9}), {10, 11}),
+            wu::hash_words({7, 8, 9, 10, 11}));
+  EXPECT_EQ(wu::hash_words_from(wu::hash_words({7}), {}), wu::hash_words({7}));
+  static_assert(wu::hash_words_from(wu::hash_words({}), {1, 2}) == wu::hash_words({1, 2}));
+}
+
 TEST(Xoshiro, KnownNonZeroOutput) {
   wu::Xoshiro256ss gen(0);  // even seed 0 must produce a usable stream
   bool nonzero = false;
