@@ -77,9 +77,8 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
     stats.latency = util::Summary::of(latency);
     stats.collisions = util::Summary::of(collisions);
     stats.silences = util::Summary::of(silences);
-    stats.rounds_mean_ci =
-        util::BootstrapCI::of_mean(throughput, ci_level, ci_resamples, ci_seed);
-    stats.rounds_median_ci =
+    stats.mean_ci = util::BootstrapCI::of_mean(throughput, ci_level, ci_resamples, ci_seed);
+    stats.median_ci =
         util::BootstrapCI::of_quantile(throughput, 0.5, ci_level, ci_resamples, ci_seed);
     stats.energy_mean = util::Summary::of(energy_mean);
     stats.energy_max = util::Summary::of(energy_max);
@@ -111,8 +110,8 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
   stats.rounds = util::Summary::of(rounds);
   stats.collisions = util::Summary::of(collisions);
   stats.silences = util::Summary::of(silences);
-  stats.rounds_mean_ci = util::BootstrapCI::of_mean(rounds, ci_level, ci_resamples, ci_seed);
-  stats.rounds_median_ci =
+  stats.mean_ci = util::BootstrapCI::of_mean(rounds, ci_level, ci_resamples, ci_seed);
+  stats.median_ci =
       util::BootstrapCI::of_quantile(rounds, 0.5, ci_level, ci_resamples, ci_seed);
   stats.energy_mean = util::Summary::of(energy_mean);
   stats.energy_max = util::Summary::of(energy_max);

@@ -28,10 +28,12 @@ struct CellStats {
   util::Summary rounds;         ///< over successful trials
   util::Summary collisions;
   util::Summary silences;
-  /// Bootstrap CIs for the cell's headline statistic: mean/median rounds
-  /// for static cells, mean/median per-trial throughput for dynamic ones.
-  util::BootstrapCI rounds_mean_ci;
-  util::BootstrapCI rounds_median_ci;
+  /// Bootstrap CIs for the mean and the median of the cell's headline
+  /// statistic: rounds (over successful trials) for static cells,
+  /// per-trial throughput for dynamic ones.  The manifest keys are
+  /// mean_ci_lo/hi and median_ci_lo/hi.
+  util::BootstrapCI mean_ci;
+  util::BootstrapCI median_ci;
 
   // -- Dynamic traffic (arrival-axis cells; zero for static cells) -------
   util::Summary throughput;  ///< delivered packets per slot, per trial

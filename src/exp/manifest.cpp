@@ -191,10 +191,10 @@ std::string manifest_line(const CellRecord& record) {
       << ",\"failures\":" << stats.failures
       << ",\"success_rate\":" << json_double(stats.success_rate);
   emit_summary(out, "rounds", stats.rounds);
-  out << ",\"mean_ci_lo\":" << json_double(stats.rounds_mean_ci.lo)
-      << ",\"mean_ci_hi\":" << json_double(stats.rounds_mean_ci.hi)
-      << ",\"median_ci_lo\":" << json_double(stats.rounds_median_ci.lo)
-      << ",\"median_ci_hi\":" << json_double(stats.rounds_median_ci.hi);
+  out << ",\"mean_ci_lo\":" << json_double(stats.mean_ci.lo)
+      << ",\"mean_ci_hi\":" << json_double(stats.mean_ci.hi)
+      << ",\"median_ci_lo\":" << json_double(stats.median_ci.lo)
+      << ",\"median_ci_hi\":" << json_double(stats.median_ci.hi);
   emit_summary(out, "collisions", stats.collisions);
   emit_summary(out, "silences", stats.silences);
   emit_summary(out, "throughput", stats.throughput);
@@ -243,12 +243,12 @@ CellRecord parse_manifest_line(const std::string& line) {
   stats.rounds = parse_summary(fields, "rounds");
   stats.collisions = parse_summary(fields, "collisions");
   stats.silences = parse_summary(fields, "silences");
-  stats.rounds_mean_ci.mean = stats.rounds.mean;
-  stats.rounds_mean_ci.lo = field_double(fields, "mean_ci_lo");
-  stats.rounds_mean_ci.hi = field_double(fields, "mean_ci_hi");
-  stats.rounds_median_ci.mean = stats.rounds.median;
-  stats.rounds_median_ci.lo = field_double(fields, "median_ci_lo");
-  stats.rounds_median_ci.hi = field_double(fields, "median_ci_hi");
+  stats.mean_ci.mean = stats.rounds.mean;
+  stats.mean_ci.lo = field_double(fields, "mean_ci_lo");
+  stats.mean_ci.hi = field_double(fields, "mean_ci_hi");
+  stats.median_ci.mean = stats.rounds.median;
+  stats.median_ci.lo = field_double(fields, "median_ci_lo");
+  stats.median_ci.hi = field_double(fields, "median_ci_hi");
   stats.throughput = parse_summary(fields, "throughput");
   stats.jain = parse_summary(fields, "jain");
   stats.latency = parse_summary(fields, "latency");
@@ -261,8 +261,8 @@ CellRecord parse_manifest_line(const std::string& line) {
   stats.delivered = field_u64(fields, "delivered");
   stats.backlog = field_u64(fields, "backlog");
   if (cell.dynamic) {
-    stats.rounds_mean_ci.mean = stats.throughput.mean;
-    stats.rounds_median_ci.mean = stats.throughput.median;
+    stats.mean_ci.mean = stats.throughput.mean;
+    stats.median_ci.mean = stats.throughput.median;
   }
 
   record.bound = field_double(fields, "bound");

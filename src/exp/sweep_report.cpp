@@ -68,10 +68,9 @@ void write_csv_report(const std::string& path, const std::vector<CellRecord>& re
         << r.cell.k << ',' << r.cell.channels << ',' << pattern_name(r.cell.pattern) << ','
         << engine_name(r.cell.engine) << ',' << r.cell.trials << ',' << r.stats.failures << ','
         << json_double(r.stats.success_rate) << ',' << json_double(r.stats.rounds.mean) << ','
-        << json_double(r.stats.rounds_mean_ci.lo) << ','
-        << json_double(r.stats.rounds_mean_ci.hi) << ',' << json_double(r.stats.rounds.median)
-        << ',' << json_double(r.stats.rounds_median_ci.lo) << ','
-        << json_double(r.stats.rounds_median_ci.hi) << ',' << json_double(r.stats.rounds.p95)
+        << json_double(r.stats.mean_ci.lo) << ',' << json_double(r.stats.mean_ci.hi) << ','
+        << json_double(r.stats.rounds.median) << ',' << json_double(r.stats.median_ci.lo) << ','
+        << json_double(r.stats.median_ci.hi) << ',' << json_double(r.stats.rounds.p95)
         << ',' << json_double(r.stats.rounds.max) << ','
         << json_double(r.stats.collisions.mean) << ',' << json_double(r.stats.silences.mean)
         << ',' << json_double(r.bound) << ',' << json_double(r.normalized_mean) << ','

@@ -321,15 +321,20 @@ SweepOutcome run_sweep_worker(const SweepSpec& spec, const SweepOptions& options
   const std::uint64_t lease = std::max<std::uint64_t>(1, options.lease_cells);
   const auto start_time = std::chrono::steady_clock::now();
   bool capped = false;
+  // Idle poll: 1 ms after a successful claim, doubling to 25 ms while
+  // nothing is claimable, so the tail worker notices the last done soon.
+  std::chrono::milliseconds idle_wait{1};
   while (!capped) {
     const ClaimChunk chunk = ledger.claim(worker, completed, lease, options.lease_ttl_ms);
     if (chunk.empty()) {
       // Nothing claimable: either the grid is drained, or every pending
       // cell is leased by a live worker — wait for dones or lease expiry.
       if (ledger.load().complete(completed)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      std::this_thread::sleep_for(idle_wait);
+      idle_wait = std::min(idle_wait * 2, std::chrono::milliseconds(25));
       continue;
     }
+    idle_wait = std::chrono::milliseconds(1);
     for (std::uint64_t c = chunk.begin; c < chunk.end; ++c) {
       if (options.max_cells > 0 && outcome.cells_run >= options.max_cells) {
         ledger.release(worker, {c, chunk.end});  // return the unexecuted remainder now

@@ -97,6 +97,28 @@ std::string Log2Histogram::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// Sets ci.lo/ci.hi to the percentile-interval order statistics of the
+/// resampled statistics, at positions floor(alpha (R-1)) and
+/// floor((1-alpha) (R-1)).  Two selections pick the same values a full
+/// sort would put there.
+void pick_interval(std::vector<double>& stats, BootstrapCI& ci) {
+  const double alpha = (1.0 - ci.level) / 2.0;
+  const auto rank = [&](double q) {
+    return static_cast<std::size_t>(q * static_cast<double>(stats.size() - 1));
+  };
+  const std::size_t lo = rank(alpha);
+  const std::size_t hi = rank(1.0 - alpha);
+  const auto at = [&](std::size_t r) { return stats.begin() + static_cast<std::ptrdiff_t>(r); };
+  std::nth_element(stats.begin(), at(lo), stats.end());
+  ci.lo = stats[lo];
+  if (hi > lo) std::nth_element(at(lo + 1), at(hi), stats.end());
+  ci.hi = stats[hi];
+}
+
+}  // namespace
+
 BootstrapCI BootstrapCI::of_mean(const Sample& sample, double level, std::uint64_t resamples,
                                  std::uint64_t seed) {
   BootstrapCI ci;
@@ -107,23 +129,16 @@ BootstrapCI BootstrapCI::of_mean(const Sample& sample, double level, std::uint64
   if (values.size() < 2 || resamples == 0) return ci;
 
   Rng rng(hash_words({seed, 0x424f4f54ULL /* "BOOT" */}));
-  std::vector<double> means;
-  means.reserve(resamples);
-  for (std::uint64_t r = 0; r < resamples; ++r) {
+  const std::size_t n = values.size();
+  // Each resample sums in draw order: the means are not integers, so any
+  // other order of the adds would change their bits.
+  std::vector<double> means(resamples);
+  for (double& mean : means) {
     double acc = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      acc += values[rng.uniform(values.size())];
-    }
-    means.push_back(acc / static_cast<double>(values.size()));
+    for (std::size_t i = 0; i < n; ++i) acc += values[rng.uniform(n)];
+    mean = acc / static_cast<double>(n);
   }
-  std::sort(means.begin(), means.end());
-  const double alpha = (1.0 - ci.level) / 2.0;
-  const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(means.size() - 1);
-    return means[static_cast<std::size_t>(pos)];
-  };
-  ci.lo = at(alpha);
-  ci.hi = at(1.0 - alpha);
+  pick_interval(means, ci);
   return ci;
 }
 
@@ -139,39 +154,41 @@ BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double leve
   // Distinct stream tag from of_mean so the two CIs of one cell draw
   // independent resamples even when seeded identically.
   Rng rng(hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}));
-  // One reused scratch draw per resample; the interpolated quantile needs
-  // only the order statistics at positions lo and lo+1, so two selection
-  // passes beat a full sort (matches Sample::quantile bit for bit).
+  const std::size_t n = values.size();
   const double clamped_p = std::clamp(p, 0.0, 1.0);
-  const double pos = clamped_p * static_cast<double>(values.size() - 1);
+  const double pos = clamped_p * static_cast<double>(n - 1);
   const auto lo_rank = static_cast<std::size_t>(pos);
-  const std::size_t hi_rank = std::min(lo_rank + 1, values.size() - 1);
+  const std::size_t hi_rank = std::min(lo_rank + 1, n - 1);
   const double frac = pos - static_cast<double>(lo_rank);
-  std::vector<double> draw(values.size());
-  std::vector<double> quantiles;
-  quantiles.reserve(resamples);
-  for (std::uint64_t r = 0; r < resamples; ++r) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      draw[i] = values[rng.uniform(values.size())];
-    }
-    std::nth_element(draw.begin(), draw.begin() + static_cast<std::ptrdiff_t>(lo_rank),
-                     draw.end());
-    const double lo_value = draw[lo_rank];
-    const double hi_value =
-        hi_rank == lo_rank
-            ? lo_value
-            : *std::min_element(draw.begin() + static_cast<std::ptrdiff_t>(lo_rank) + 1,
-                                draw.end());
-    quantiles.push_back(lo_value * (1.0 - frac) + hi_value * frac);
+
+  // Every order statistic of a resample is a sample value, so a resample
+  // is fully described by how often it drew each distinct value.  Rank
+  // the distinct values once; per resample, count the drawn ranks and walk
+  // the cumulative counts to order statistics lo_rank and hi_rank (the
+  // same values Sample::quantile's sort would put there).
+  std::vector<double> distinct(values);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  std::vector<std::uint32_t> rank_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rank_of[i] = static_cast<std::uint32_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), values[i]) - distinct.begin());
   }
-  std::sort(quantiles.begin(), quantiles.end());
-  const double alpha = (1.0 - ci.level) / 2.0;
-  const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(quantiles.size() - 1);
-    return quantiles[static_cast<std::size_t>(pos)];
-  };
-  ci.lo = at(alpha);
-  ci.hi = at(1.0 - alpha);
+  std::vector<std::uint32_t> counts(distinct.size());
+  std::vector<double> quantiles(resamples);
+  for (double& quantile : quantiles) {
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) ++counts[rank_of[rng.uniform(n)]];
+    // upto = how many drawn values rank at or below distinct[r].
+    std::size_t r = 0;
+    std::size_t upto = counts[0];
+    while (upto <= lo_rank) upto += counts[++r];
+    const double lo_value = distinct[r];
+    while (upto <= hi_rank) upto += counts[++r];
+    const double hi_value = distinct[r];
+    quantile = lo_value * (1.0 - frac) + hi_value * frac;
+  }
+  pick_interval(quantiles, ci);
   return ci;
 }
 

@@ -95,6 +95,19 @@ class Log2Histogram {
 };
 
 /// Percentile bootstrap confidence interval for the mean of a sample.
+///
+/// Precondition: no sample value is NaN.  The interval ends are order
+/// statistics of the resampled statistics, and NaN has no order.
+///
+/// Cost: R resamples of n draws each, one `Rng::uniform(n)` per draw, so
+/// a call is bound by the R * n draws.  `of_mean` sums each resample in
+/// draw order (the sums are not integers; reordering them changes bits).
+/// `of_quantile` ranks the distinct sample values once, counts each
+/// resample's drawn ranks and walks the cumulative counts to the two
+/// order statistics it interpolates, with no copy and no selection per
+/// resample.  Both then pick the interval ends with two `nth_element`
+/// calls instead of sorting all R statistics.  The draw stream and every
+/// output bit are those of the sort-based definition.
 struct BootstrapCI {
   double mean = 0.0;
   double lo = 0.0;

@@ -1,8 +1,101 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace wu = wakeup::util;
+
+namespace {
+
+// The sort-based bootstrap the library shipped before the rank-histogram
+// rewrite, kept verbatim as the bit-identity oracle for the fast path.
+
+wu::BootstrapCI reference_of_mean(const wu::Sample& sample, double level,
+                                  std::uint64_t resamples, std::uint64_t seed) {
+  wu::BootstrapCI ci;
+  ci.level = std::clamp(level, 0.5, 0.999);
+  ci.mean = sample.mean();
+  ci.lo = ci.hi = ci.mean;
+  const auto& values = sample.values();
+  if (values.size() < 2 || resamples == 0) return ci;
+
+  wu::Rng rng(wu::hash_words({seed, 0x424f4f54ULL /* "BOOT" */}));
+  std::vector<double> means;
+  means.reserve(resamples);
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      acc += values[rng.uniform(values.size())];
+    }
+    means.push_back(acc / static_cast<double>(values.size()));
+  }
+  std::sort(means.begin(), means.end());
+  const double alpha = (1.0 - ci.level) / 2.0;
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(means.size() - 1);
+    return means[static_cast<std::size_t>(pos)];
+  };
+  ci.lo = at(alpha);
+  ci.hi = at(1.0 - alpha);
+  return ci;
+}
+
+wu::BootstrapCI reference_of_quantile(const wu::Sample& sample, double p, double level,
+                                      std::uint64_t resamples, std::uint64_t seed) {
+  wu::BootstrapCI ci;
+  ci.level = std::clamp(level, 0.5, 0.999);
+  ci.mean = sample.quantile(p);
+  ci.lo = ci.hi = ci.mean;
+  const auto& values = sample.values();
+  if (values.size() < 2 || resamples == 0) return ci;
+
+  wu::Rng rng(wu::hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}));
+  const double clamped_p = std::clamp(p, 0.0, 1.0);
+  const double pos = clamped_p * static_cast<double>(values.size() - 1);
+  const auto lo_rank = static_cast<std::size_t>(pos);
+  const std::size_t hi_rank = std::min(lo_rank + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo_rank);
+  std::vector<double> draw(values.size());
+  std::vector<double> quantiles;
+  quantiles.reserve(resamples);
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      draw[i] = values[rng.uniform(values.size())];
+    }
+    std::nth_element(draw.begin(), draw.begin() + static_cast<std::ptrdiff_t>(lo_rank),
+                     draw.end());
+    const double lo_value = draw[lo_rank];
+    const double hi_value =
+        hi_rank == lo_rank
+            ? lo_value
+            : *std::min_element(draw.begin() + static_cast<std::ptrdiff_t>(lo_rank) + 1,
+                                draw.end());
+    quantiles.push_back(lo_value * (1.0 - frac) + hi_value * frac);
+  }
+  std::sort(quantiles.begin(), quantiles.end());
+  const double alpha = (1.0 - ci.level) / 2.0;
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(quantiles.size() - 1);
+    return quantiles[static_cast<std::size_t>(pos)];
+  };
+  ci.lo = at(alpha);
+  ci.hi = at(1.0 - alpha);
+  return ci;
+}
+
+void expect_bit_equal(const wu::BootstrapCI& got, const wu::BootstrapCI& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean), std::bit_cast<std::uint64_t>(want.mean));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lo), std::bit_cast<std::uint64_t>(want.lo));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hi), std::bit_cast<std::uint64_t>(want.hi));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.level), std::bit_cast<std::uint64_t>(want.level));
+}
+
+}  // namespace
 
 TEST(BootstrapCI, ContainsTrueMeanForTightSample) {
   wu::Sample s;
@@ -80,4 +173,38 @@ TEST(BootstrapCI, NarrowsWithSampleSize) {
   const auto ci_small = wu::BootstrapCI::of_mean(small_sample, 0.95, 800, 3);
   const auto ci_big = wu::BootstrapCI::of_mean(big, 0.95, 800, 3);
   EXPECT_LT(ci_big.hi - ci_big.lo, ci_small.hi - ci_small.lo);
+}
+
+TEST(BootstrapCI, BitIdenticalToTheSortBasedReference) {
+  // Sample shapes the aggregator produces: all-tied cells, rounds (few
+  // distinct integers) and energy means (continuous).  No NaN (the
+  // documented precondition) and no -0.0: the reference's selection
+  // returned whichever zero it landed on.
+  wu::Rng corpus(20130522);
+  std::vector<std::size_t> sizes = {2, 3, 5, 48};
+  for (int i = 0; i < 2; ++i) sizes.push_back(2 + corpus.uniform(999));
+  for (const std::size_t n : sizes) {
+    for (int shape = 0; shape < 3; ++shape) {
+      wu::Sample sample;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (shape == 0) sample.push(17.0);
+        if (shape == 1) sample.push(static_cast<double>(8 + corpus.uniform(6)));
+        if (shape == 2) sample.push(corpus.uniform01() * 300.0 - 100.0);
+      }
+      for (const std::uint64_t resamples : {1ULL, 2ULL, 3ULL, 2000ULL}) {
+        for (const double level : {0.5, 0.9, 0.95, 0.999}) {
+          const std::uint64_t seed = corpus.next_u64();
+          SCOPED_TRACE(testing::Message() << "n=" << n << " shape=" << shape
+                                          << " resamples=" << resamples << " level=" << level);
+          expect_bit_equal(wu::BootstrapCI::of_mean(sample, level, resamples, seed),
+                           reference_of_mean(sample, level, resamples, seed));
+          for (const double p : {0.0, 0.5, 0.95, 1.0}) {
+            SCOPED_TRACE(testing::Message() << "p=" << p);
+            expect_bit_equal(wu::BootstrapCI::of_quantile(sample, p, level, resamples, seed),
+                             reference_of_quantile(sample, p, level, resamples, seed));
+          }
+        }
+      }
+    }
+  }
 }

@@ -315,18 +315,18 @@ TEST(Aggregator, MatchesNaiveReferenceAndIgnoresAddOrder) {
   EXPECT_DOUBLE_EQ(stats.rounds.p95, 38.5);  // linear interpolation
   EXPECT_DOUBLE_EQ(stats.collisions.mean, 2.5);
   EXPECT_DOUBLE_EQ(stats.silences.mean, 250.0);
-  EXPECT_LE(stats.rounds_mean_ci.lo, stats.rounds.mean);
-  EXPECT_GE(stats.rounds_mean_ci.hi, stats.rounds.mean);
-  EXPECT_LE(stats.rounds_median_ci.lo, stats.rounds.median);
-  EXPECT_GE(stats.rounds_median_ci.hi, stats.rounds.median);
+  EXPECT_LE(stats.mean_ci.lo, stats.rounds.mean);
+  EXPECT_GE(stats.mean_ci.hi, stats.rounds.mean);
+  EXPECT_LE(stats.median_ci.lo, stats.rounds.median);
+  EXPECT_GE(stats.median_ci.hi, stats.rounds.median);
 
   // Trial-indexed storage: completion order cannot move any statistic
   // (this is what makes sweep reports thread-count-independent).
   const we::CellStats reversed = backward.finalize(500, 42);
-  EXPECT_DOUBLE_EQ(reversed.rounds_mean_ci.lo, stats.rounds_mean_ci.lo);
-  EXPECT_DOUBLE_EQ(reversed.rounds_mean_ci.hi, stats.rounds_mean_ci.hi);
-  EXPECT_DOUBLE_EQ(reversed.rounds_median_ci.lo, stats.rounds_median_ci.lo);
-  EXPECT_DOUBLE_EQ(reversed.rounds_median_ci.hi, stats.rounds_median_ci.hi);
+  EXPECT_DOUBLE_EQ(reversed.mean_ci.lo, stats.mean_ci.lo);
+  EXPECT_DOUBLE_EQ(reversed.mean_ci.hi, stats.mean_ci.hi);
+  EXPECT_DOUBLE_EQ(reversed.median_ci.lo, stats.median_ci.lo);
+  EXPECT_DOUBLE_EQ(reversed.median_ci.hi, stats.median_ci.hi);
 }
 
 TEST(Aggregator, ZeroResamplesDegeneratesCIs) {
@@ -334,8 +334,8 @@ TEST(Aggregator, ZeroResamplesDegeneratesCIs) {
   agg.add(0, trial_result(true, 10, 0, 0));
   agg.add(1, trial_result(true, 30, 0, 0));
   const we::CellStats stats = agg.finalize(0, 1);
-  EXPECT_DOUBLE_EQ(stats.rounds_mean_ci.lo, 20.0);
-  EXPECT_DOUBLE_EQ(stats.rounds_mean_ci.hi, 20.0);
+  EXPECT_DOUBLE_EQ(stats.mean_ci.lo, 20.0);
+  EXPECT_DOUBLE_EQ(stats.mean_ci.hi, 20.0);
 }
 
 // -------------------------------------------------------------- manifest --
@@ -352,8 +352,8 @@ TEST(Manifest, RecordRoundTrips) {
   record.stats.rounds.median = 11.5;
   record.stats.rounds.p95 = 19.25;
   record.stats.rounds.max = 21.0;
-  record.stats.rounds_mean_ci = {12.34, 10.0, 15.0, 0.95};
-  record.stats.rounds_median_ci = {11.5, 9.0, 14.0, 0.95};
+  record.stats.mean_ci = {12.34, 10.0, 15.0, 0.95};
+  record.stats.median_ci = {11.5, 9.0, 14.0, 0.95};
   record.bound = 36.0;
   record.normalized_mean = record.stats.rounds.mean / record.bound;
 
@@ -368,8 +368,8 @@ TEST(Manifest, RecordRoundTrips) {
   // %.17g round-trips doubles exactly — the keystone of resume identity.
   EXPECT_EQ(parsed.stats.rounds.mean, record.stats.rounds.mean);
   EXPECT_EQ(parsed.stats.success_rate, record.stats.success_rate);
-  EXPECT_EQ(parsed.stats.rounds_mean_ci.lo, record.stats.rounds_mean_ci.lo);
-  EXPECT_EQ(parsed.stats.rounds_median_ci.hi, record.stats.rounds_median_ci.hi);
+  EXPECT_EQ(parsed.stats.mean_ci.lo, record.stats.mean_ci.lo);
+  EXPECT_EQ(parsed.stats.median_ci.hi, record.stats.median_ci.hi);
   EXPECT_EQ(parsed.bound, record.bound);
   EXPECT_EQ(parsed.normalized_mean, record.normalized_mean);
 }
@@ -816,4 +816,43 @@ TEST(SweepRunner, HeartbeatFiresEveryNCellsAndIsOffByDefault) {
   ASSERT_EQ(resumed_beats.size(), 1u);  // 5 resumed + 3 run -> one beat at 8
   EXPECT_EQ(resumed_beats[0].completed, 8u);
   EXPECT_EQ(resumed_beats[0].total, 8u);
+}
+
+// ---------------------------------------------------------- report bytes --
+
+TEST(SweepRunner, ReportBytesArePinned) {
+  // The byte-identity contract for reports, pinned across releases: the
+  // smoke preset (static cells with rounds and energy CIs) and a two-cell
+  // arrival-axis grid (throughput CIs) at seed 7 and the default 2000
+  // bootstrap resamples, hashed with FNV-1a.  A change that moves these
+  // bytes on purpose updates the constants and says so in CHANGES.md.
+  struct Pinned {
+    std::string name;
+    we::SweepSpec spec;
+    std::uint64_t csv_hash;
+    std::uint64_t json_hash;
+  };
+  we::SweepSpec smoke = we::make_preset("smoke");
+  smoke.base_seed = 7;
+  we::SweepSpec arrivals;
+  arrivals.protocols = {"adaptive_cw"};
+  arrivals.ns = {64};
+  arrivals.ks = {4};
+  arrivals.arrivals = we::parse_arrival_axis("poisson:0.2,bursty:0.4:0.1");
+  arrivals.horizon = 256;
+  arrivals.trials = 8;
+  arrivals.base_seed = 7;
+  const Pinned pinned[] = {
+      {"smoke", smoke, 0xa3865b382a9b12a9ULL, 0x2685713b2b11bb5dULL},
+      {"arrivals", arrivals, 0x36147845481502f2ULL, 0x3b938f6c06c70d13ULL},
+  };
+  for (const Pinned& p : pinned) {
+    we::SweepOptions options;
+    options.out_dir = fresh_dir("pinned_" + p.name);
+    ASSERT_EQ(options.ci_resamples, 2000u);
+    const auto outcome = we::run_sweep(p.spec, options);
+    ASSERT_TRUE(outcome.completed) << p.name;
+    EXPECT_EQ(we::tag_hash(slurp(outcome.csv_path)), p.csv_hash) << p.name;
+    EXPECT_EQ(we::tag_hash(slurp(outcome.json_path)), p.json_hash) << p.name;
+  }
 }
