@@ -1,5 +1,5 @@
-/// D — dynamic traffic: sustained-load slots/sec of the reference dynamic
-/// slot loop vs the word-parallel still-backlogged batch engine.
+/// D — dynamic traffic: sustained-load slots/sec of the slot loop vs the
+/// word-parallel tile loop, both through `sim::dispatch_dynamic`.
 ///
 /// The acceptance cell is round_robin at n = 2^14 under poisson traffic —
 /// the interpreter pays one virtual transmits() per backlogged station per
@@ -33,29 +33,21 @@ struct DynamicCell {
   bool gates = false;  ///< counts toward the acceptance check
 };
 
-struct DynamicStats {
-  double slots_per_sec = 0;
-  std::uint64_t delivered = 0;
-};
-
-DynamicStats measure(const proto::Protocol& protocol, bool batch, const DynamicCell& cell) {
+/// One timed pass over a cell's trials on `engine`: wall seconds, and the
+/// packets delivered (the same on both engines).
+double run_cell(const proto::Protocol& protocol, sim::Engine engine, const DynamicCell& cell,
+                std::uint64_t* delivered) {
   const mac::ArrivalSpec spec = mac::ArrivalSpec::parse(cell.arrival);
-  std::uint64_t delivered = 0;
-  std::uint64_t slots = 0;
+  std::uint64_t total = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t trial = 0; trial < cell.trials; ++trial) {
     util::Rng rng(util::hash_words({0x44594eULL /* "DYN" */, trial}));
     const auto scenario = mac::arrivals::generate(spec, cell.n, cell.k, cell.horizon, rng);
-    const auto result = batch ? sim::run_dynamic_batch(protocol, scenario)
-                              : sim::run_dynamic_interpreter(protocol, scenario);
-    delivered += result.delivered;
-    slots += static_cast<std::uint64_t>(cell.horizon);
+    total += sim::dispatch_dynamic(protocol, scenario, engine).delivered;
   }
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  DynamicStats stats;
-  stats.delivered = delivered;
-  stats.slots_per_sec = elapsed.count() > 0 ? static_cast<double>(slots) / elapsed.count() : 0;
-  return stats;
+  if (delivered != nullptr) *delivered = total;
+  return elapsed.count();
 }
 
 }  // namespace
@@ -90,8 +82,8 @@ int main(int argc, char** argv) {
   bool verify_ok = true;
   double gated = 0;
   std::string gated_protocol;
-  std::printf("%-14s %6s %4s %-16s | %13s %13s | %7s\n", "protocol", "n", "k", "arrival",
-              "interp sl/s", "batch sl/s", "batch x");
+  std::printf("%-14s %6s %4s %-16s | %13s %13s | %7s %5s\n", "protocol", "n", "k", "arrival",
+              "interp sl/s", "batch sl/s", "batch x", "reps");
   for (const auto& cell : cells) {
     proto::ProtocolSpec spec;
     spec.name = cell.protocol;
@@ -106,20 +98,26 @@ int main(int argc, char** argv) {
       util::Rng rng(util::hash_words({0x44594eULL, std::uint64_t{0}}));
       const auto scenario = mac::arrivals::generate(mac::ArrivalSpec::parse(cell.arrival),
                                                     cell.n, cell.k, cell.horizon, rng);
-      const auto a = sim::run_dynamic_interpreter(*protocol, scenario);
-      const auto b = sim::run_dynamic_batch(*protocol, scenario);
+      const auto a = sim::dispatch_dynamic(*protocol, scenario, sim::Engine::kInterpreter);
+      const auto b = sim::dispatch_dynamic(*protocol, scenario, sim::Engine::kBatch);
       if (!(a == b)) {
         std::printf("BIT-IDENTITY FAIL: %s %s\n", cell.protocol.c_str(), cell.arrival);
         verify_ok = false;
       }
     }
 
-    const auto interp = measure(*protocol, /*batch=*/false, cell);
-    const auto batch = measure(*protocol, /*batch=*/true, cell);
-    const double speedup =
-        interp.slots_per_sec > 0 ? batch.slots_per_sec / interp.slots_per_sec : 0;
-    std::printf("%-14s %6u %4u %-16s | %13.3e %13.3e | %6.1fx\n", cell.protocol.c_str(), cell.n,
-                cell.k, cell.arrival, interp.slots_per_sec, batch.slots_per_sec, speedup);
+    // Interleaved reps until each leg has >= 100 ms (bench::measure), so
+    // machine noise hits both engines alike; min-of-reps per leg.
+    std::uint64_t delivered = 0;
+    const bench::Measured m = bench::measure(
+        [&] { return run_cell(*protocol, sim::Engine::kInterpreter, cell, nullptr); },
+        [&] { return run_cell(*protocol, sim::Engine::kBatch, cell, &delivered); });
+    const double slots = static_cast<double>(cell.horizon) * static_cast<double>(cell.trials);
+    const double interp_rate = m.a_secs > 0 ? slots / m.a_secs : 0;
+    const double batch_rate = m.b_secs > 0 ? slots / m.b_secs : 0;
+    const double speedup = interp_rate > 0 ? batch_rate / interp_rate : 0;
+    std::printf("%-14s %6u %4u %-16s | %13.3e %13.3e | %6.1fx %5d\n", cell.protocol.c_str(),
+                cell.n, cell.k, cell.arrival, interp_rate, batch_rate, speedup, m.reps);
     if (cell.gates) {
       gated = speedup;
       gated_protocol = cell.protocol;
@@ -130,10 +128,11 @@ int main(int argc, char** argv) {
               {"arrival", std::string(cell.arrival)},
               {"horizon", static_cast<std::uint64_t>(cell.horizon)},
               {"trials", cell.trials},
-              {"interp_slots_per_sec", interp.slots_per_sec},
-              {"batch_slots_per_sec", batch.slots_per_sec},
+              {"interp_slots_per_sec", interp_rate},
+              {"batch_slots_per_sec", batch_rate},
               {"speedup", speedup},
-              {"delivered", batch.delivered},
+              {"reps", static_cast<std::uint64_t>(m.reps)},
+              {"delivered", delivered},
               {"gated", cell.gates}});
   }
 

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file batch_engine.hpp
-/// The word-parallel static engine for oblivious protocols, one channel or
-/// C: the batch back-end of both `dispatch_wakeup` overloads.
+/// The word-parallel engine for oblivious protocols, one channel or C: the
+/// batch back-end of both `dispatch_wakeup` overloads and of
+/// `dispatch_dynamic`.
 ///
 /// Advances one *tile* of 64 * W slots per resolve round (W = tile_words(),
 /// default 8 -> 512 slots): each live station contributes one row of W
@@ -14,14 +15,17 @@
 /// util/simd.hpp kernels (`any` = some station transmits, `multi` = two or
 /// more).  `masked_popcount_pair` gives the per-lane silence/collision
 /// totals of resolved words, and `first_set_below` over the lane-solo
-/// union locates the first success.  The single-channel full-resolution
-/// drain re-resolves the remaining columns of the matrix after each winner
-/// departs.  Results are bit-identical to the slot-by-slot interpreters
-/// for every tile width and kernel table (tests/test_engine_equivalence.cpp,
-/// tests/test_mc_engine_equivalence.cpp); traces are not supported, the
-/// dispatchers fall back to the interpreter for those.
+/// union locates the first success.  Rows are per-station packet queues
+/// (sim/traffic.hpp): after each single-channel delivery the winner's row
+/// is refilled from its next head-of-line contention start — zeroed when
+/// its queue drains, which for a static station's one packet is the
+/// full-resolution drain — and the remaining columns are re-resolved.
+/// Results are bit-identical to the slot-by-slot interpreter for every
+/// tile width and kernel table (tests/test_engine_equivalence.cpp,
+/// tests/test_mc_engine_equivalence.cpp, tests/test_dynamic_engine.cpp);
+/// traces are not supported, the dispatchers fall back to the interpreter
+/// for those.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -67,33 +71,6 @@ void set_tile_words(std::size_t words) noexcept;
 [[nodiscard]] SimResult run_wakeup_batch(const proto::McProtocol& protocol,
                                          const mac::WakePattern& pattern,
                                          const SimConfig& config);
-
-namespace detail {
-
-/// Popcount of a station row's bits in the absolute-slot range [a, b),
-/// where `row` holds the tile starting at the 64-aligned slot `tb` and
-/// covers b.  Row bits are exactly the station's transmissions (the
-/// engines mask them below the contention start), so counting each
-/// examined range once reproduces the interpreter's per-slot transmit
-/// tally.  Shared by the static and dynamic batch engines.
-[[nodiscard]] inline std::uint64_t count_row_bits(const std::uint64_t* row, mac::Slot tb,
-                                                  mac::Slot a, mac::Slot b) {
-  if (a >= b) return 0;
-  const auto off_b = static_cast<std::size_t>(b - tb);
-  const std::size_t wa = static_cast<std::size_t>(a - tb) / 64;
-  const std::size_t wb = (off_b - 1) / 64;
-  std::uint64_t total = 0;
-  for (std::size_t w = wa; w <= wb; ++w) {
-    std::uint64_t word = row[w];
-    const mac::Slot ws = tb + static_cast<mac::Slot>(64 * w);
-    if (a > ws) word &= ~std::uint64_t{0} << (a - ws);
-    if (b < ws + 64) word &= (std::uint64_t{1} << (b - ws)) - 1;
-    total += static_cast<std::uint64_t>(std::popcount(word));
-  }
-  return total;
-}
-
-}  // namespace detail
 
 /// The Engine::kAuto fast path: interprets a warm-up prefix (runs that
 /// resolve quickly never pay for schedule tiles they do not need), then

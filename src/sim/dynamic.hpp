@@ -1,32 +1,29 @@
 #pragma once
 
 /// \file dynamic.hpp
-/// Dynamic-traffic execution: per-station FIFO queues under sustained load.
+/// Dynamic traffic: per-station FIFO queues under sustained load.
 ///
-/// Where `simulator.hpp` runs one-shot wake-up (each station contends once),
-/// the dynamic layer serves a `mac::DynamicScenario`: every station owns a
-/// FIFO packet queue fed by an arrival stream, the head-of-line packet
-/// contends via the protocol until delivered, and the next packet then
-/// starts a fresh contention at the following slot.  Every slot in
-/// [0, horizon) resolves exactly once — silence, collision, or delivery —
-/// so  silences + collisions + delivered = horizon  and
-/// arrivals = delivered + backlog  hold as invariants.
+/// A `mac::DynamicScenario` gives every station a FIFO packet queue fed by
+/// an arrival stream; the head-of-line packet contends via the protocol
+/// until delivered, and the next packet then starts a fresh contention at
+/// the following slot.  Every slot in [0, horizon) resolves exactly once —
+/// silence, collision, or delivery — so
+///   silences + collisions + delivered = horizon  and
+///   arrivals = delivered + backlog
+/// hold as invariants.
 ///
-/// Two engines with bit-identical results (tests/test_dynamic_engine.cpp):
-///
-///  - `run_dynamic_interpreter` — the reference slot loop; works for every
-///    protocol, including the adaptive re-contenders
-///    (`proto::DynamicStation`).
-///  - `run_dynamic_batch` — the word-parallel engine for oblivious
-///    protocols.  It generalizes the static batch engine's
-///    full-resolution drain into a *still-backlogged mask*: each scenario
-///    station owns one row of the station-major word matrix; a delivered
-///    winner's row is refetched from its next head-of-line start — and
-///    zeroed only when its queue drains — while stations whose next packet
-///    arrives mid-tile get their row bits set back from the arrival slot.
-///    The SIMD tile machinery (any/multi OR reduction,
-///    masked_popcount_pair, first_set_below, 1->W tile ramp) is the hot
-///    path of sim/batch_engine.cpp too.
+/// There is no separate dynamic engine: the static engines already serve
+/// packet queues, a wake pattern being the one-packet-per-station case
+/// (`DynamicScenario::single_shot`; tests/test_dynamic_engine.cpp pins
+/// that static full resolution is exactly its drain).  `dispatch_dynamic`
+/// runs a scenario on the slot loop (sim/interpreter.cpp), which serves
+/// every protocol — adaptive re-contenders through their own
+/// `proto::DynamicStation`, everything else through a fresh one-shot
+/// runtime per packet — or on the tile loop (sim/batch_engine.cpp), which
+/// serves oblivious single-channel schedules word-parallel: a delivered
+/// winner's matrix row is refilled from its next head-of-line start and
+/// zeroed only when its queue drains.  Results are bit-identical across
+/// engines, tile widths and kernel tables.
 ///
 /// Contention start of a packet: max(arrival slot, previous delivery + 1).
 /// Queue latency of a delivered packet: delivery - arrival + 1 (a packet
@@ -81,42 +78,19 @@ struct DynamicResult {
   [[nodiscard]] bool operator==(const DynamicResult&) const = default;
 };
 
-/// Reference dynamic slot loop — works for every protocol.  Protocols
-/// overriding `make_dynamic_station` carry state across packets; all others
-/// re-contend each packet on a fresh `make_runtime(u, start)`.
+/// Runs `scenario` on the engine `engine` selects, mirroring
+/// `dispatch_wakeup`: kAuto batches oblivious single-channel protocols and
+/// interprets the rest; kBatch throws std::invalid_argument where
+/// `batch_engine_supports` says no.
 ///
 /// `plan` (nullable, not owned) applies one trial's channel impairments.
-/// The dynamic layer is where the station fault models live: a *crashed*
+/// Dynamic traffic is where the station fault models live: a *crashed*
 /// station follows its protocol until its cutoff slot and then falls
-/// permanently silent (queued packets strand in the backlog); a *byzantine*
-/// station never follows the protocol at all — its adversarial
-/// transmissions are pre-folded into the plan's corrupt words and its own
-/// packets are never delivered.  Noise and jam act exactly as in the
-/// one-shot engines.  The slot invariants survive every impairment:
-/// silences + collisions + delivered == horizon, arrivals == delivered +
-/// backlog.
-[[nodiscard]] DynamicResult run_dynamic_interpreter(const proto::Protocol& protocol,
-                                                    const mac::DynamicScenario& scenario,
-                                                    const ImpairmentPlan* plan = nullptr,
-                                                    EnergyModel energy = EnergyModel::kOff);
-
-/// Can `run_dynamic_batch` execute this protocol?  Requires an oblivious
-/// single-lane schedule (dynamic traffic is single-channel).
-[[nodiscard]] bool dynamic_batch_supports(const proto::Protocol& protocol);
-
-/// Word-parallel dynamic engine (still-backlogged mask over the word-matrix
-/// tiles).  Precondition: `dynamic_batch_supports(protocol)`; throws
-/// std::invalid_argument otherwise.  Bit-identical to the interpreter,
-/// impaired or clean: noise/jam words fold into the tile reductions, crash
-/// cutoffs mask row bits, byzantine rows stay zero.
-[[nodiscard]] DynamicResult run_dynamic_batch(const proto::Protocol& protocol,
-                                              const mac::DynamicScenario& scenario,
-                                              const ImpairmentPlan* plan = nullptr,
-                                              EnergyModel energy = EnergyModel::kOff);
-
-/// Engine selection, mirroring `dispatch_wakeup`: kAuto batches oblivious
-/// protocols and interprets the rest; kBatch throws where
-/// `dynamic_batch_supports` says no.
+/// permanently silent (queued packets strand in the backlog); a
+/// *byzantine* station never follows the protocol at all — its
+/// adversarial transmissions are pre-folded into the plan's corrupt words
+/// and its own packets are never delivered.  Noise and jam act exactly as
+/// in static runs.  The slot invariants survive every impairment.
 [[nodiscard]] DynamicResult dispatch_dynamic(const proto::Protocol& protocol,
                                              const mac::DynamicScenario& scenario,
                                              Engine engine = Engine::kAuto,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/dynamic_bitset.hpp"
@@ -147,6 +148,12 @@ Slot ImpairmentPlan::crash_cutoff(StationId u) const noexcept {
 
 bool ImpairmentPlan::is_byzantine(StationId u) const noexcept {
   return std::binary_search(byzantine.begin(), byzantine.end(), u);
+}
+
+Slot ImpairmentPlan::follows_until(StationId u) const noexcept {
+  if (is_byzantine(u)) return 0;
+  const Slot cutoff = crash_cutoff(u);
+  return cutoff < 0 ? std::numeric_limits<Slot>::max() : cutoff;
 }
 
 ImpairmentPlan compile_impairment(const mac::ImpairmentSpec& spec, std::uint64_t seed,

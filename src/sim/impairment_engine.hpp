@@ -87,11 +87,13 @@ struct ImpairmentPlan {
   /// First slot at which `u` has crashed, or -1 if it never does.
   [[nodiscard]] Slot crash_cutoff(StationId u) const noexcept;
   [[nodiscard]] bool is_byzantine(StationId u) const noexcept;
+  /// First slot from which `u` no longer follows its protocol: its crash
+  /// cutoff, 0 for a byzantine station (it never did), the largest Slot
+  /// for a station that always does.
+  [[nodiscard]] Slot follows_until(StationId u) const noexcept;
   /// True iff station `u` still follows its protocol at slot t.
   [[nodiscard]] bool participates(StationId u, Slot t) const noexcept {
-    if (is_byzantine(u)) return false;
-    const Slot cutoff = crash_cutoff(u);
-    return cutoff < 0 || t < cutoff;
+    return t < follows_until(u);
   }
 
   /// The slot outcome listeners perceive, given the true transmitter count.

@@ -6,36 +6,74 @@
 #include <vector>
 
 #include "sim/impairment_engine.hpp"
+#include "sim/traffic.hpp"
 
 namespace wakeup::sim {
 
 namespace {
 
-/// A single-channel runtime's move is a lane-0 action.
-mac::ChannelAction act(proto::StationRuntime& runtime, mac::Slot t) {
+/// A single-channel station's move is a lane-0 action.
+template <class R>
+mac::ChannelAction act(R& runtime, mac::Slot t) {
   return {runtime.transmits(t), 0};
 }
 
 mac::ChannelAction act(proto::McStationRuntime& runtime, mac::Slot t) { return runtime.act(t); }
 
-/// The one slot loop, over `lanes` copies of the channel; the paper's
-/// channel is its one-lane case.  `P` is proto::Protocol or
-/// proto::McProtocol and fixes the runtime kind.  Each station hears the
-/// outcome of the lane it acted on, counters are summed over lanes, and
-/// the winner is the transmitter on the lowest solo lane, which a C-channel
-/// run names in `success_channel`.
-template <class P>
-SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePattern& pattern,
-                    const SimConfig& config) {
+/// Default cross-packet adapter: a fresh one-shot runtime per packet.
+/// Exactly right for oblivious protocols (their schedule is a pure function
+/// of (station, start)) and for memoryless randomized ones.
+class PerPacketStation final : public proto::DynamicStation {
+ public:
+  PerPacketStation(const proto::Protocol& protocol, mac::StationId id)
+      : protocol_(protocol), id_(id) {}
+
+  void packet_start(mac::Slot start) override { runtime_ = protocol_.make_runtime(id_, start); }
+
+  [[nodiscard]] bool transmits(mac::Slot t) override { return runtime_->transmits(t); }
+
+  void feedback(mac::Slot t, mac::ChannelFeedback fb, bool delivered) override {
+    (void)delivered;
+    runtime_->feedback(t, fb);
+  }
+
+ private:
+  const proto::Protocol& protocol_;
+  mac::StationId id_;
+  std::unique_ptr<proto::StationRuntime> runtime_;
+};
+
+/// The one slot loop, over `lanes` copies of the channel and the packet
+/// queues of `traffic`; the paper's channel is its one-lane case and its
+/// stations hold one packet each.  `P` is proto::Protocol or
+/// proto::McProtocol and `R` the station kind it drives: a static run
+/// builds each station's `StationRuntime`/`McStationRuntime` when its
+/// packet starts, a dynamic run keeps one `proto::DynamicStation` per
+/// station (the protocol's own re-contender, or the per-packet adapter)
+/// and restarts it for every head-of-line packet.  Each lane resolves on
+/// its own transmitter count, each station hears the lane it acted on,
+/// counters are summed over lanes, and the transmitter on the lowest solo
+/// lane is the run's winner, which a C-channel run names in
+/// `success_channel`.  Dynamic runs record every delivery in `deliveries`.
+template <class R, class P>
+SimResult run_slots(const P& protocol, std::uint32_t lanes, const detail::Traffic& traffic,
+                    const SimConfig& config, detail::Deliveries* deliveries) {
+  constexpr bool kQueued = std::is_same_v<R, proto::DynamicStation>;
   SimResult result;
-  if (pattern.empty()) return result;
+  if (!kQueued && traffic.size() == 0) return result;
 
   struct Active {
     mac::StationId id;
-    decltype(protocol.make_runtime(mac::StationId{}, mac::Slot{})) runtime;
-    std::size_t index = 0;  // position in pattern arrival order (energy slots)
-    std::uint32_t lane = 0;  // lane acted on in the current slot
-    bool done = false;      // full-resolution: already delivered its message
+    std::unique_ptr<R> runtime;
+    std::size_t index;           // queue index: the station's result slot
+    const mac::Slot* arrivals;   // its packets' arrival slots, ascending
+    std::uint32_t packets;
+    mac::Slot stop;              // follows its protocol at slots < stop
+    std::uint32_t admitted = 0;  // packets arrived so far
+    std::uint32_t head = 0;      // packets delivered
+    std::uint32_t lane = 0;      // lane acted on in the current slot
+
+    [[nodiscard]] bool live(mac::Slot t) const noexcept { return head < admitted && t < stop; }
   };
   // Per-lane slot state, hoisted out of the slot loop.  Only the lanes
   // someone transmitted on are resolved and reset per slot; every other
@@ -47,11 +85,8 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
     mac::ChannelFeedback heard = mac::ChannelFeedback::kNothing;
   };
 
-  const auto& arrivals = pattern.arrivals();  // sorted by wake
-  const mac::Slot s = pattern.first_wake();
+  const mac::Slot s = traffic.begin();
   result.s = s;
-
-  const mac::Slot budget = slot_budget(config.max_slots, pattern);
 
   // Traces record lane 0, the whole channel in the paper's model.
   const bool tracing = config.record_trace;
@@ -60,19 +95,29 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
   if (plan != nullptr && plan->clean()) plan = nullptr;
 
   // Energy accounting: counted slot by slot, in-run, straight off the
-  // runtimes' actions — deliberately NOT derived from schedule words, so
-  // the batch engines' row popcounts are an independent cross-check
-  // (tested bit-identical).
+  // stations' actions — deliberately NOT derived from schedule words, so
+  // the batch engine's arithmetic spans and row popcounts are an
+  // independent cross-check (tested bit-identical).
   const EnergyModel energy = config.energy;
   if (energy != EnergyModel::kOff) {
-    result.station_energy.assign(arrivals.size(), 0);
-    result.station_transmits.assign(arrivals.size(), 0);
+    result.station_energy.assign(traffic.size(), 0);
+    result.station_transmits.assign(traffic.size(), 0);
   }
 
+  // A packet starts contending: a static station's runtime is built for
+  // it, a dynamic station restarts.
+  const auto start = [&protocol](Active& st, mac::Slot t) {
+    if constexpr (kQueued) {
+      st.runtime->packet_start(t);
+    } else {
+      st.runtime = protocol.make_runtime(st.id, t);
+    }
+  };
+
   std::vector<Active> active;
-  active.reserve(pattern.k());
-  std::size_t next_arrival = 0;
-  std::size_t remaining = pattern.k();  // stations that have not yet succeeded
+  active.reserve(traffic.size());
+  std::size_t next_queue = 0;
+  std::size_t delivered = 0;
   // `busy` lists this slot's lanes with transmitters, in first-use order.
   // One lane (the paper's channel) lives inline, so a single-channel run
   // allocates nothing here.
@@ -99,17 +144,34 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
     }
   };
 
-  for (mac::Slot t = s; t - s < budget; ++t) {
-    while (next_arrival < arrivals.size() && arrivals[next_arrival].wake == t) {
-      const auto& a = arrivals[next_arrival];
-      active.push_back(
-          Active{a.station, protocol.make_runtime(a.station, a.wake), next_arrival, 0, false});
-      ++next_arrival;
+  for (mac::Slot t = s; t < traffic.end(); ++t) {
+    while (next_queue < traffic.size() && traffic[next_queue].awake_from == t) {
+      const detail::Queue q = traffic[next_queue];
+      const mac::Slot stop = plan != nullptr ? plan->follows_until(q.id) : detail::kNever;
+      active.push_back(Active{q.id, nullptr, next_queue, q.arrivals, q.packets, stop});
+      if constexpr (kQueued) {
+        active.back().runtime = protocol.make_dynamic_station(q.id);
+        if (active.back().runtime == nullptr) {
+          active.back().runtime = std::make_unique<PerPacketStation>(protocol, q.id);
+        }
+      }
+      ++next_queue;
     }
 
     for (std::size_t i = 0; i < active.size(); ++i) {
       Active& st = active[i];
-      if (st.done) continue;
+      // Admit this slot's arrivals; a station going from empty to
+      // backlogged starts contending at once (its packet may transmit at
+      // t).  A faulty station still queues arrivals — they strand in the
+      // backlog — but no longer drives its protocol.
+      if (st.admitted < st.packets && st.arrivals[st.admitted] == t) {
+        const bool idle = st.head == st.admitted;
+        do {
+          ++st.admitted;
+        } while (st.admitted < st.packets && st.arrivals[st.admitted] == t);
+        if (idle && t < st.stop) start(st, t);
+      }
+      if (!st.live(t)) continue;
       const mac::ChannelAction a = act(*st.runtime, t);
       if (a.channel >= lanes) {
         throw std::invalid_argument("interpreter: station acted on a channel out of range");
@@ -125,10 +187,13 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
       if (energy != EnergyModel::kOff) ++result.station_transmits[st.index];
     }
     if (energy != EnergyModel::kOff) {
-      // Every awake station pays 1 this slot (transmit or listen); done
-      // stations keep their receiver on only under listen:all.
+      // Every awake station that follows its protocol pays 1 this slot
+      // (transmit or listen); an idle one keeps its receiver on only
+      // under listen:all.
       for (const Active& st : active) {
-        if (!st.done || energy == EnergyModel::kListenAll) ++result.station_energy[st.index];
+        if (t < st.stop && (energy == EnergyModel::kListenAll || st.head < st.admitted)) {
+          ++result.station_energy[st.index];
+        }
       }
     }
 
@@ -154,10 +219,16 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
       transmitters.clear();
     }
 
-    for (Active& st : active) {
-      if (st.done) continue;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      Active& st = active[i];
+      if (!st.live(t)) continue;
       const bool idle_lane = busy_count == 0 || lane[st.lane].transmitters == 0;
-      st.runtime->feedback(t, idle_lane ? idle_heard : lane[st.lane].heard);
+      const mac::ChannelFeedback heard = idle_lane ? idle_heard : lane[st.lane].heard;
+      if constexpr (kQueued) {
+        st.runtime->feedback(t, heard, solo < lanes && lane[solo].first == i);
+      } else {
+        st.runtime->feedback(t, heard);
+      }
     }
 
     if (solo < lanes) {
@@ -170,15 +241,22 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
           result.success_channel = static_cast<std::int32_t>(solo);
         }
       }
-      if (!config.full_resolution) break;
-      // Full resolution: each solo winner's message is delivered; it leaves.
+      if (!kQueued && !config.full_resolution) break;
+      // Each solo winner's head-of-line packet is delivered; its next
+      // queued packet (if any) re-contends from the following slot.
       for (std::size_t b = 0; b < busy_count; ++b) {
         const std::uint32_t c = busy[b];
         if (lane[c].outcome != mac::SlotOutcome::kSuccess) continue;
-        active[lane[c].first].done = true;
-        --remaining;
+        Active& st = active[lane[c].first];
+        if constexpr (kQueued) {
+          deliveries->latency.push_back(static_cast<double>(t - st.arrivals[st.head] + 1));
+          ++deliveries->per_station[st.index];
+        }
+        ++st.head;
+        ++delivered;
+        if (st.live(t + 1)) start(st, t + 1);
       }
-      if (remaining == 0 && next_arrival == arrivals.size()) {
+      if (!kQueued && delivered == traffic.size()) {
         result.completed = true;
         result.completion_slot = t;
         result.completion_rounds = t - s;
@@ -195,12 +273,25 @@ SimResult run_slots(const P& protocol, std::uint32_t lanes, const mac::WakePatte
 
 SimResult run_wakeup_interpreter(const proto::Protocol& protocol,
                                  const mac::WakePattern& pattern, const SimConfig& config) {
-  return run_slots(protocol, 1, pattern, config);
+  return run_slots<proto::StationRuntime>(
+      protocol, 1, detail::Traffic(pattern, slot_budget(config.max_slots, pattern)), config,
+      nullptr);
 }
 
 SimResult run_wakeup_interpreter(const proto::McProtocol& protocol,
                                  const mac::WakePattern& pattern, const SimConfig& config) {
-  return run_slots(protocol, protocol.channels(), pattern, config);
+  return run_slots<proto::McStationRuntime>(
+      protocol, protocol.channels(),
+      detail::Traffic(pattern, slot_budget(config.max_slots, pattern)), config, nullptr);
 }
+
+namespace detail {
+
+SimResult interpret_traffic(const proto::Protocol& protocol, const Traffic& traffic,
+                            const SimConfig& config, Deliveries& deliveries) {
+  return run_slots<proto::DynamicStation>(protocol, 1, traffic, config, &deliveries);
+}
+
+}  // namespace detail
 
 }  // namespace wakeup::sim

@@ -11,13 +11,20 @@
 /// dispatching front-end is `dispatch_wakeup` (simulator.hpp), one
 /// overload per channel model.
 ///
-/// Both entry points run one loop over C lanes, and the paper's channel is
-/// its one-lane case: a single-channel runtime's `transmits(t)` is a lane-0
-/// action.  Per slot each lane resolves on its own transmitter count (or
-/// the impairment plan's effective outcome — wideband, every lane alike),
-/// each station hears the lane it acted on, the outcome counters are summed
-/// over lanes, and the winner is the transmitter on the lowest solo lane.
-/// A station acting on a channel >= C throws std::invalid_argument.
+/// Every run — one channel or C, static or dynamic traffic — goes through
+/// one loop over C lanes and per-station packet queues (sim/traffic.hpp).
+/// The paper's channel is its one-lane case (a single-channel runtime's
+/// `transmits(t)` is a lane-0 action), and its stations hold one packet
+/// each, arriving at their wake; a static run stops at the first success
+/// (or, under full resolution, the last delivery), a dynamic one
+/// (`dispatch_dynamic`, sim/dynamic.hpp) serves every queue to the
+/// horizon, restarting each station's `proto::DynamicStation` for its next
+/// head-of-line packet.  Per slot each lane resolves on its own
+/// transmitter count (or the impairment plan's effective outcome —
+/// wideband, every lane alike), each station hears the lane it acted on,
+/// the outcome counters are summed over lanes, and the winner is the
+/// transmitter on the lowest solo lane.  A station acting on a channel
+/// >= C throws std::invalid_argument.
 
 #include "sim/simulator.hpp"
 

@@ -19,6 +19,9 @@
 /// SimConfig::engine.  Both back-ends serve one channel and C alike (the
 /// paper's channel is the one-lane case of the C-channel extension,
 /// mac/multichannel.hpp), and both channel models share one result type.
+/// They serve dynamic traffic too (`dispatch_dynamic`, sim/dynamic.hpp):
+/// a wake pattern is the scenario with one packet per station, arriving
+/// at its wake, and a full-resolution run drains it.
 
 #include <optional>
 #include <string>

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file simd.hpp
-/// Word-matrix kernels of the static batch engine (sim/batch_engine.cpp)
-/// and the dynamic one (sim/dynamic_batch.cpp).
+/// Word-matrix kernels of the batch engine (sim/batch_engine.cpp).
 ///
 /// The engines resolve channel contention over *station-major word
 /// matrices*: one row of W consecutive 64-slot schedule words per live

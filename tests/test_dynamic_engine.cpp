@@ -1,8 +1,9 @@
 /// Dynamic-traffic layer: arrival-spec grammar round-trips, scenario
 /// generation determinism, queue-conservation invariants, and — the heart
-/// of the file — bit-identity of the word-parallel still-backlogged batch
-/// engine against the reference dynamic slot loop across protocols ×
-/// arrival kinds × tile widths × forced-scalar kernels.
+/// of the file — bit-identity of the tile loop against the slot loop under
+/// dynamic traffic across protocols × arrival kinds × tile widths ×
+/// forced-scalar kernels, plus the identity the shared engines rest on:
+/// static full resolution is single-shot dynamic traffic drained.
 
 #include <gtest/gtest.h>
 
@@ -173,21 +174,22 @@ TEST(DynamicEngine, BatchMatchesInterpreterAcrossProtocolsAndArrivals) {
   for (const std::string& name : {std::string("round_robin"), std::string("wakeup_with_k"),
                                   std::string("wakeup_matrix"), std::string("wait_and_go")}) {
     const auto protocol = make_named(name, 128, 8, 5);
-    ASSERT_TRUE(wu::sim::dynamic_batch_supports(*protocol)) << name;
+    ASSERT_TRUE(wu::sim::batch_engine_supports(*protocol, {})) << name;
     for (const ArrivalSpec& spec : generator_kinds()) {
       std::uint64_t seed = 100;
       const DynamicScenario scenario = make_scenario(spec, 128, 8, 700, ++seed);
-      const auto reference = wu::sim::run_dynamic_interpreter(*protocol, scenario);
+      const auto reference =
+          wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter);
       expect_invariants(reference, scenario, name + "/" + spec.name());
       for (const std::size_t tile : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         wu::sim::set_tile_words(tile);
-        const auto batch = wu::sim::run_dynamic_batch(*protocol, scenario);
+        const auto batch = wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch);
         expect_identical(reference, batch,
                          name + "/" + spec.name() + "/tile=" + std::to_string(tile));
       }
       wu::sim::set_tile_words(0);
       wu::util::simd::set_force_scalar(true);
-      const auto scalar = wu::sim::run_dynamic_batch(*protocol, scenario);
+      const auto scalar = wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch);
       wu::util::simd::set_force_scalar(false);
       expect_identical(reference, scalar, name + "/" + spec.name() + "/scalar");
     }
@@ -201,16 +203,16 @@ TEST(DynamicEngine, EmptyAndSinglePacketScenarios) {
   EXPECT_EQ(r0.delivered, 0u);
   EXPECT_EQ(r0.silences, 64u);
   EXPECT_EQ(r0.jain(), 1.0);
-  expect_identical(wu::sim::run_dynamic_interpreter(*protocol, empty),
-                   wu::sim::run_dynamic_batch(*protocol, empty), "empty");
+  expect_identical(wu::sim::dispatch_dynamic(*protocol, empty, wu::sim::Engine::kInterpreter),
+                   wu::sim::dispatch_dynamic(*protocol, empty, wu::sim::Engine::kBatch), "empty");
 
   const DynamicScenario one(32, 64, {{5, 10}});
   const auto r1 = wu::sim::dispatch_dynamic(*protocol, one);
   EXPECT_EQ(r1.delivered, 1u);
   ASSERT_EQ(r1.latency.size(), 1u);
   EXPECT_GE(r1.latency[0], 1.0);
-  expect_identical(wu::sim::run_dynamic_interpreter(*protocol, one),
-                   wu::sim::run_dynamic_batch(*protocol, one), "one");
+  expect_identical(wu::sim::dispatch_dynamic(*protocol, one, wu::sim::Engine::kInterpreter),
+                   wu::sim::dispatch_dynamic(*protocol, one, wu::sim::Engine::kBatch), "one");
 }
 
 TEST(DynamicEngine, SaturatedSingleStationDrainsBackToBack) {
@@ -223,7 +225,81 @@ TEST(DynamicEngine, SaturatedSingleStationDrainsBackToBack) {
   EXPECT_EQ(r.delivered, 10u);
   EXPECT_EQ(r.collisions, 0u);
   expect_invariants(r, scenario, "saturated");
-  expect_identical(wu::sim::run_dynamic_interpreter(*protocol, scenario), r, "saturated");
+  expect_identical(wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter),
+                   r, "saturated");
+}
+
+TEST(DynamicEngine, StaticFullResolutionIsSingleShotDynamicTraffic) {
+  // The paper's stations contend once each: a static full-resolution run
+  // is the one-packet-per-station scenario drained.  Under
+  // listen:until_woken both charge a station from its wake (contention
+  // start) through its delivery, so every per-packet re-contender must
+  // agree station by station on every engine.
+  EngineTuningGuard guard;
+  constexpr std::uint32_t n = 128;
+  constexpr std::uint32_t k = 8;
+  std::size_t compared = 0;
+  for (const std::string& name : wu::proto::protocol_names()) {
+    wu::proto::ProtocolSpec spec;
+    spec.name = name;
+    spec.n = n;
+    spec.k = k;
+    spec.s = 0;
+    spec.seed = 5;
+    wu::proto::ProtocolPtr protocol;
+    try {
+      protocol = wu::proto::make_protocol_by_name(spec);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    if (protocol->make_dynamic_station(0) != nullptr) continue;  // carries state across packets
+    ++compared;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      wu::util::Rng rng(seed);
+      const wu::mac::WakePattern pattern =
+          seed % 3 == 0   ? wu::mac::patterns::simultaneous(n, k, 0, rng)
+          : seed % 3 == 1 ? wu::mac::patterns::staggered(n, k, 0, 5, rng)
+                          : wu::mac::patterns::poisson(n, k, 0, 12.0, rng);
+      wu::sim::SimConfig config;
+      config.full_resolution = true;
+      config.energy = wu::sim::EnergyModel::kListenUntilWoken;
+      const wu::mac::Slot horizon =
+          pattern.first_wake() + wu::sim::slot_budget(config.max_slots, pattern);
+      const DynamicScenario scenario = DynamicScenario::single_shot(pattern, horizon);
+      for (const auto engine : {wu::sim::Engine::kInterpreter, wu::sim::Engine::kBatch}) {
+        config.engine = engine;
+        if (engine == wu::sim::Engine::kBatch &&
+            !wu::sim::batch_engine_supports(*protocol, config)) {
+          continue;
+        }
+        for (const std::size_t tile : {std::size_t{1}, std::size_t{8}}) {
+          wu::sim::set_tile_words(tile);
+          const std::string label = name + "/seed=" + std::to_string(seed) +
+                                    "/engine=" + std::to_string(static_cast<int>(engine)) +
+                                    "/tile=" + std::to_string(tile);
+          const wu::sim::SimResult once = wu::sim::dispatch_wakeup(*protocol, pattern, config);
+          const wu::sim::DynamicResult queued = wu::sim::dispatch_dynamic(
+              *protocol, scenario, engine, nullptr, config.energy);
+          EXPECT_EQ(once.successes, queued.delivered) << label;
+          EXPECT_EQ(once.completed, queued.backlog == 0) << label;
+          ASSERT_EQ(once.station_energy.size(), pattern.k()) << label;
+          ASSERT_EQ(queued.station_energy.size(), queued.stations.size()) << label;
+          ASSERT_EQ(queued.stations.size(), pattern.k()) << label;
+          for (std::size_t i = 0; i < pattern.k(); ++i) {
+            const wu::mac::StationId id = pattern.arrivals()[i].station;
+            const auto at = std::lower_bound(queued.stations.begin(), queued.stations.end(), id);
+            ASSERT_TRUE(at != queued.stations.end() && *at == id) << label;
+            const auto j = static_cast<std::size_t>(at - queued.stations.begin());
+            EXPECT_EQ(once.station_energy[i], queued.station_energy[j])
+                << label << " station " << id;
+            EXPECT_EQ(once.station_transmits[i], queued.station_transmits[j])
+                << label << " station " << id;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 8u);
 }
 
 TEST(DynamicEngine, InterpreterServesAdaptiveRecontenders) {
@@ -231,15 +307,15 @@ TEST(DynamicEngine, InterpreterServesAdaptiveRecontenders) {
        {std::string("binary_backoff"), std::string("slotted_aloha"),
         std::string("adaptive_cw")}) {
     const auto protocol = make_named(name, 64, 8, 17);
-    EXPECT_FALSE(wu::sim::dynamic_batch_supports(*protocol)) << name;
+    EXPECT_FALSE(wu::sim::batch_engine_supports(*protocol, {})) << name;
     const DynamicScenario scenario =
         make_scenario(ArrivalSpec::parse("poisson:0.3"), 64, 8, 600, 23);
-    const auto r = wu::sim::run_dynamic_interpreter(*protocol, scenario);
+    const auto r = wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter);
     expect_invariants(r, scenario, name);
     EXPECT_GT(r.delivered, 0u) << name;
     // kAuto falls back to the interpreter; kBatch refuses.
     expect_identical(wu::sim::dispatch_dynamic(*protocol, scenario), r, name);
-    EXPECT_THROW((void)wu::sim::run_dynamic_batch(*protocol, scenario),
+    EXPECT_THROW((void)wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch),
                  std::invalid_argument)
         << name;
   }

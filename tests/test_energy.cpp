@@ -325,7 +325,7 @@ TEST(EnergyParity, DynamicEnginesBitIdenticalWithEnergy) {
   const wu::mac::Slot horizon = 1024;
   for (const char* name : {"round_robin", "wakeup_with_k"}) {
     const auto protocol = registry_protocol(name, 48, 12);
-    ASSERT_TRUE(wu::sim::dynamic_batch_supports(*protocol)) << name;
+    ASSERT_TRUE(wu::sim::batch_engine_supports(*protocol, {})) << name;
     for (const auto model : energy_models()) {
       for (std::uint64_t trial = 0; trial < 3; ++trial) {
         const std::uint64_t seed = wu::util::hash_words(
@@ -335,7 +335,8 @@ TEST(EnergyParity, DynamicEnginesBitIdenticalWithEnergy) {
             wu::mac::ArrivalSpec::parse("poisson:0.3"), 48, 12, horizon, rng);
 
         const auto reference =
-            wu::sim::run_dynamic_interpreter(*protocol, scenario, nullptr, model);
+            wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter,
+                                      nullptr, model);
         ASSERT_EQ(reference.station_energy.size(), reference.stations.size());
 
         for (const bool scalar : {false, true}) {
@@ -343,7 +344,8 @@ TEST(EnergyParity, DynamicEnginesBitIdenticalWithEnergy) {
           for (const std::size_t words : tile_widths()) {
             wu::sim::set_tile_words(words);
             const auto batch =
-                wu::sim::run_dynamic_batch(*protocol, scenario, nullptr, model);
+                wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch,
+                                          nullptr, model);
             // DynamicResult's defaulted operator== covers the energy and
             // transmit vectors too.
             EXPECT_EQ(reference, batch)
@@ -376,10 +378,12 @@ TEST(EnergyParity, DynamicFaultModelsPreserveParity) {
           wu::sim::compile_impairment(ispec, seed, horizon, &scenario.stations());
 
       const auto reference =
-          wu::sim::run_dynamic_interpreter(*protocol, scenario, &plan, model);
+          wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter, &plan,
+                                    model);
       for (const std::size_t words : tile_widths()) {
         wu::sim::set_tile_words(words);
-        EXPECT_EQ(reference, wu::sim::run_dynamic_batch(*protocol, scenario, &plan, model))
+        EXPECT_EQ(reference, wu::sim::dispatch_dynamic(*protocol, scenario,
+                                                       wu::sim::Engine::kBatch, &plan, model))
             << text << " model=" << model_name(model) << " tile=" << words;
       }
       wu::sim::set_tile_words(0);

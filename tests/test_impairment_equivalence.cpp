@@ -189,7 +189,7 @@ TEST(ImpairmentEquivalence, DynamicEnginesBitIdenticalWithFaults) {
   const auto arrival = wu::mac::ArrivalSpec::parse("poisson:0.3");
   for (const char* name : {"round_robin", "wakeup_with_k", "robust_rr"}) {
     const auto protocol = registry_protocol(name, n, k);
-    ASSERT_TRUE(wu::sim::dynamic_batch_supports(*protocol)) << name;
+    ASSERT_TRUE(wu::sim::batch_engine_supports(*protocol, {})) << name;
     for (const std::string& text : dynamic_impairments()) {
       const auto spec = wu::mac::ImpairmentSpec::parse(text);
       for (std::uint64_t trial = 0; trial < 3; ++trial) {
@@ -200,7 +200,8 @@ TEST(ImpairmentEquivalence, DynamicEnginesBitIdenticalWithFaults) {
         const auto plan =
             wu::sim::compile_impairment(spec, seed, horizon, &scenario.stations());
 
-        const auto reference = wu::sim::run_dynamic_interpreter(*protocol, scenario, &plan);
+        const auto reference =
+            wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter, &plan);
         // The slot invariants survive every impairment.
         EXPECT_EQ(reference.silences + reference.collisions + reference.delivered,
                   static_cast<std::uint64_t>(horizon))
@@ -220,7 +221,8 @@ TEST(ImpairmentEquivalence, DynamicEnginesBitIdenticalWithFaults) {
           for (const bool scalar : {false, true}) {
             wu::sim::set_tile_words(tile);
             wu::util::simd::set_force_scalar(scalar);
-            const auto batch = wu::sim::run_dynamic_batch(*protocol, scenario, &plan);
+            const auto batch =
+                wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch, &plan);
             EXPECT_EQ(reference, batch)
                 << name << " " << text << " trial=" << trial << " tile=" << tile
                 << (scalar ? " scalar" : " simd");
