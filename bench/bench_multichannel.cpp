@@ -7,6 +7,8 @@
 /// the channel-0 adapter baseline (whose kAuto path rides the
 /// single-channel engine stack) — reporting interpreted vs batched cell
 /// throughput (trials/s) and the C-fold TDM speedup in mean rounds.
+/// Each (interpreted, kAuto) pair is timed with bench::measure:
+/// interleaved reps, min of reps per leg.
 ///
 /// Acceptance (ISSUE 3): batched striped round-robin at n = 2^14, C = 16
 /// sustains >= 3x the interpreted cell throughput; per-trial results are
@@ -28,18 +30,8 @@ using namespace wakeup;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-struct Timed {
-  sim::CellResult cell;
-  double per_trial_s = 0;
-};
-
-Timed timed_cell(const proto::McProtocol& protocol, std::uint32_t n, std::uint32_t k,
-                 std::uint64_t trials, sim::Engine engine,
-                 std::vector<sim::SimResult>* per_trial) {
+sim::RunSpec cell_spec(const proto::McProtocol& protocol, std::uint32_t n, std::uint32_t k,
+                       std::uint64_t trials, sim::Engine engine) {
   sim::RunSpec spec;
   spec.mc_protocol = &protocol;
   spec.make_pattern = [n, k](util::Rng& rng) {
@@ -51,17 +43,22 @@ Timed timed_cell(const proto::McProtocol& protocol, std::uint32_t n, std::uint32
   // tdm_vs_c1 column compares like with like.
   spec.cell_tag = util::hash_words({n, k});
   spec.sim.engine = engine;
-  if (per_trial != nullptr) {
-    per_trial->assign(trials, {});
-    spec.per_trial = [per_trial](std::uint64_t i, const sim::SimResult& r) {
-      (*per_trial)[i] = r;
-    };
-  }
-  Timed out;
+  return spec;
+}
+
+/// Wall seconds of one run of `spec` (one bench::measure rep).
+double time_run(const sim::RunSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
-  out.cell = sim::Run(spec, &bench::pool()).cell;
-  out.per_trial_s = seconds_since(start) / static_cast<double>(trials);
-  return out;
+  (void)sim::Run(spec, &bench::pool());
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// Runs `spec` once, keeping every trial's result for the bit-identity
+/// check, and returns the cell's statistics.
+sim::CellStats run_kept(sim::RunSpec spec, std::vector<sim::SimResult>& per_trial) {
+  per_trial.assign(spec.trials, {});
+  spec.per_trial = [&per_trial](std::uint64_t i, const sim::SimResult& r) { per_trial[i] = r; };
+  return sim::Run(spec, &bench::pool()).cell();
 }
 
 bool identical(const std::vector<sim::SimResult>& a,
@@ -92,7 +89,7 @@ int main(int argc, char** argv) {
 
   sim::ResultsSink sink("m_multichannel",
                         {"strategy", "channels", "interp_tr_s", "batch_tr_s", "speedup",
-                         "mean_rounds", "tdm_vs_c1"});
+                         "mean_rounds", "tdm_vs_c1", "reps"});
   bench::JsonReport json("multichannel");
   json.config("n", n);
   json.config("trials", trials);
@@ -118,37 +115,44 @@ int main(int argc, char** argv) {
             proto::make_wait_and_go(n, cell_k, comb::FamilyKind::kRandomized, 7), channels);
       }
 
-      std::vector<sim::SimResult> interp_results, batch_results;
-      const Timed interp =
-          timed_cell(*protocol, n, cell_k, trials, sim::Engine::kInterpreter, &interp_results);
       // kAuto: native strategies take the C-lane batch engine; the adapter
       // rides the single-channel stack — that IS its fast path.
-      const Timed batch =
-          timed_cell(*protocol, n, cell_k, trials, sim::Engine::kAuto, &batch_results);
+      const sim::RunSpec interp_spec =
+          cell_spec(*protocol, n, cell_k, trials, sim::Engine::kInterpreter);
+      const sim::RunSpec batch_spec = cell_spec(*protocol, n, cell_k, trials, sim::Engine::kAuto);
+      std::vector<sim::SimResult> interp_results, batch_results;
+      (void)run_kept(interp_spec, interp_results);
+      const double mean_rounds = run_kept(batch_spec, batch_results).rounds.mean;
       verify_ok = verify_ok && identical(interp_results, batch_results);
 
-      const double speedup =
-          batch.per_trial_s > 0 ? interp.per_trial_s / batch.per_trial_s : 0;
-      const double mean_rounds = batch.cell.rounds.mean;
+      // Interleaved reps until each leg has >= 100 ms (bench::measure), so
+      // machine noise hits both engines alike; min-of-reps per leg.
+      const bench::Measured m = bench::measure([&] { return time_run(interp_spec); },
+                                               [&] { return time_run(batch_spec); });
+      const double interp_per_trial = m.a_secs / static_cast<double>(trials);
+      const double batch_per_trial = m.b_secs / static_cast<double>(trials);
+      const double speedup = batch_per_trial > 0 ? interp_per_trial / batch_per_trial : 0;
       if (channels == 1) rounds_c1 = mean_rounds;
       if (strategy == "striped_rr" && channels == 16) gate_speedup = speedup;
 
       sink.cell(strategy)
           .cell(std::uint64_t{channels})
-          .cell(1.0 / interp.per_trial_s, 1)
-          .cell(1.0 / batch.per_trial_s, 1)
+          .cell(1.0 / interp_per_trial, 1)
+          .cell(1.0 / batch_per_trial, 1)
           .cell(speedup, 1)
           .cell(mean_rounds, 1)
-          .cell(mean_rounds > 0 ? rounds_c1 / mean_rounds : 0, 1);
+          .cell(mean_rounds > 0 ? rounds_c1 / mean_rounds : 0, 1)
+          .cell(static_cast<std::uint64_t>(m.reps));
       sink.end_row();
       json.row({{"strategy", strategy},
                 {"channels", channels},
                 {"k", cell_k},
-                {"interp_trials_per_sec", 1.0 / interp.per_trial_s},
-                {"throughput_trials_per_sec", 1.0 / batch.per_trial_s},
+                {"interp_trials_per_sec", 1.0 / interp_per_trial},
+                {"throughput_trials_per_sec", 1.0 / batch_per_trial},
                 {"speedup", speedup},
                 {"mean_rounds", mean_rounds},
-                {"tdm_vs_c1", mean_rounds > 0 ? rounds_c1 / mean_rounds : 0.0}});
+                {"tdm_vs_c1", mean_rounds > 0 ? rounds_c1 / mean_rounds : 0.0},
+                {"reps", static_cast<std::uint64_t>(m.reps)}});
     }
   }
   sink.flush("M: native multichannel batching — cell throughput, batched vs slot loop "

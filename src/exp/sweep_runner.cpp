@@ -17,7 +17,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "exp/aggregator.hpp"
 #include "exp/claim_ledger.hpp"
 #include "exp/sweep_report.hpp"
 #include "mac/wake_pattern.hpp"
@@ -37,14 +36,8 @@ namespace wakeup::exp {
 
 namespace {
 
-/// CI stream of a cell: tied to the same (base_seed, tag) identity as the
-/// trial seeds but on its own tag, so adding resamples never perturbs the
-/// simulation and any cell subset reproduces its CIs alone.
-std::uint64_t ci_seed(std::uint64_t base_seed, std::uint64_t cell_tag) {
-  return util::hash_words({base_seed, 0x4349ULL /* "CI" */, cell_tag});
-}
-
-/// Adversarial pattern-search stream (same reasoning).
+/// Adversarial pattern-search stream: tied to the cell identity like the
+/// seed-contract streams (sim/run.hpp), on its own tag.
 std::uint64_t adversary_seed(std::uint64_t base_seed, std::uint64_t cell_tag) {
   return util::hash_words({base_seed, 0x414456ULL /* "ADV" */, cell_tag});
 }
@@ -94,6 +87,8 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
   // carries the block, so resumed and fresh reports stay byte-identical.
   run.sim.energy = sim::EnergyModel::kListenAll;
 
+  CellRecord record;
+  record.cell = cell;
   if (cell.dynamic) {
     // Dynamic cells: arrival-generated traffic in place of a wake pattern;
     // the facade realizes one scenario per trial from the trial stream.
@@ -104,15 +99,7 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
     run.make_protocol = [&cell](std::uint64_t seed) {
       return build_registry_protocol(cell, seed);
     };
-    Aggregator aggregator(cell.trials, /*dynamic=*/true);
-    run.per_trial_dynamic = [&aggregator](std::uint64_t i, const sim::DynamicResult& r) {
-      aggregator.add(i, r);
-    };
-    (void)sim::Run(run, trial_pool);
-    CellRecord record;
-    record.cell = cell;
-    record.stats =
-        aggregator.finalize(options.ci_resamples, ci_seed(spec.base_seed, cell.tag_hash));
+    record.stats = sim::Run(run, trial_pool).cell(options.ci_resamples);
     return record;  // theory bounds are one-shot statements; no bound column
   }
   run.trial_csv = options.trial_csv;
@@ -152,17 +139,7 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
     };
   }
 
-  Aggregator aggregator(cell.trials);
-  run.per_trial = [&aggregator](std::uint64_t i, const sim::SimResult& r) {
-    aggregator.add(i, r);
-  };
-
-  (void)sim::Run(run, trial_pool);
-
-  CellRecord record;
-  record.cell = cell;
-  record.stats =
-      aggregator.finalize(options.ci_resamples, ci_seed(spec.base_seed, cell.tag_hash));
+  record.stats = sim::Run(run, trial_pool).cell(options.ci_resamples);
   record.bound = cell_bound(cell);
   record.normalized_mean = record.bound > 0 && record.stats.rounds.count > 0
                                ? record.stats.rounds.mean / record.bound

@@ -7,7 +7,7 @@
 /// pool (cell-level parallelism composes with the facade's trial-level
 /// parallelism without oversubscription: a `sim::Run` issued from inside a
 /// pool worker detects the pool via `util::ThreadPool::current()` and runs
-/// its trials inline), streams every finished cell through `exp::Aggregator`
+/// its trials inline), streams every finished cell's `sim::Run` statistics
 /// into the append-only JSONL manifest, and finally writes a CSV + JSON
 /// report in grid order.
 ///

@@ -1,6 +1,5 @@
 #include "sim/run.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -14,32 +13,6 @@
 namespace wakeup::sim {
 
 namespace {
-
-struct TrialOut {
-  bool success = false;
-  double rounds = 0;
-  double collisions = 0;
-  double silences = 0;
-  bool completed = false;
-  double completion = 0;
-  bool has_energy = false;
-  double energy_mean = 0;  ///< mean station energy of this trial
-  double energy_max = 0;   ///< max station energy of this trial
-};
-
-/// Per-trial energy reduction shared by static and dynamic results.
-void fold_energy(const std::vector<std::uint64_t>& station_energy, TrialOut& t) {
-  if (station_energy.empty()) return;
-  t.has_energy = true;
-  double sum = 0;
-  std::uint64_t max = 0;
-  for (const std::uint64_t e : station_energy) {
-    sum += static_cast<double>(e);
-    max = std::max(max, e);
-  }
-  t.energy_mean = sum / static_cast<double>(station_energy.size());
-  t.energy_max = static_cast<double>(max);
-}
 
 // Spec-level spellings of the public seed hooks (bottom of this file).
 std::uint64_t trial_seed(const RunSpec& spec, std::uint64_t i) {
@@ -99,36 +72,6 @@ std::vector<mac::Slot> resolve_adversarial_jam(const RunSpec& spec,
 std::vector<mac::Slot> resolve_adversarial_jam(const RunSpec& /*spec*/,
                                                const proto::McProtocol& /*protocol*/) {
   return {};
-}
-
-CellResult aggregate(const RunSpec& spec, const std::vector<TrialOut>& outs) {
-  util::Sample rounds, collisions, silences, completion, energy_mean, energy_max;
-  CellResult result;
-  result.trials = spec.trials;
-  for (const TrialOut& out : outs) {
-    // Energy is paid whether or not the trial reached wake-up — failed
-    // trials burn the whole budget, which is exactly what an energy
-    // measurement must see.
-    if (out.has_energy) {
-      energy_mean.push(out.energy_mean);
-      energy_max.push(out.energy_max);
-    }
-    if (!out.success) {
-      ++result.failures;
-      continue;
-    }
-    rounds.push(out.rounds);
-    collisions.push(out.collisions);
-    silences.push(out.silences);
-    if (out.completed) completion.push(out.completion);
-  }
-  result.rounds = util::Summary::of(rounds);
-  result.collisions = util::Summary::of(collisions);
-  result.silences = util::Summary::of(silences);
-  result.completion = util::Summary::of(completion);
-  result.energy_mean = util::Summary::of(energy_mean);
-  result.energy_max = util::Summary::of(energy_max);
-  return result;
 }
 
 void for_each_trial(std::uint64_t trials, util::ThreadPool* pool,
@@ -219,87 +162,43 @@ void validate(const RunSpec& spec) {
   }
 }
 
-// -------------------------------------------------------- dynamic traffic --
+// ---------------------------------------------------------------- models --
+//
+// A model names the protocol kind a run serves, where the spec keeps its
+// fixed instance and seeded builder, and what one trial runs.
 
-/// Dynamic cells: a plain per-trial loop, like static ones.  A trial
-/// cannot fail: the horizon is the budget and every slot of it resolves, so
-/// `failures` stays 0 by construction.
-void run_dynamic(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
-  proto::ProtocolPtr owned;
-  const proto::Protocol* protocol = spec.protocol;
-  if (protocol == nullptr) {
-    owned = spec.make_protocol(cell_protocol_seed(spec));
-    protocol = owned.get();
+/// Static wake-up of a trial: the pattern flows from the trial stream, an
+/// impaired cell compiles its plan from the trial seed.
+template <class P>
+SimResult static_trial(const RunSpec& spec, const P& protocol, std::uint64_t seed,
+                       const std::vector<mac::Slot>* jam_override) {
+  util::Rng rng(seed);
+  mac::WakePattern generated;
+  if (spec.make_pattern) generated = spec.make_pattern(rng);
+  const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
+  // Clean cells touch no plan: their trial config is spec.sim verbatim.
+  SimConfig cfg = spec.sim;
+  ImpairmentPlan plan;
+  if (!spec.impairment.clean()) {
+    plan = compile_static_plan(spec, seed, pattern, jam_override);
+    cfg.impairment = &plan;
   }
-  const bool randomized =
-      protocol->requirements().randomized && static_cast<bool>(spec.make_protocol);
-
-  std::vector<DynamicResult> results(spec.trials);
-  for_each_trial(spec.trials, pool, [&](std::size_t i) {
-    const std::uint64_t seed = trial_seed(spec, i);
-    util::Rng rng(seed);
-    // Generated scenarios draw from the trial stream exactly where a wake
-    // pattern would, so (base_seed, cell_tag, i) pins the traffic.
-    mac::DynamicScenario generated;
-    if (spec.scenario == nullptr) {
-      generated = mac::arrivals::generate(spec.arrival, spec.dynamic_n, spec.dynamic_k,
-                                          spec.horizon, rng);
-    }
-    const mac::DynamicScenario& scenario =
-        spec.scenario != nullptr ? *spec.scenario : generated;
-    const proto::ProtocolPtr rebuilt =
-        randomized ? spec.make_protocol(trial_protocol_seed(seed)) : nullptr;
-    // One impairment realization per trial; fault clauses draw their
-    // stations from this trial's scenario population.
-    ImpairmentPlan plan;
-    const ImpairmentPlan* plan_ptr = spec.sim.impairment;
-    if (!spec.impairment.clean()) {
-      plan = compile_impairment(spec.impairment, seed, spec.horizon, &scenario.stations());
-      plan_ptr = &plan;
-    }
-    DynamicResult r = dispatch_dynamic(rebuilt ? *rebuilt : *protocol, scenario,
-                                       spec.sim.engine, plan_ptr, spec.sim.energy);
-    if (spec.per_trial_dynamic) spec.per_trial_dynamic(i, r);
-    results[i] = std::move(r);
-  });
-
-  util::Sample throughput, jain, collisions, silences, latency, energy_mean, energy_max;
-  std::uint64_t peak_backlog = 0;
-  CellResult& cell = out.cell;
-  cell.trials = spec.trials;
-  for (const DynamicResult& r : results) {
-    throughput.push(r.throughput());
-    jain.push(r.jain());
-    collisions.push(static_cast<double>(r.collisions));
-    silences.push(static_cast<double>(r.silences));
-    for (const double l : r.latency) latency.push(l);
-    cell.packet_arrivals += r.arrivals;
-    cell.delivered += r.delivered;
-    cell.backlog += r.backlog;
-    peak_backlog = std::max(peak_backlog, r.backlog);
-    TrialOut e;
-    fold_energy(r.station_energy, e);
-    if (e.has_energy) {
-      energy_mean.push(e.energy_mean);
-      energy_max.push(e.energy_max);
-    }
-  }
-  cell.throughput = util::Summary::of(throughput);
-  cell.jain = util::Summary::of(jain);
-  cell.collisions = util::Summary::of(collisions);
-  cell.silences = util::Summary::of(silences);
-  cell.latency = util::Summary::of(latency);
-  cell.energy_mean = util::Summary::of(energy_mean);
-  cell.energy_max = util::Summary::of(energy_max);
-  if (obs::active()) obs::Gauge::get("dynamic.peak_backlog").maximize(peak_backlog);
-  if (spec.trials == 1) out.dynamic = std::move(results.front());
+  return dispatch_wakeup(protocol, pattern, cfg);
 }
 
-// ------------------------------------------------ static channel models --
+/// Static per-trial sinks of either channel model.
+void report(const RunSpec& spec, std::uint64_t i, const SimResult& r) {
+  if (spec.per_trial) spec.per_trial(i, r);
+  if (spec.per_trial_mc) spec.per_trial_mc(i, r);
+  if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
+}
 
-/// The single-channel model of a static cell: the paper's one shared
-/// channel, with the interpreted warm-up hybrid, full resolution and
-/// energy accounting.
+void report(const RunSpec& spec, std::uint64_t i, const DynamicResult& r) {
+  if (spec.per_trial_dynamic) spec.per_trial_dynamic(i, r);
+}
+
+/// The paper's one shared channel, with the interpreted warm-up hybrid,
+/// full resolution and energy accounting.
 struct SingleChannel {
   using Protocol = proto::Protocol;
   using Ptr = proto::ProtocolPtr;
@@ -309,9 +208,10 @@ struct SingleChannel {
   static bool randomized(const Protocol& protocol) {
     return protocol.requirements().randomized;
   }
+  static constexpr auto trial = &static_trial<Protocol>;
 };
 
-/// The C-channel model of a static cell.
+/// C channels.
 struct MultiChannel {
   using Protocol = proto::McProtocol;
   using Ptr = proto::McProtocolPtr;
@@ -319,13 +219,48 @@ struct MultiChannel {
   static const Protocol* fixed(const RunSpec& spec) { return spec.mc_protocol; }
   static const auto& builder(const RunSpec& spec) { return spec.make_mc_protocol; }
   static bool randomized(const Protocol& protocol) { return protocol.randomized(); }
+  static constexpr auto trial = &static_trial<Protocol>;
 };
 
-/// One static sweep cell in either channel model: a plain per-trial loop
-/// over the model's dispatch, with the protocol hoisted per the seed
-/// contract.
-template <class Model>
-void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
+/// Dynamic traffic on the single channel (its protocol source and
+/// coins).  A trial cannot fail: the horizon is the budget and every slot
+/// of it resolves.
+struct DynamicTraffic : SingleChannel {
+  static DynamicResult trial(const RunSpec& spec, const Protocol& protocol, std::uint64_t seed,
+                             const std::vector<mac::Slot>* /*jam_override*/) {
+    // Generated scenarios draw from the trial stream exactly where a wake
+    // pattern would, so (base_seed, cell_tag, i) pins the traffic.
+    util::Rng rng(seed);
+    mac::DynamicScenario generated;
+    if (spec.scenario == nullptr) {
+      generated = mac::arrivals::generate(spec.arrival, spec.dynamic_n, spec.dynamic_k,
+                                          spec.horizon, rng);
+    }
+    const mac::DynamicScenario& scenario = spec.scenario != nullptr ? *spec.scenario : generated;
+    // One impairment realization per trial; fault clauses draw their
+    // stations from this trial's scenario population.
+    ImpairmentPlan plan;
+    const ImpairmentPlan* plan_ptr = spec.sim.impairment;
+    if (!spec.impairment.clean()) {
+      plan = compile_impairment(spec.impairment, seed, spec.horizon, &scenario.stations());
+      plan_ptr = &plan;
+    }
+    DynamicResult r = dispatch_dynamic(protocol, scenario, spec.sim.engine, plan_ptr,
+                                       spec.sim.energy);
+    if (obs::active()) {
+      static const auto g_backlog = obs::Gauge::get("dynamic.peak_backlog");
+      g_backlog.maximize(r.backlog);
+    }
+    return r;
+  }
+};
+
+/// One cell in any model: a plain per-trial loop over the model's trial,
+/// with the protocol hoisted per the seed contract, each result handed to
+/// the sinks and the aggregator, and a 1-trial run's result kept in `single`.
+template <class Model, class Result>
+void run_trials(const RunSpec& spec, util::ThreadPool* pool, Aggregator& aggregator,
+                Result& single) {
   const auto& build = Model::builder(spec);
   typename Model::Ptr owned;
   const typename Model::Protocol* protocol = Model::fixed(spec);
@@ -337,46 +272,18 @@ void run_static(const RunSpec& spec, util::ThreadPool* pool, RunOutcome& out) {
   // seeded builder can rebuild them; a fixed instance is shared as-is.
   const bool randomized = Model::randomized(*protocol) && static_cast<bool>(build);
 
-  std::vector<TrialOut> outs(spec.trials);
-  const auto record = [&](std::uint64_t i, const SimResult& r) {
-    TrialOut& t = outs[i];
-    t.success = r.success;
-    t.rounds = static_cast<double>(r.rounds);
-    t.collisions = static_cast<double>(r.collisions);
-    t.silences = static_cast<double>(r.silences);
-    t.completed = r.completed;
-    t.completion = static_cast<double>(r.completion_rounds);
-    fold_energy(r.station_energy, t);
-    if (spec.trials == 1) out.sim = r;
-    if (spec.per_trial) spec.per_trial(i, r);
-    if (spec.per_trial_mc) spec.per_trial_mc(i, r);
-    if (spec.trial_csv != nullptr) spec.trial_csv->write(i, r);
-  };
-
-  // Impaired cells compile one plan per trial (and resolve an adversarial
-  // jam placement once, here); clean cells touch none of this — their
-  // trial configs are spec.sim verbatim.
-  const bool impaired = !spec.impairment.clean();
-  const std::vector<mac::Slot> jam_slots =
-      impaired ? resolve_adversarial_jam(spec, *protocol) : std::vector<mac::Slot>{};
+  // An adversarial jam placement is resolved once per cell, here.
+  const std::vector<mac::Slot> jam_slots = resolve_adversarial_jam(spec, *protocol);
   const std::vector<mac::Slot>* jam_override = jam_slots.empty() ? nullptr : &jam_slots;
 
   for_each_trial(spec.trials, pool, [&](std::size_t i) {
     const std::uint64_t seed = trial_seed(spec, i);
-    util::Rng rng(seed);
-    mac::WakePattern generated;
-    if (spec.make_pattern) generated = spec.make_pattern(rng);
-    const mac::WakePattern& pattern = spec.make_pattern ? generated : *spec.pattern;
     const typename Model::Ptr rebuilt = randomized ? build(trial_protocol_seed(seed)) : nullptr;
-    SimConfig cfg = spec.sim;
-    ImpairmentPlan plan;
-    if (impaired) {
-      plan = compile_static_plan(spec, seed, pattern, jam_override);
-      cfg.impairment = &plan;
-    }
-    record(i, dispatch_wakeup(rebuilt ? *rebuilt : *protocol, pattern, cfg));
+    Result r = Model::trial(spec, rebuilt ? *rebuilt : *protocol, seed, jam_override);
+    report(spec, i, r);
+    aggregator.add(i, r);
+    if (spec.trials == 1) single = std::move(r);
   });
-  out.cell = aggregate(spec, outs);
 }
 
 }  // namespace
@@ -392,14 +299,20 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
   }
   RunOutcome out;
   out.dynamic_mode = spec.horizon > 0;
+  out.trials_ = Aggregator(spec.trials, out.dynamic_mode);
+  out.ci_seed_ = ci_seed(spec.base_seed, spec.cell_tag);
   if (out.dynamic_mode) {
-    run_dynamic(spec, pool, out);
+    run_trials<DynamicTraffic>(spec, pool, out.trials_, out.dynamic);
   } else if (spec.mc_protocol != nullptr || spec.make_mc_protocol) {
-    run_static<MultiChannel>(spec, pool, out);
+    run_trials<MultiChannel>(spec, pool, out.trials_, out.sim);
   } else {
-    run_static<SingleChannel>(spec, pool, out);
+    run_trials<SingleChannel>(spec, pool, out.trials_, out.sim);
   }
   return out;
+}
+
+CellStats RunOutcome::cell(std::uint64_t ci_resamples) const {
+  return trials_.finalize(ci_resamples, ci_seed_);
 }
 
 // Seed derivations — the documented RunSpec contract, stable since the
@@ -410,6 +323,10 @@ std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell_tag, std::u
 
 std::uint64_t cell_protocol_seed(std::uint64_t base_seed, std::uint64_t cell_tag) {
   return util::hash_words({base_seed, 0x50524f544fULL /* "PROTO" */, cell_tag});
+}
+
+std::uint64_t ci_seed(std::uint64_t base_seed, std::uint64_t cell_tag) {
+  return util::hash_words({base_seed, 0x4349ULL /* "CI" */, cell_tag});
 }
 
 }  // namespace wakeup::sim

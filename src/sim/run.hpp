@@ -4,12 +4,12 @@
 /// `sim::Run` — the one entry point of the simulation stack.
 ///
 /// A RunSpec names a protocol (single- or C-channel, fixed instance or
-/// seeded cell builder), a wake pattern (fixed or per-trial builder), an
-/// engine selection, a trial count, and optional per-trial sinks; `Run`
-/// executes it: one call covers a single traced run, a Monte-Carlo sweep
-/// cell, and everything in between, for both channel models.  (The four pre-facade entry points — run_wakeup,
-/// run_mc_wakeup, run_cell, run_cell_batched — are gone; this is the only
-/// way in.)
+/// seeded cell builder), a wake pattern (fixed or per-trial builder) or
+/// dynamic traffic, an engine selection, a trial count, and optional
+/// per-trial sinks; `Run` executes it: one call covers a single traced run,
+/// a Monte-Carlo sweep cell, and everything in between, for both channel
+/// models.  Every trial lands in the run's one `sim::Aggregator`, which
+/// `RunOutcome::cell()` finalizes.
 ///
 /// ```cpp
 /// // Single run, single channel:
@@ -17,9 +17,9 @@
 /// // Single run, C channels, forced slot interpreter (same result type):
 /// auto m = sim::Run({.mc_protocol = &striped, .pattern = &pattern,
 ///                    .sim = {.engine = sim::Engine::kInterpreter}}).sim;
-/// // Sweep cell (protocol hoisted, trials on the pool):
+/// // Sweep cell (protocol hoisted, trials on the pool, 2000-resample CIs):
 /// auto c = sim::Run({.make_protocol = factory, .make_pattern = gen,
-///                    .trials = 256, .base_seed = 1}, &pool).cell;
+///                    .trials = 256, .base_seed = 1}, &pool).cell(2000);
 /// ```
 ///
 /// Seed contract (unchanged from the pre-facade harness): trial i derives
@@ -27,8 +27,10 @@
 /// flows from that seed; deterministic protocols are built once per cell
 /// from hash(base_seed, "PROTO", cell_tag) and shared by every trial;
 /// randomized protocols are rebuilt per trial from a stream derived from
-/// the trial seed.  Per-trial outputs land in slot i regardless of thread
-/// count, so aggregates are bitwise thread-count-independent.
+/// the trial seed; the cell's bootstrap CIs resample from
+/// hash(base_seed, "CI", cell_tag).  Per-trial outputs land in slot i
+/// regardless of thread count, so aggregates are bitwise
+/// thread-count-independent.
 
 #include <cstdint>
 #include <functional>
@@ -38,42 +40,14 @@
 #include "mac/wake_pattern.hpp"
 #include "protocols/multichannel.hpp"
 #include "protocols/protocol.hpp"
+#include "sim/aggregator.hpp"
 #include "sim/dynamic.hpp"
 #include "sim/simulator.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wakeup::sim {
 
 class TrialCsvSink;
-
-/// Aggregated outcome of a cell (single runs are 1-trial cells).
-struct CellResult {
-  util::Summary rounds;      ///< rounds to wake-up over successful trials
-  util::Summary collisions;
-  util::Summary silences;
-  util::Summary completion;  ///< full-resolution rounds (if enabled)
-  std::uint64_t trials = 0;
-  std::uint64_t failures = 0;  ///< trials that exhausted the slot budget
-
-  // -- Dynamic traffic (horizon > 0 runs; zero otherwise) ---------------
-  util::Summary throughput;  ///< delivered packets per slot, per trial
-  util::Summary jain;        ///< Jain's fairness index, per trial
-  /// Queue latency pooled over every delivered packet of every trial (in
-  /// trial order, so the percentiles are thread-count-independent).
-  util::Summary latency;
-  std::uint64_t packet_arrivals = 0;  ///< total packets arrived, all trials
-  std::uint64_t delivered = 0;
-  std::uint64_t backlog = 0;  ///< still queued at the horizon, all trials
-
-  // -- Energy accounting (SimConfig::energy != kOff; zero otherwise) ----
-  /// Per-trial mean and max station energy (slots spent transmitting or
-  /// listening under the selected EnergyModel), summarized over trials.
-  /// Filled for static single-channel and dynamic runs; the C-channel
-  /// model accounts no energy.
-  util::Summary energy_mean;
-  util::Summary energy_max;
-};
 
 /// What to run.  Exactly one of {protocol, mc_protocol, make_protocol,
 /// make_mc_protocol} selects the protocol and the channel model; exactly
@@ -147,14 +121,23 @@ struct RunSpec {
   TrialCsvSink* trial_csv = nullptr;
 };
 
-/// Everything a Run produces.  `cell` aggregates all trials; for 1-trial
-/// specs the per-run result (`sim` for static runs of either channel
-/// model, `dynamic` for dynamic traffic) is filled too.
+/// Everything a Run produces.  For 1-trial specs the per-run result
+/// (`sim` for static runs of either channel model, `dynamic` for dynamic
+/// traffic) is filled; `cell()` reduces all trials.
 struct RunOutcome {
   bool dynamic_mode = false;  ///< spec.horizon > 0: `dynamic` is meaningful
   SimResult sim;              ///< trials == 1, static
   DynamicResult dynamic;      ///< trials == 1, dynamic traffic
-  CellResult cell;
+
+  /// The cell's statistics over every trial, finalized on each call, with
+  /// `ci_resamples` bootstrap resamples (0: CIs collapse to the estimate)
+  /// seeded by ci_seed(base_seed, cell_tag).
+  [[nodiscard]] CellStats cell(std::uint64_t ci_resamples = 0) const;
+
+ private:
+  friend RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool);
+  Aggregator trials_;
+  std::uint64_t ci_seed_ = 0;
 };
 
 /// Executes `spec`.  With `pool` null, multi-trial specs run on the
@@ -168,12 +151,12 @@ struct RunOutcome {
 
 // -- Seed-contract hooks ----------------------------------------------------
 //
-// The two derivations below ARE the documented RunSpec seed contract; they
-// are exposed so layers above the facade (the exp/ sweep orchestrator, test
-// fixtures) can derive per-cell and per-trial streams that agree bit for bit
-// with what `Run` uses internally — e.g. to seed a cell's bootstrap CIs or
-// an adversarial pattern search from the same (base_seed, cell_tag) identity
-// that reproduces the cell in isolation.
+// The three derivations below ARE the documented RunSpec seed contract;
+// they are exposed so layers above the facade (the exp/ sweep orchestrator,
+// test fixtures) can derive per-cell and per-trial streams that agree bit
+// for bit with what `Run` uses internally — e.g. to finalize an Aggregator
+// of their own, or to seed an adversarial pattern search from the same
+// (base_seed, cell_tag) identity that reproduces the cell in isolation.
 
 /// Seed of trial `i` of cell (base_seed, cell_tag): the wake pattern and
 /// (for randomized protocols) the per-trial protocol stream flow from this.
@@ -183,5 +166,10 @@ struct RunOutcome {
 /// Cell-level protocol seed: deterministic protocols are built once per cell
 /// from this and shared by every trial.
 [[nodiscard]] std::uint64_t cell_protocol_seed(std::uint64_t base_seed, std::uint64_t cell_tag);
+
+/// Bootstrap CI stream of a cell: tied to the same identity as the trial
+/// seeds but on its own tag, so adding resamples never perturbs the
+/// simulation and any cell subset reproduces its CIs alone.
+[[nodiscard]] std::uint64_t ci_seed(std::uint64_t base_seed, std::uint64_t cell_tag);
 
 }  // namespace wakeup::sim

@@ -8,9 +8,9 @@
 /// station per resolve round (a "tile" of 64·W slots).  Everything the
 /// block loops do to such a matrix is three data-parallel primitives:
 ///
-///  * `or_reduce_2pass` — the any/multi OR reduction down the station
-///    axis (`any` has a bit where >= 1 station transmits, `multi` where
-///    >= 2 do), built from per-row `or_accumulate` steps so incremental
+///  * `or_accumulate` — one step of the any/multi OR reduction down the
+///    station axis (`any` has a bit where >= 1 station transmits, `multi`
+///    where >= 2 do), folding one row at a time so incremental
 ///    re-reductions (a winner departing mid-tile) reuse the same kernel;
 ///  * `masked_popcount_pair` — silence (`~any & mask`) and collision
 ///    (`multi & mask`) popcounts over a tile of pending-slot masks;
@@ -61,13 +61,6 @@ struct Kernels {
 /// WAKEUP_FORCE_SCALAR environment variable.  For tests and benches that
 /// compare the two paths in one process.
 void set_force_scalar(bool force) noexcept;
-
-/// Two-pass OR reduction down the station axis of a station-major word
-/// matrix: row r occupies matrix[r * stride .. r * stride + words).
-/// Writes any[w] / multi[w] for w < words (previous contents are
-/// overwritten).  `words` may be less than `stride` (partial tiles).
-void or_reduce_2pass(const std::uint64_t* matrix, std::size_t rows, std::size_t stride,
-                     std::size_t words, std::uint64_t* any, std::uint64_t* multi) noexcept;
 
 /// First set bit over words[0 .. n_words), as a flat bit index (word 0 bit
 /// 0 = index 0), considering only indices < limit_bits.  Returns kNoBit

@@ -30,7 +30,6 @@
 #include "combinatorics/waking_search.hpp"       // IWYU pragma: export
 #include "combinatorics/waking_verifier.hpp"     // IWYU pragma: export
 
-#include "exp/aggregator.hpp"    // IWYU pragma: export
 #include "exp/manifest.hpp"      // IWYU pragma: export
 #include "exp/presets.hpp"       // IWYU pragma: export
 #include "exp/sweep_runner.hpp"  // IWYU pragma: export
@@ -65,6 +64,7 @@
 #include "protocols/wakeup_with_s.hpp"           // IWYU pragma: export
 
 #include "sim/adversary.hpp"       // IWYU pragma: export
+#include "sim/aggregator.hpp"      // IWYU pragma: export
 #include "sim/batch_engine.hpp"    // IWYU pragma: export
 #include "sim/dynamic.hpp"         // IWYU pragma: export
 #include "sim/interpreter.hpp"     // IWYU pragma: export

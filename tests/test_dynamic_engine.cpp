@@ -352,11 +352,13 @@ TEST(DynamicRun, SeedContractAndThreadCountDeterminism) {
     expect_identical(inline_trials[i], pooled_trials[i], "trial " + std::to_string(i));
   }
   EXPECT_TRUE(inline_out.dynamic_mode);
-  EXPECT_EQ(inline_out.cell.failures, 0u);
-  EXPECT_EQ(inline_out.cell.throughput.mean, pooled_out.cell.throughput.mean);
-  EXPECT_EQ(inline_out.cell.jain.mean, pooled_out.cell.jain.mean);
-  EXPECT_EQ(inline_out.cell.latency.p99, pooled_out.cell.latency.p99);
-  EXPECT_EQ(inline_out.cell.packet_arrivals, pooled_out.cell.packet_arrivals);
+  const auto inline_cell = inline_out.cell();
+  const auto pooled_cell = pooled_out.cell();
+  EXPECT_EQ(inline_cell.failures, 0u);
+  EXPECT_EQ(inline_cell.throughput.mean, pooled_cell.throughput.mean);
+  EXPECT_EQ(inline_cell.jain.mean, pooled_cell.jain.mean);
+  EXPECT_EQ(inline_cell.latency.p99, pooled_cell.latency.p99);
+  EXPECT_EQ(inline_cell.packet_arrivals, pooled_cell.packet_arrivals);
 
   // Same (base_seed, cell_tag) => same traffic, trial by trial.
   std::vector<wu::sim::DynamicResult> again(spec.trials);
@@ -381,7 +383,7 @@ TEST(DynamicRun, FixedScenarioReplayAndValidation) {
   EXPECT_TRUE(out.dynamic_mode);
   EXPECT_EQ(out.dynamic.arrivals, 3u);
   EXPECT_EQ(out.dynamic.delivered, 3u);
-  EXPECT_EQ(out.cell.packet_arrivals, 3u);
+  EXPECT_EQ(out.cell().packet_arrivals, 3u);
 
   // Dynamic specs reject pattern sources, mc protocols, and static sinks.
   {

@@ -279,12 +279,12 @@ TEST(CellTrials, PooledBatchTrialsMatchInterpreter) {
       plain_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
         reference[i] = r;
       };
-      const auto plain = wu::sim::Run(plain_spec, nullptr).cell;
+      const auto plain = wu::sim::Run(plain_spec, nullptr).cell();
 
       std::vector<wu::sim::SimResult> pooled(spec.trials);
       spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) { pooled[i] = r; };
       wu::util::ThreadPool pool(3);
-      const auto batched = wu::sim::Run(spec, &pool).cell;
+      const auto batched = wu::sim::Run(spec, &pool).cell();
 
       for (std::uint64_t i = 0; i < spec.trials; ++i) {
         expect_identical(reference[i], pooled[i],

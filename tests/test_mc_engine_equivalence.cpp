@@ -277,14 +277,14 @@ TEST(McCellTrials, PooledBatchTrialsMatchSlotLoop) {
     interp_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
       interpreted[i] = r;
     };
-    const auto plain = ws::Run(interp_spec, nullptr).cell;
+    const auto plain = ws::Run(interp_spec, nullptr).cell();
 
     auto batch_spec = spec;
     batch_spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) {
       batched[i] = r;
     };
     wu::ThreadPool pool(3);
-    const auto pooled = ws::Run(batch_spec, &pool).cell;
+    const auto pooled = ws::Run(batch_spec, &pool).cell();
 
     for (std::uint64_t i = 0; i < spec.trials; ++i) {
       expect_identical(interpreted[i], batched[i],

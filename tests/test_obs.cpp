@@ -341,7 +341,7 @@ TEST(ObsInstrumentation, MultichannelCellEmitsBatchCounters) {
   spec.base_seed = 20130522;
   spec.trials = 16;
   const auto out = wu::sim::Run(spec, nullptr);
-  EXPECT_EQ(out.cell.failures, 0u);
+  EXPECT_EQ(out.cell().failures, 0u);
 
   const auto snap = obs::snapshot();
   if (obs::kCompiled) {

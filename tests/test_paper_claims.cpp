@@ -193,7 +193,7 @@ TEST(PaperClaims, FullResolution) {
       cell.sim.full_resolution = true;
       cell.sim.max_slots = static_cast<wm::Slot>(n) * k * 64 + 4096;
       if (name == "tree_splitting") cell.sim.feedback = wm::FeedbackModel::kCollisionDetection;
-      const ws::CellResult result = ws::Run(cell).cell;
+      const ws::CellStats result = ws::Run(cell).cell();
       EXPECT_EQ(result.failures, 0u) << name << " k=" << k;
       if (name == "round_robin") {
         EXPECT_LE(result.completion.max, n) << "k=" << k;

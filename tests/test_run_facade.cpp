@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/aggregator.hpp"
 #include "protocols/multichannel.hpp"
 #include "protocols/registry.hpp"
 #include "protocols/round_robin.hpp"
@@ -45,7 +47,7 @@ ws::RunSpec basic_cell(std::uint32_t n, std::uint32_t k, std::uint64_t trials) {
 }  // namespace
 
 TEST(RunFacade, RunsAllTrials) {
-  const auto result = ws::Run(basic_cell(32, 4, 20)).cell;
+  const auto result = ws::Run(basic_cell(32, 4, 20)).cell();
   EXPECT_EQ(result.trials, 20u);
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.rounds.count, 20u);
@@ -57,10 +59,10 @@ TEST(RunFacade, DeterministicAcrossPoolChoices) {
   // an explicit multi-worker pool must agree bitwise — the seed contract
   // keys randomness by trial index, never by thread.
   wu::ThreadPool inline_pool(0);
-  const auto inline_result = ws::Run(basic_cell(64, 8, 32), &inline_pool).cell;
-  const auto shared_result = ws::Run(basic_cell(64, 8, 32)).cell;
+  const auto inline_result = ws::Run(basic_cell(64, 8, 32), &inline_pool).cell();
+  const auto shared_result = ws::Run(basic_cell(64, 8, 32)).cell();
   wu::ThreadPool pool4(4);
-  const auto pool4_result = ws::Run(basic_cell(64, 8, 32), &pool4).cell;
+  const auto pool4_result = ws::Run(basic_cell(64, 8, 32), &pool4).cell();
   EXPECT_DOUBLE_EQ(inline_result.rounds.mean, shared_result.rounds.mean);
   EXPECT_DOUBLE_EQ(inline_result.rounds.mean, pool4_result.rounds.mean);
   EXPECT_DOUBLE_EQ(inline_result.rounds.median, shared_result.rounds.median);
@@ -72,8 +74,8 @@ TEST(RunFacade, CellTagChangesTrialStreams) {
   auto a = basic_cell(64, 8, 16);
   auto b = basic_cell(64, 8, 16);
   b.cell_tag = 1;
-  const auto ra = ws::Run(a).cell;
-  const auto rb = ws::Run(b).cell;
+  const auto ra = ws::Run(a).cell();
+  const auto rb = ws::Run(b).cell();
   // Different tags -> different patterns -> (almost surely) different stats.
   EXPECT_NE(ra.rounds.mean, rb.rounds.mean);
 }
@@ -81,7 +83,7 @@ TEST(RunFacade, CellTagChangesTrialStreams) {
 TEST(RunFacade, FailuresCounted) {
   auto spec = basic_cell(64, 4, 10);
   spec.sim.max_slots = 1;  // nothing succeeds in one slot unless id matches slot 0
-  const auto result = ws::Run(spec).cell;
+  const auto result = ws::Run(spec).cell();
   EXPECT_EQ(result.failures + result.rounds.count, 10u);
   EXPECT_GT(result.failures, 0u);
 }
@@ -98,7 +100,7 @@ TEST(RunFacade, DeterministicProtocolConstructedOncePerCell) {
   spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(32, 4, 0, rng); };
   spec.trials = 16;
   wu::ThreadPool inline_pool(0);  // construction counting: no worker races
-  const auto result = ws::Run(spec, &inline_pool).cell;
+  const auto result = ws::Run(spec, &inline_pool).cell();
   EXPECT_EQ(result.trials, 16u);
   EXPECT_EQ(constructions, 1u);
 }
@@ -132,7 +134,7 @@ TEST(RunFacade, PerTrialSinkSeesEveryTrialOnce) {
     ++seen[i];
     results[i] = r;
   };
-  const auto agg = ws::Run(spec).cell;
+  const auto agg = ws::Run(spec).cell();
   for (int c : seen) EXPECT_EQ(c, 1);
   std::uint64_t successes = 0;
   for (const auto& r : results) successes += r.success ? 1 : 0;
@@ -146,7 +148,7 @@ TEST(RunFacade, RandomizedProtocolSeedsVaryPerTrial) {
   };
   spec.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(64, 8, 0, rng); };
   spec.trials = 24;
-  const auto result = ws::Run(spec).cell;
+  const auto result = ws::Run(spec).cell();
   EXPECT_EQ(result.failures, 0u);
   // With varying coins the rounds should not all be identical.
   EXPECT_GT(result.rounds.max, result.rounds.min);
@@ -157,11 +159,11 @@ TEST(RunFacade, NestedRunInsideAPoolWorkerStaysInline) {
   // (deadlock risk with few workers) — it detects the worker context and
   // runs inline.  One worker makes any deadlock deterministic.
   wu::ThreadPool pool(1);
-  ws::CellResult inner_result;
+  ws::CellStats inner_result;
   pool.parallel_for(0, 1, [&](std::size_t) {
-    inner_result = ws::Run(basic_cell(32, 4, 8)).cell;
+    inner_result = ws::Run(basic_cell(32, 4, 8)).cell();
   });
-  const auto reference = ws::Run(basic_cell(32, 4, 8)).cell;
+  const auto reference = ws::Run(basic_cell(32, 4, 8)).cell();
   EXPECT_EQ(inner_result.trials, 8u);
   EXPECT_DOUBLE_EQ(inner_result.rounds.mean, reference.rounds.mean);
 }
@@ -198,9 +200,10 @@ TEST(RunFacade, SingleRunFillsBothSimAndCell) {
   ASSERT_TRUE(out.sim.success);
   EXPECT_EQ(out.sim.success_slot, 18);
   EXPECT_EQ(out.sim.success_channel, -1) << "single-channel runs name no channel";
-  EXPECT_EQ(out.cell.trials, 1u);
-  EXPECT_EQ(out.cell.failures, 0u);
-  EXPECT_DOUBLE_EQ(out.cell.rounds.mean, static_cast<double>(out.sim.rounds));
+  const auto cell = out.cell();
+  EXPECT_EQ(cell.trials, 1u);
+  EXPECT_EQ(cell.failures, 0u);
+  EXPECT_DOUBLE_EQ(cell.rounds.mean, static_cast<double>(out.sim.rounds));
 }
 
 TEST(RunFacade, SingleMcRunFillsSim) {
@@ -209,7 +212,7 @@ TEST(RunFacade, SingleMcRunFillsSim) {
   const auto out = ws::Run({.mc_protocol = mc.get(), .pattern = &pattern});
   ASSERT_TRUE(out.sim.success);
   EXPECT_EQ(out.sim.success_channel, static_cast<std::int32_t>(5 % 4));
-  EXPECT_EQ(out.cell.trials, 1u);
+  EXPECT_EQ(out.cell().trials, 1u);
 }
 
 TEST(RunFacade, McCellAggregatesTrials) {
@@ -225,9 +228,10 @@ TEST(RunFacade, McCellAggregatesTrials) {
     EXPECT_TRUE(r.success);
   };
   const auto out = ws::Run(spec, nullptr);
-  EXPECT_EQ(out.cell.trials, 12u);
-  EXPECT_EQ(out.cell.failures, 0u);
-  EXPECT_EQ(out.cell.rounds.count, 12u);
+  const auto cell = out.cell();
+  EXPECT_EQ(cell.trials, 12u);
+  EXPECT_EQ(cell.failures, 0u);
+  EXPECT_EQ(cell.rounds.count, 12u);
   for (const int c : seen) EXPECT_EQ(c, 1);
 }
 
@@ -245,9 +249,9 @@ TEST(RunFacade, McCellDeterministicAcrossThreadCounts) {
     spec.base_seed = 9;
     return spec;
   };
-  const auto inline_result = ws::Run(build(), nullptr).cell;
+  const auto inline_result = ws::Run(build(), nullptr).cell();
   wu::ThreadPool pool(4);
-  const auto pooled = ws::Run(build(), &pool).cell;
+  const auto pooled = ws::Run(build(), &pool).cell();
   EXPECT_DOUBLE_EQ(inline_result.rounds.mean, pooled.rounds.mean);
   EXPECT_DOUBLE_EQ(inline_result.silences.mean, pooled.silences.mean);
   EXPECT_EQ(inline_result.failures, pooled.failures);
@@ -259,8 +263,9 @@ TEST(RunFacade, FixedPatternIsReusedAcrossTrials) {
   const wp::RoundRobinProtocol rr(32);
   const wm::WakePattern pattern(32, {{7, 0}, {20, 0}});
   const auto out = ws::Run({.protocol = &rr, .pattern = &pattern, .trials = 6});
-  EXPECT_EQ(out.cell.rounds.count, 6u);
-  EXPECT_DOUBLE_EQ(out.cell.rounds.min, out.cell.rounds.max);
+  const auto cell = out.cell();
+  EXPECT_EQ(cell.rounds.count, 6u);
+  EXPECT_DOUBLE_EQ(cell.rounds.min, cell.rounds.max);
 }
 
 TEST(RunFacade, WarmupOverrideIsBitIdentical) {
@@ -304,7 +309,7 @@ TEST(RunFacade, StreamingTrialCsvWritesOneRowPerTrial) {
     spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { results[i] = r; };
     wu::ThreadPool pool(4);
     const auto out = ws::Run(spec, &pool);
-    EXPECT_EQ(out.cell.trials, 40u);
+    EXPECT_EQ(out.cell().trials, 40u);
     EXPECT_EQ(sink.rows(), 40u);
   }
   // Parse back: every trial appears exactly once with its own counters.
@@ -404,10 +409,11 @@ TEST(RunFacade, McRunsAccountNoEnergy) {
       energy_sizes[i] = r.station_energy.size() + r.station_transmits.size();
     };
     const auto out = ws::Run(spec, nullptr);
-    EXPECT_EQ(out.cell.failures, 0u) << cell.label;
+    const auto stats = out.cell();
+    EXPECT_EQ(stats.failures, 0u) << cell.label;
     for (const std::size_t size : energy_sizes) EXPECT_EQ(size, 0u) << cell.label;
-    EXPECT_EQ(out.cell.energy_mean.count, 0u) << cell.label;
-    EXPECT_EQ(out.cell.energy_max.count, 0u) << cell.label;
+    EXPECT_EQ(stats.energy_mean.count, 0u) << cell.label;
+    EXPECT_EQ(stats.energy_max.count, 0u) << cell.label;
   }
 }
 
@@ -427,8 +433,143 @@ TEST(RunFacade, RandomizedMcProtocolsRebuildPerTrial) {
     return wp::make_random_channel_rpd(128, 4, seed);
   };
   const auto out = ws::Run(counting, nullptr);
-  EXPECT_EQ(out.cell.failures, 0u);
+  const auto cell = out.cell();
+  EXPECT_EQ(cell.failures, 0u);
   // One cell-level construction plus one rebuild per trial.
   EXPECT_EQ(builds.load(), 1u + 16u);
-  EXPECT_GT(out.cell.rounds.max, out.cell.rounds.min);
+  EXPECT_GT(cell.rounds.max, cell.rounds.min);
+}
+
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same(const wu::Summary& a, const wu::Summary& b, const std::string& what) {
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(bits(a.mean), bits(b.mean)) << what;
+  EXPECT_EQ(bits(a.stddev), bits(b.stddev)) << what;
+  EXPECT_EQ(bits(a.min), bits(b.min)) << what;
+  EXPECT_EQ(bits(a.median), bits(b.median)) << what;
+  EXPECT_EQ(bits(a.p95), bits(b.p95)) << what;
+  EXPECT_EQ(bits(a.p99), bits(b.p99)) << what;
+  EXPECT_EQ(bits(a.max), bits(b.max)) << what;
+}
+
+void expect_same(const wu::BootstrapCI& a, const wu::BootstrapCI& b, const std::string& what) {
+  EXPECT_EQ(bits(a.mean), bits(b.mean)) << what;
+  EXPECT_EQ(bits(a.lo), bits(b.lo)) << what;
+  EXPECT_EQ(bits(a.hi), bits(b.hi)) << what;
+  EXPECT_EQ(bits(a.level), bits(b.level)) << what;
+}
+
+void expect_same(const ws::CellStats& a, const ws::CellStats& b, const std::string& label) {
+  EXPECT_EQ(a.trials, b.trials) << label;
+  EXPECT_EQ(a.failures, b.failures) << label;
+  EXPECT_EQ(bits(a.success_rate), bits(b.success_rate)) << label;
+  expect_same(a.rounds, b.rounds, label + " rounds");
+  expect_same(a.collisions, b.collisions, label + " collisions");
+  expect_same(a.silences, b.silences, label + " silences");
+  expect_same(a.completion, b.completion, label + " completion");
+  expect_same(a.mean_ci, b.mean_ci, label + " mean_ci");
+  expect_same(a.median_ci, b.median_ci, label + " median_ci");
+  expect_same(a.throughput, b.throughput, label + " throughput");
+  expect_same(a.jain, b.jain, label + " jain");
+  expect_same(a.latency, b.latency, label + " latency");
+  EXPECT_EQ(a.packet_arrivals, b.packet_arrivals) << label;
+  EXPECT_EQ(a.delivered, b.delivered) << label;
+  EXPECT_EQ(a.backlog, b.backlog) << label;
+  expect_same(a.energy_mean, b.energy_mean, label + " energy_mean");
+  expect_same(a.energy_max, b.energy_max, label + " energy_max");
+  expect_same(a.energy_mean_ci, b.energy_mean_ci, label + " energy_mean_ci");
+}
+
+/// Runs `spec` on `pool` twice: once finalized through `Run(...).cell(200)`,
+/// once through an exp::Aggregator fed by the per-trial sinks (per_trial_mc
+/// for C-channel specs, the spelling the frozen benchmark replay uses) and
+/// finalized with the cell's seed-contract CI stream.
+void expect_cell_matches_sink_aggregator(ws::RunSpec spec, wu::ThreadPool& pool,
+                                         const std::string& label) {
+  constexpr std::uint64_t kResamples = 200;
+  const ws::CellStats facade = ws::Run(spec, &pool).cell(kResamples);
+
+  wakeup::exp::Aggregator aggregator(spec.trials, spec.horizon > 0);
+  if (spec.horizon > 0) {
+    spec.per_trial_dynamic = [&](std::uint64_t i, const ws::DynamicResult& r) {
+      aggregator.add(i, r);
+    };
+  } else if (spec.make_mc_protocol) {
+    spec.per_trial_mc = [&](std::uint64_t i, const ws::SimResult& r) { aggregator.add(i, r); };
+  } else {
+    spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { aggregator.add(i, r); };
+  }
+  (void)ws::Run(spec, &pool);
+  const wakeup::exp::CellStats sinks =
+      aggregator.finalize(kResamples, ws::ci_seed(spec.base_seed, spec.cell_tag));
+  expect_same(facade, sinks, label);
+}
+
+}  // namespace
+
+TEST(RunFacade, CellEqualsAggregatorFedThroughSinks) {
+  // Run(...).cell(R) is the sweep's statistics: the same bits as an
+  // Aggregator fed through the per-trial sinks and finalized on
+  // ci_seed(base_seed, cell_tag) — for each traffic model and worker count.
+  ws::RunSpec single = basic_cell(64, 8, 24);
+  single.cell_tag = 3;
+  single.sim.max_slots = 4;  // most trials fail: failures and success_rate move
+  single.sim.energy = ws::EnergyModel::kListenAll;
+
+  ws::RunSpec multi;
+  multi.make_mc_protocol = [](std::uint64_t seed) {
+    return wp::make_group_wait_and_go(128, 16, 4, wakeup::comb::FamilyKind::kRandomized, seed);
+  };
+  multi.make_pattern = [](wu::Rng& rng) { return wm::patterns::simultaneous(128, 16, 0, rng); };
+  multi.trials = 20;
+  multi.base_seed = 5;
+  multi.cell_tag = 17;
+
+  ws::RunSpec dynamic;
+  dynamic.make_protocol = [](std::uint64_t seed) {
+    return wp::make_protocol_by_name({.name = "round_robin", .n = 64, .k = 8, .seed = seed});
+  };
+  dynamic.horizon = 512;
+  dynamic.arrival = wm::ArrivalSpec::parse("poisson:0.3");
+  dynamic.dynamic_n = 64;
+  dynamic.dynamic_k = 8;
+  dynamic.trials = 12;
+  dynamic.base_seed = 11;
+  dynamic.cell_tag = 29;
+  dynamic.sim.energy = ws::EnergyModel::kListenAll;
+
+  for (const std::size_t workers : {0u, 4u}) {
+    wu::ThreadPool pool(workers);
+    const std::string on = " on " + std::to_string(workers) + " workers";
+    expect_cell_matches_sink_aggregator(single, pool, "single channel" + on);
+    expect_cell_matches_sink_aggregator(multi, pool, "C channels" + on);
+    expect_cell_matches_sink_aggregator(dynamic, pool, "dynamic" + on);
+  }
+}
+
+TEST(RunFacade, FullResolutionCellSummarizesCompletion) {
+  // completion summarizes full-resolution rounds over the successful
+  // trials, which the per-trial results pin one by one.
+  ws::RunSpec spec = basic_cell(64, 8, 16);
+  spec.sim.full_resolution = true;
+  wu::Sample completion;
+  std::vector<ws::SimResult> trials(spec.trials);
+  spec.per_trial = [&](std::uint64_t i, const ws::SimResult& r) { trials[i] = r; };
+  wu::ThreadPool pool(4);
+  const ws::CellStats cell = ws::Run(spec, &pool).cell();
+  for (const ws::SimResult& r : trials) {
+    ASSERT_TRUE(r.success);
+    ASSERT_TRUE(r.completed);
+    EXPECT_GE(r.completion_rounds, r.rounds);
+    completion.push(static_cast<double>(r.completion_rounds));
+  }
+  expect_same(cell.completion, wu::Summary::of(completion), "completion");
+  EXPECT_EQ(cell.completion.count, spec.trials);
+
+  // Without full resolution the summary stays empty.
+  spec.sim.full_resolution = false;
+  EXPECT_EQ(ws::Run(spec, &pool).cell().completion.count, 0u);
 }

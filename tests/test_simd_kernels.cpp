@@ -57,18 +57,23 @@ std::vector<std::uint64_t> random_words(wu::Rng& rng, std::size_t count, int den
 }  // namespace
 
 TEST(SimdKernels, OrReduceMatchesReferenceAcrossShapes) {
+  // The engines' reduction: or_accumulate folded row by row down a
+  // station-major matrix, over every row count and partial tile width.
   KernelGuard guard;
   wu::Rng rng(20130522);
   for (const bool force_scalar : {false, true}) {
     simd::set_force_scalar(force_scalar);
-    for (const std::size_t rows : {0u, 1u, 2u, 3u, 7u, 16u, 33u}) {
-      for (const std::size_t words : {1u, 2u, 3u, 4u, 5u, 7u, 8u}) {
+    for (std::size_t rows = 0; rows <= 33; ++rows) {
+      for (std::size_t words = 1; words <= 8; ++words) {
         const std::size_t stride = 8;
         const auto matrix = random_words(rng, std::max<std::size_t>(rows, 1) * stride, 1);
         const Reduced want = reference_reduce(matrix, rows, stride, words);
-        std::vector<std::uint64_t> any(words, 0xdeadbeef);  // must be overwritten
-        std::vector<std::uint64_t> multi(words, 0xdeadbeef);
-        simd::or_reduce_2pass(matrix.data(), rows, stride, words, any.data(), multi.data());
+        std::vector<std::uint64_t> any(words, 0);
+        std::vector<std::uint64_t> multi(words, 0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          simd::active().or_accumulate(any.data(), multi.data(), matrix.data() + r * stride,
+                                       words);
+        }
         EXPECT_EQ(any, want.any) << "rows=" << rows << " words=" << words
                                  << " scalar=" << force_scalar;
         EXPECT_EQ(multi, want.multi) << "rows=" << rows << " words=" << words
@@ -80,7 +85,8 @@ TEST(SimdKernels, OrReduceMatchesReferenceAcrossShapes) {
 
 TEST(SimdKernels, OrAccumulateIsIncremental) {
   // Folding rows one at a time through or_accumulate must equal the
-  // two-pass reduction — the engines' mid-tile re-resolve depends on it.
+  // whole-matrix reference reduction — the engines' mid-tile re-resolve
+  // depends on it.
   KernelGuard guard;
   wu::Rng rng(7);
   for (const bool force_scalar : {false, true}) {

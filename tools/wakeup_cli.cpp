@@ -573,7 +573,7 @@ proto::McProtocolPtr build_mc_protocol(const proto::ProtocolSpec& inner,
 
 /// `run --arrival=...` / `run --arrival-file=...`: sustained-load traffic on
 /// per-station packet queues instead of a one-shot wake pattern.
-int cmd_run_dynamic(const util::Args& args) {
+int cmd_run_traffic(const util::Args& args) {
   const proto::ProtocolSpec pspec = protocol_flags(args);
   const std::uint32_t n = pspec.n;
   const std::uint32_t k = pspec.k;
@@ -623,7 +623,7 @@ int cmd_run_dynamic(const util::Args& args) {
 
   const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(threads);
   const auto out = sim::Run(spec, own_pool.get());
-  const sim::CellResult& cell = out.cell;
+  const sim::CellStats cell = out.cell();
 
   std::cout << "protocol: " << build_protocol(pspec, base_seed)->name() << "\n"
             << "n=" << n << " k=" << k << " arrival=" << arrival.name()
@@ -664,7 +664,7 @@ int cmd_run_dynamic(const util::Args& args) {
 }
 
 int cmd_run(const util::Args& args) {
-  if (args.has("arrival") || args.has("arrival-file")) return cmd_run_dynamic(args);
+  if (args.has("arrival") || args.has("arrival-file")) return cmd_run_traffic(args);
   const proto::ProtocolSpec pspec = protocol_flags(args);
   const std::uint32_t n = pspec.n;
   const std::uint32_t k = pspec.k;
@@ -745,15 +745,10 @@ int cmd_run(const util::Args& args) {
   spec.trial_csv = csv.get();
   const std::unique_ptr<util::ThreadPool> own_pool = make_own_pool(threads);
 
-  // Trial i's rounds (-1 on failure) land in slot i, so the bootstrap CI
-  // below resamples the same sample in the same order for every thread
-  // count and completion order.
-  std::vector<std::int64_t> trial_rounds(trials, -1);
-  spec.per_trial = [&trial_rounds](std::uint64_t i, const sim::SimResult& r) {
-    if (r.success) trial_rounds[i] = r.rounds;
-  };
-
   const auto out = sim::Run(spec, own_pool.get());
+  // The bootstrap CI resamples trials in trial order, so it is the same
+  // for every thread count and completion order.
+  const sim::CellStats cell = out.cell(trials > 1 ? 2000 : 0);
 
   if (trials == 1) {
     const sim::SimResult& result = out.sim;
@@ -781,8 +776,8 @@ int cmd_run(const util::Args& args) {
   if (csv) std::cout << "[per-trial csv] " << csv->path() << " (" << csv->rows() << " rows)\n";
   if (spec.sim.energy != sim::EnergyModel::kOff) {
     std::cout << "energy (" << sim::energy_model_name(spec.sim.energy)
-              << "): station mean=" << out.cell.energy_mean.mean
-              << " max=" << out.cell.energy_max.mean << " slots\n";
+              << "): station mean=" << cell.energy_mean.mean
+              << " max=" << cell.energy_max.mean << " slots\n";
   }
   if (!trace_path.empty()) {
     // Single-trial runs carry the slot-by-slot ExecutionTrace; render it as
@@ -797,18 +792,12 @@ int cmd_run(const util::Args& args) {
   }
 
   if (trials > 1) {
-    util::Sample rounds;
-    for (const std::int64_t r : trial_rounds) {
-      if (r >= 0) rounds.push(static_cast<double>(r));
-    }
-    const auto summary = util::Summary::of(rounds);
-    const auto ci = util::BootstrapCI::of_mean(rounds, 0.95, 2000, base_seed);
-    std::cout << "trials=" << trials << " success=" << rounds.size() << "\n"
-              << "rounds mean=" << summary.mean << " [" << ci.lo << ", " << ci.hi
-              << "]95%  median=" << summary.median << " p95=" << summary.p95
-              << " max=" << summary.max << "\n";
+    std::cout << "trials=" << trials << " success=" << cell.rounds.count << "\n"
+              << "rounds mean=" << cell.rounds.mean << " [" << cell.mean_ci.lo << ", "
+              << cell.mean_ci.hi << "]95%  median=" << cell.rounds.median
+              << " p95=" << cell.rounds.p95 << " max=" << cell.rounds.max << "\n";
   }
-  return out.cell.failures == 0 ? 0 : 1;
+  return cell.failures == 0 ? 0 : 1;
 }
 
 int cmd_adversary(const util::Args& args) {
