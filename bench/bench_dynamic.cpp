@@ -1,5 +1,5 @@
 /// D — dynamic traffic: sustained-load slots/sec of the slot loop vs the
-/// word-parallel tile loop, both through `sim::dispatch_dynamic`.
+/// word-parallel batch engine, both through `sim::dispatch_dynamic`.
 ///
 /// The acceptance cell is round_robin at n = 2^14 under poisson traffic —
 /// the interpreter pays one virtual transmits() per backlogged station per
@@ -76,8 +76,6 @@ int main(int argc, char** argv) {
   json.config("quick", quick);
   json.config("horizon", static_cast<std::uint64_t>(horizon));
   json.config("trials", trials);
-  json.config("tile_words", std::uint64_t{sim::tile_words()});
-  json.config("kernel", util::simd::active_name());
 
   bool verify_ok = true;
   double gated = 0;

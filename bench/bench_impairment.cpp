@@ -91,8 +91,6 @@ int main(int argc, char** argv) {
   json.config("quick", quick);
   json.config("trials", trials);
   json.config("budget", static_cast<std::uint64_t>(budget));
-  json.config("tile_words", std::uint64_t{sim::tile_words()});
-  json.config("kernel", util::simd::active_name());
 
   bool verify_ok = true;
   double worst_overhead = 0;

@@ -94,8 +94,6 @@ int main(int argc, char** argv) {
   json.config("n", n);
   json.config("trials", trials);
   json.config("quick", quick);
-  json.config("tile_words", std::uint64_t{sim::tile_words()});
-  json.config("kernel", util::simd::active_name());
 
   bool verify_ok = true;
   double gate_speedup = 0;

@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
   bench::JsonReport json("obs");
   json.config("quick", quick);
   json.config("obs_compiled", obs::kCompiled);
-  json.config("kernel", util::simd::active_name());
 
   std::printf("%-16s %8s %5s %9s | %12s %12s %5s | %9s %9s\n", "protocol", "n", "k", "engine",
               "off ms/run", "on ms/run", "reps", "overhead", "identical");

@@ -30,7 +30,6 @@
 #include "util/csv.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace wakeup::exp {
 
@@ -175,13 +174,6 @@ CellRecord run_cell(const SweepSpec& spec, const Cell& cell, const SweepOptions&
   return record;
 }
 
-/// Once per sweep invocation: pins which SIMD kernel table ran the batch
-/// engines into the registry ("simd.kernel.<name>" = 1).
-void note_sweep_start() {
-  if (!obs::active()) return;
-  obs::Counter::get(std::string("simd.kernel.") + util::simd::active_name()).inc();
-}
-
 /// Writes the metrics/trace sidecar files a single-process run asked for.
 /// Runs on every exit path (capped runs included) so smoke legs always
 /// produce the files they validate.
@@ -253,7 +245,6 @@ SweepOutcome run_sweep_worker(const SweepSpec& spec, const SweepOptions& options
     throw std::runtime_error("sweep: cannot create output directory " + options.out_dir);
   }
   const auto worker = static_cast<std::uint32_t>(options.worker_id);
-  note_sweep_start();
   if (!options.trace_path.empty()) {
     obs::trace_set_process(options.worker_id, "worker-" + std::to_string(worker));
   }
@@ -379,7 +370,6 @@ double cell_bound(const Cell& cell) {
 
 SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   if (options.worker_id >= 0) return run_sweep_worker(spec, options);
-  note_sweep_start();
   const std::vector<Cell> cells = expand(spec);
   if (cells.empty()) {
     throw std::invalid_argument("sweep: the grid expanded to zero feasible cells");

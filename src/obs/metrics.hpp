@@ -27,6 +27,11 @@
 /// static const auto c_tiles = obs::Counter::get("batch.tiles");
 /// if (obs::active()) c_tiles.add(local_tiles);
 /// ```
+///
+/// The batch engine's counters: `batch.tiles` counts resolve rounds, each
+/// one 64-slot word per live station (the name predates one-word rounds
+/// and is kept because run records read it), and `batch.words_fetched`
+/// the schedule words fetched, refills after a delivery included.
 
 #include <cstdint>
 #include <map>

@@ -77,8 +77,8 @@ struct JamSearchResult {
 /// placements compare apples to apples.
 ///
 /// Deterministic: a pure function of the arguments — independent of thread
-/// count and SIMD availability, because the evaluation engines are
-/// bit-identical and the climb is serial (tests/test_adversary.cpp).
+/// count and engine, because the evaluation engines are bit-identical and
+/// the climb is serial (tests/test_adversary.cpp).
 [[nodiscard]] JamSearchResult search_worst_jam(const proto::Protocol& protocol,
                                                const mac::WakePattern& pattern,
                                                const mac::ImpairmentSpec& spec,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <stdexcept>
 #include <vector>
@@ -11,22 +10,8 @@
 #include "sim/impairment_engine.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/traffic.hpp"
-#include "util/simd.hpp"
 
 namespace wakeup::sim {
-
-namespace {
-
-std::atomic<std::size_t> g_tile_words{kMaxTileWords};
-
-}  // namespace
-
-std::size_t tile_words() noexcept { return g_tile_words.load(std::memory_order_relaxed); }
-
-void set_tile_words(std::size_t words) noexcept {
-  g_tile_words.store(words == 0 ? kMaxTileWords : std::clamp<std::size_t>(words, 1, kMaxTileWords),
-                     std::memory_order_relaxed);
-}
 
 bool batch_engine_supports(const proto::Protocol& protocol, const SimConfig& config) {
   const proto::ObliviousSchedule* schedule = protocol.oblivious_schedule();
@@ -41,35 +26,25 @@ bool batch_engine_supports(const proto::McProtocol& protocol, const SimConfig& c
 
 namespace {
 
-namespace simd = util::simd;
-
-/// Popcount of a station row's bits in the absolute-slot range [a, b),
-/// where `row` holds the tile starting at the 64-aligned slot `tb` and
-/// covers b.  Row bits are exactly the station's transmissions (fill_row
-/// masks them outside its contention span), so counting each examined
-/// range once reproduces the interpreter's per-slot transmit tally.
-[[nodiscard]] std::uint64_t count_row_bits(const std::uint64_t* row, mac::Slot tb,
-                                           mac::Slot a, mac::Slot b) {
+/// Popcount of `word`'s bits in the absolute-slot range [a, b), where
+/// `word` covers the 64 slots from the 64-aligned slot `wb` and
+/// wb <= a, b <= wb + 64.  Row words are exactly the station's
+/// transmissions (fill_row masks them outside its contention span), so
+/// counting each examined range once reproduces the interpreter's
+/// per-slot transmit tally.
+[[nodiscard]] std::uint64_t count_bits(std::uint64_t word, mac::Slot wb, mac::Slot a,
+                                       mac::Slot b) {
   if (a >= b) return 0;
-  const auto off_b = static_cast<std::size_t>(b - tb);
-  const std::size_t wa = static_cast<std::size_t>(a - tb) / 64;
-  const std::size_t wb = (off_b - 1) / 64;
-  std::uint64_t total = 0;
-  for (std::size_t w = wa; w <= wb; ++w) {
-    std::uint64_t word = row[w];
-    const mac::Slot ws = tb + static_cast<mac::Slot>(64 * w);
-    if (a > ws) word &= ~std::uint64_t{0} << (a - ws);
-    if (b < ws + 64) word &= (std::uint64_t{1} << (b - ws)) - 1;
-    total += static_cast<std::uint64_t>(std::popcount(word));
-  }
-  return total;
+  if (a > wb) word &= ~std::uint64_t{0} << (a - wb);
+  if (b < wb + 64) word &= (std::uint64_t{1} << (b - wb)) - 1;
+  return static_cast<std::uint64_t>(std::popcount(word));
 }
 
-/// One station's row state in the tile loop.  `head_start` is the
-/// contention start of its head-of-line packet — max(arrival, previous
-/// delivery + 1), kNever once the queue has drained; it only moves at a
-/// delivery, where the engine refills the station's row, so a row always
-/// holds the station's true transmission bits for the rest of the tile.
+/// One station's row in the word loop.  `head_start` is the contention
+/// start of its head-of-line packet — max(arrival, previous delivery + 1),
+/// kNever once the queue has drained; it only moves at a delivery, where
+/// the engine refills the station's word, so `word` always holds the
+/// station's true transmission bits for the rest of the round.
 struct Row {
   mac::StationId id;
   std::size_t index;          ///< queue index: the station's result slot
@@ -81,56 +56,41 @@ struct Row {
   std::uint32_t lane;         ///< fixed channel (ObliviousSchedule::channel_lane)
   std::uint32_t head = 0;     ///< packets delivered
   mac::Slot counted = 0;      ///< transmit bits before this slot are tallied
+  std::uint64_t word = 0;     ///< transmission bits of the current round
 };
 
-/// Fills `row` with the station's transmission bits for the tile
-/// [tb, tile_end): its schedule from the head-of-line packet's contention
-/// start, zero before it and from the station's stop slot on.  A drained
-/// queue (or one whose next packet arrives after the tile) is all zero.
-/// Returns the schedule words fetched.
-std::size_t fill_row(const proto::ObliviousSchedule& schedule, const Row& st, mac::Slot tb,
-                     mac::Slot tile_end, std::uint64_t* row, std::size_t tw) {
+/// Sets `st.word` to the station's transmission bits for the round
+/// [wb, round_end), wb 64-aligned and round_end <= wb + 64: its schedule
+/// from the head-of-line packet's contention start, zero before it and
+/// from the station's stop slot on.  A drained queue (or one whose next
+/// packet arrives after the round) is zero.  Returns the schedule words
+/// fetched (0 or 1).
+std::size_t fill_row(const proto::ObliviousSchedule& schedule, Row& st, mac::Slot wb,
+                     mac::Slot round_end) {
   const mac::Slot h = st.head_start;
-  if (h >= tile_end || st.stop <= std::max(h, tb)) {
-    std::fill(row, row + tw, 0);
+  if (h >= round_end || st.stop <= std::max(h, wb)) {
+    st.word = 0;
     return 0;
   }
-  // Fetch from the 64-block containing the contention start (never query
-  // blocks wholly before it), zero-fill leading words, mask the straddler.
-  std::size_t w0 = 0;
-  mac::Slot from = tb;
-  if (h > tb) {
-    from = h / 64 * 64;
-    w0 = static_cast<std::size_t>((from - tb) / 64);
-    std::fill(row, row + w0, 0);
-  }
-  schedule.schedule_block(st.id, h, from, row + w0, tw - w0);
-  if (h > from) row[w0] &= ~std::uint64_t{0} << (h - from);
-  if (st.stop < tile_end) {
-    const auto off = static_cast<std::size_t>(st.stop - tb);
-    std::size_t wc = off / 64;
-    const unsigned bit = off % 64;
-    if (bit != 0) {
-      row[wc] &= (std::uint64_t{1} << bit) - 1;
-      ++wc;
-    }
-    std::fill(row + wc, row + tw, 0);
-  }
-  return tw - w0;
+  // h < wb + 64, so the word at wb is the one holding the contention start.
+  schedule.schedule_block(st.id, h, wb, &st.word, 1);
+  if (h > wb) st.word &= ~std::uint64_t{0} << (h - wb);
+  if (st.stop < round_end) st.word &= (std::uint64_t{1} << (st.stop - wb)) - 1;
+  return 1;
 }
 
-/// The tile loop: every run, static or dynamic, one channel or C.  Each
-/// station joins at its awake_from slot with one matrix row, pinned to the
-/// lane `channel_lane(u, first arrival)` of its schedule (every lane is 0
-/// for single-channel schedules, C = schedule_channels() = 1), and each
-/// resolve round folds the rows into their lanes' (any, multi) reduction
-/// rows.  Per lane, silence = ~any, collision = multi, success = any &
-/// ~multi; the first success slot over all lanes is one first_set_below
-/// over the per-word lane-solo union.
+/// The word loop: every run, static or dynamic, one channel or C.  Each
+/// station joins at its awake_from slot, pinned to the lane
+/// `channel_lane(u, first arrival)` of its schedule (every lane is 0 for
+/// single-channel schedules, C = schedule_channels() = 1), and each resolve
+/// round fetches one 64-slot schedule word per live station and folds it
+/// into its lane's (any, multi) word pair.  Per lane, silence = ~any,
+/// collision = multi, success = any & ~multi; the round's first success
+/// over all lanes is the lowest bit of the lane-solo union.
 ///
-/// A delivery refills the winner's row from its next contention start, or
+/// A delivery refills the winner's word from its next contention start, or
 /// zeroes it when the queue drains (a static station's one packet: the
-/// full-resolution drain), and re-resolves the rest of the tile.  Static
+/// full-resolution drain), and re-resolves the rest of the word.  Static
 /// traffic halts at the first success unless `config.full_resolution`,
 /// and at the last delivery; dynamic traffic resolves every slot to its
 /// end and records each delivery in `deliveries`.  The drain is
@@ -141,8 +101,8 @@ std::size_t fill_row(const proto::ObliviousSchedule& schedule, const Row& st, ma
 /// `start` is the first slot to resolve (>= traffic.begin(); stations
 /// awake before it join immediately) and `carry` holds outcome counters
 /// already accumulated by a warm-up prefix [begin, start) run elsewhere.
-/// Tiles are aligned to absolute 64-slot boundaries (slots below `start`
-/// are masked out of the pending words), so impairment words index by
+/// Words are aligned to absolute 64-slot boundaries (slots below `start`
+/// are masked out of the pending mask), so impairment words index by
 /// slot / 64 directly.
 SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
                          const detail::Traffic& traffic, const SimConfig& config,
@@ -159,49 +119,38 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
   // ones resolve the whole range.
   const bool halts = !traffic.queued();
 
-  const std::size_t W = tile_words();
-  const simd::Kernels& kernels = simd::active();
-
   const ImpairmentPlan* plan = config.impairment;
   if (plan != nullptr && plan->clean()) plan = nullptr;
 
   std::vector<Row> rows;
   rows.reserve(traffic.size());
-  std::vector<std::uint64_t> matrix;  // station-major: row r = W words of rows[r]
-  matrix.reserve(traffic.size() * W);
-  // Lane-major reduction rows: lane c occupies [c * W, c * W + W) of any
-  // and of multi.  One lane (the paper's channel) lives in the inline
-  // buffer: heap rows measurably slow short single-channel runs.
-  std::array<std::uint64_t, 2 * kMaxTileWords> one_lane{};
-  std::vector<std::uint64_t> lanes(channels == 1 ? 0 : 2 * static_cast<std::size_t>(channels) * W);
+  // Per-lane reduction words: any[c] has a bit where >= 1 station of lane
+  // c transmits, multi[c] where >= 2 do.  One lane (the paper's channel)
+  // lives in the inline pair: heap words measurably slow short
+  // single-channel runs.
+  std::array<std::uint64_t, 2> one_lane{};
+  std::vector<std::uint64_t> lanes(channels == 1 ? 0 : 2 * static_cast<std::size_t>(channels));
   std::uint64_t* const any = channels == 1 ? one_lane.data() : lanes.data();
-  std::uint64_t* const multi = any + static_cast<std::size_t>(channels) * W;
-  std::array<std::uint64_t, kMaxTileWords> pend{};
-  std::array<std::uint64_t, kMaxTileWords> solo{};
+  std::uint64_t* const multi = any + channels;
 
-  // Folds every row's words [w0, tw) of the tile at tb into its lane's
-  // (any, multi) pair (silent rows are zero), then the impairment, every
-  // lane alike: tiles are 64-aligned to absolute slots, so word w is plan
-  // word tb/64 + w; corrupt slots collide regardless of transmitters,
-  // noisy slots garble an actual transmission into a collision.
-  const auto reduce = [&](mac::Slot tb, std::size_t w0, std::size_t tw) {
-    // Lane rows are contiguous and only the one-lane drain re-reduces from
-    // w0 > 0, so a single fill clears [w0, tw) of every lane.
-    std::fill(any + w0, any + (channels - 1) * W + tw, 0);
-    std::fill(multi + w0, multi + (channels - 1) * W + tw, 0);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const std::size_t lane = rows[r].lane * W;
-      kernels.or_accumulate(any + lane + w0, multi + lane + w0,
-                            matrix.data() + r * W + w0, tw - w0);
+  // Folds every row's word into its lane's (any, multi) pair (silent rows
+  // are zero), then the impairment, every lane alike: words are 64-aligned
+  // to absolute slots, so the round at wb is plan word wb/64; corrupt slots
+  // collide regardless of transmitters, noisy slots garble an actual
+  // transmission into a collision.
+  const auto reduce = [&](mac::Slot wb) {
+    std::fill(any, multi + channels, 0);
+    for (const Row& st : rows) {
+      multi[st.lane] |= any[st.lane] & st.word;
+      any[st.lane] |= st.word;
     }
     if (plan == nullptr) return;
-    const std::size_t gw = static_cast<std::size_t>(tb) / 64;
+    const std::size_t gw = static_cast<std::size_t>(wb) / 64;
+    const std::uint64_t corrupt = plan->corrupt_word(gw);
+    const std::uint64_t noise = plan->noise_word(gw);
     for (std::uint32_t c = 0; c < channels; ++c) {
-      for (std::size_t w = w0; w < tw; ++w) {
-        const std::uint64_t corrupt = plan->corrupt_word(gw + w);
-        multi[c * W + w] |= (any[c * W + w] & plan->noise_word(gw + w)) | corrupt;
-        any[c * W + w] |= corrupt;
-      }
+      multi[c] |= (any[c] & noise) | corrupt;
+      any[c] |= corrupt;
     }
   };
 
@@ -212,8 +161,8 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
   std::uint64_t successes = carry != nullptr ? carry->successes : 0;
   bool halted = false;
   // Energy bookkeeping (side-state only).  Transmits are popcounted off
-  // the station rows as their slots are examined — at a delivery, and at
-  // the end of each tile — so no word is fetched twice; a hybrid run's
+  // the row words as their slots are examined — at a delivery, and at the
+  // end of each round — so no word is fetched twice; a hybrid run's
   // interpreted warm-up [begin, start) arrives counted in `carry`.  Awake
   // spans are arithmetic: under listen:until_woken each delivered packet
   // pays its contention span at delivery, the rest at the end.
@@ -226,27 +175,19 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
     }
   }
   mac::Slot last_slot = end - 1;
-  // Observability (side-state only): flushed once after the loop.
-  std::uint64_t obs_tiles = 0;
+  // Observability (side-state only): flushed once after the loop.  A round
+  // is one word per live station ("batch.tiles" keeps its name).
+  std::uint64_t obs_rounds = 0;
   std::uint64_t obs_words = 0;
 
-  // Tile ramp: the first resolve round fetches one word per station (runs
-  // that end inside it pay exactly the pre-tiling cost), doubling up to W
-  // per round — long runs amortize the fetch W-fold, short runs never buy
-  // words they cannot use.  Tiles stay 64-aligned throughout (wakes are
-  // validated >= 0, so start >= 0 and plain division floors), and results
-  // are bit-identical for every ramp state (tiles are just groupings of
-  // the same masked words).
-  std::size_t cur = 1;
+  // One 64-aligned word per round (wakes are validated >= 0, so start >= 0
+  // and plain division floors): a run fetches no word past the one holding
+  // its last examined slot.
+  for (mac::Slot wb = start / 64 * 64; wb < end && !halted; wb += 64) {
+    const mac::Slot round_end = std::min<mac::Slot>(wb + 64, end);
 
-  for (mac::Slot tb = start / 64 * 64; tb < end && !halted;
-       tb += static_cast<mac::Slot>(64 * cur), cur = std::min<std::size_t>(cur * 2, W)) {
-    const mac::Slot tile_end =
-        std::min<mac::Slot>(tb + static_cast<mac::Slot>(64 * cur), end);
-    const auto tw = static_cast<std::size_t>((tile_end - tb + 63) / 64);
-
-    // Join every station awake inside this tile, on its lane.
-    while (next_queue < traffic.size() && traffic[next_queue].awake_from < tile_end) {
+    // Join every station awake inside this round, on its lane.
+    while (next_queue < traffic.size() && traffic[next_queue].awake_from < round_end) {
       const detail::Queue q = traffic[next_queue];
       const std::uint32_t lane = channels == 1 ? 0 : schedule.channel_lane(q.id, q.arrivals[0]);
       if (lane >= channels) {
@@ -255,82 +196,55 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
       const mac::Slot stop = plan != nullptr ? plan->follows_until(q.id) : detail::kNever;
       rows.push_back(
           Row{q.id, next_queue, q.awake_from, q.arrivals, q.packets, q.arrivals[0], stop, lane});
-      matrix.resize(rows.size() * W, 0);
       ++next_queue;
     }
 
-    // One schedule tile per station.
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      obs_words += fill_row(schedule, rows[r], tb, tile_end, matrix.data() + r * W, tw);
-      rows[r].counted = std::max(tb, start);
+    // One schedule word per station.
+    for (Row& st : rows) {
+      obs_words += fill_row(schedule, st, wb, round_end);
+      st.counted = std::max(wb, start);
     }
-    ++obs_tiles;
-    reduce(tb, 0, tw);
+    ++obs_rounds;
+    reduce(wb);
 
-    // Pending masks: the slots of each word inside [max(tb, start), end).
-    for (std::size_t w = 0; w < tw; ++w) {
-      const mac::Slot ws = tb + static_cast<mac::Slot>(64 * w);
-      const auto width = static_cast<unsigned>(std::min<mac::Slot>(tile_end - ws, 64));
-      std::uint64_t m = width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-      // Slots below `start` belong to the warm-up prefix (or precede s);
-      // they carry no outcomes here.
-      if (start > ws) m &= ~std::uint64_t{0} << (start - ws);
-      pend[w] = m;
-    }
+    // Pending mask: the slots of [max(wb, start), round_end).  Slots below
+    // `start` belong to the warm-up prefix (or precede s); they carry no
+    // outcomes here.
+    const auto width = static_cast<unsigned>(round_end - wb);
+    std::uint64_t pend = width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    if (start > wb) pend &= ~std::uint64_t{0} << (start - wb);
 
-    // Resolve the tile success by success from its first pending word lo.
-    // Each round counts every lane up to and including the first solo slot
-    // over all lanes, exactly like the slot loop, which stops right after
-    // it; per lane the counted slots partition into silence (~any),
-    // collision (multi) and solo (any & ~multi), so count two and derive
-    // the third (several lanes can carry a solo in that slot).  A tile
-    // without a solo is counted whole.
-    for (std::size_t lo = 0; !halted;) {
-      const std::size_t span = tw - lo;
-      std::fill(solo.begin(), solo.begin() + static_cast<std::ptrdiff_t>(span), 0);
+    // Resolve the word success by success.  Each step counts every lane up
+    // to and including the first solo slot over all lanes, exactly like the
+    // slot loop, which stops right after it; per lane the counted slots
+    // partition into silence (~any), collision (multi) and solo
+    // (any & ~multi), so count two and derive the third (several lanes can
+    // carry a solo in that slot).  A word without a solo is counted whole.
+    while (true) {
+      std::uint64_t solo = 0;
+      for (std::uint32_t c = 0; c < channels; ++c) solo |= any[c] & ~multi[c];
+      solo &= pend;
+      const int j = std::countr_zero(solo);  // 64 when no solo is pending
+      const std::uint64_t upto = j >= 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
+      const std::uint64_t now = pend & upto;
+      pend &= ~upto;
+      const auto counted = static_cast<std::uint64_t>(std::popcount(now));
       for (std::uint32_t c = 0; c < channels; ++c) {
-        for (std::size_t w = 0; w < span; ++w) {
-          solo[w] |= any[c * W + lo + w] & ~multi[c * W + lo + w] & pend[lo + w];
-        }
-      }
-      const std::size_t first = simd::first_set_below(solo.data(), span, 64 * span);
-      if (first == simd::kNoBit) {
-        for (std::uint32_t c = 0; c < channels; ++c) {
-          kernels.masked_popcount_pair(any + c * W + lo, multi + c * W + lo, pend.data() + lo,
-                                       span, &silences, &collisions);
-        }
-        break;
-      }
-      const std::size_t hit = 64 * lo + first;
-      const std::size_t wq = hit / 64;
-      const auto j = static_cast<unsigned>(hit % 64);
-      const std::uint64_t upto = j == 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (j + 1)) - 1;
-      const std::uint64_t after = pend[wq] & ~upto;
-      pend[wq] &= upto;
-      std::uint64_t counted = 0;
-      for (std::size_t w = lo; w <= wq; ++w) {
-        counted += static_cast<std::uint64_t>(std::popcount(pend[w]));
-      }
-      for (std::uint32_t c = 0; c < channels; ++c) {
-        std::uint64_t sil = 0;
-        std::uint64_t col = 0;
-        kernels.masked_popcount_pair(any + c * W + lo, multi + c * W + lo, pend.data() + lo,
-                                     wq + 1 - lo, &sil, &col);
+        const auto sil = static_cast<std::uint64_t>(std::popcount(~any[c] & now));
+        const auto col = static_cast<std::uint64_t>(std::popcount(multi[c] & now));
         silences += sil;
         collisions += col;
         successes += counted - sil - col;
       }
-      pend[wq] = after;
-      lo = wq;
+      if (solo == 0) break;
 
       // The solo's lane and its one transmitter there.
       std::uint32_t lane = 0;
-      while ((((any[lane * W + wq] & ~multi[lane * W + wq]) >> j) & 1u) == 0) ++lane;
+      while ((((any[lane] & ~multi[lane]) >> j) & 1u) == 0) ++lane;
       std::size_t r = 0;
-      while (rows[r].lane != lane || ((matrix[r * W + wq] >> j) & 1u) == 0) ++r;
+      while (rows[r].lane != lane || ((rows[r].word >> j) & 1u) == 0) ++r;
       Row& st = rows[r];
-      std::uint64_t* const row = matrix.data() + r * W;
-      const mac::Slot t = tb + static_cast<mac::Slot>(hit);
+      const mac::Slot t = wb + static_cast<mac::Slot>(j);
       if (!result.success) {
         result.success = true;
         result.success_slot = t;
@@ -345,7 +259,7 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
       }
 
       // Delivery (one lane): the head-of-line packet leaves.  Count its
-      // transmit bits before the refill overwrites the row; under
+      // transmit bits before the refill overwrites the word; under
       // listen:until_woken it paid every slot from its contention start
       // through t.
       if (deliveries != nullptr) {
@@ -353,7 +267,7 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
         ++deliveries->per_station[st.index];
       }
       if (energy != EnergyModel::kOff) {
-        result.station_transmits[st.index] += count_row_bits(row, tb, st.counted, t + 1);
+        result.station_transmits[st.index] += count_bits(st.word, wb, st.counted, t + 1);
         st.counted = t + 1;
         if (energy == EnergyModel::kListenUntilWoken) {
           result.station_energy[st.index] += static_cast<std::uint64_t>(t - st.head_start + 1);
@@ -365,7 +279,7 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
       // re-activates the row at its slot, a drained queue zeroes it.
       st.head_start =
           st.head < st.packets ? std::max(st.arrivals[st.head], t + 1) : detail::kNever;
-      obs_words += fill_row(schedule, st, tb, tile_end, row, tw);
+      obs_words += fill_row(schedule, st, wb, round_end);
       if (halts && delivered == traffic.size()) {
         result.completed = true;
         result.completion_slot = t;
@@ -374,16 +288,15 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
         last_slot = t;
         break;
       }
-      reduce(tb, wq, tw);
+      reduce(wb);
     }
 
-    // Tile-end flush: each row's bits past its tally marker are
+    // Round-end flush: each row's bits past its tally marker are
     // transmissions that drew no delivery.
     if (energy != EnergyModel::kOff) {
-      const mac::Slot examined_end = halted ? last_slot + 1 : tile_end;
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        result.station_transmits[rows[r].index] += count_row_bits(
-            matrix.data() + r * W, tb, rows[r].counted, examined_end);
+      const mac::Slot examined_end = halted ? last_slot + 1 : round_end;
+      for (const Row& st : rows) {
+        result.station_transmits[st.index] += count_bits(st.word, wb, st.counted, examined_end);
       }
     }
   }
@@ -410,7 +323,7 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
   if (obs::active()) {
     static const auto c_tiles = obs::Counter::get("batch.tiles");
     static const auto c_words = obs::Counter::get("batch.words_fetched");
-    c_tiles.add(obs_tiles);
+    c_tiles.add(obs_rounds);
     c_words.add(obs_words);
   }
   return result;
@@ -461,8 +374,8 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   // static hint — cheap-word schedules (strided bits) batch profitably from
   // slot one, expensive ones get one interpreted block, since the paper's
   // near-optimal protocols often resolve contention within a few slots,
-  // where a full schedule tile per station would be pure waste.  Full
-  // resolution drains successes across many tiles anyway; the warm-up
+  // where a full schedule word per station would be pure waste.  Full
+  // resolution drains successes across many words anyway; the warm-up
   // bookkeeping (departed winners) is not worth carrying over.
   mac::Slot warmup = config.full_resolution ? 0 : config.warmup_slots;
   if (warmup < 0) warmup = schedule.words_are_cheap() ? 0 : 64;

@@ -19,11 +19,11 @@
 /// runs a scenario on the slot loop (sim/interpreter.cpp), which serves
 /// every protocol — adaptive re-contenders through their own
 /// `proto::DynamicStation`, everything else through a fresh one-shot
-/// runtime per packet — or on the tile loop (sim/batch_engine.cpp), which
+/// runtime per packet — or on the word loop (sim/batch_engine.cpp), which
 /// serves oblivious single-channel schedules word-parallel: a delivered
-/// winner's matrix row is refilled from its next head-of-line start and
+/// winner's schedule word is refilled from its next head-of-line start and
 /// zeroed only when its queue drains.  Results are bit-identical across
-/// engines, tile widths and kernel tables.
+/// engines.
 ///
 /// Contention start of a packet: max(arrival slot, previous delivery + 1).
 /// Queue latency of a delivered packet: delivery - arrival + 1 (a packet

@@ -15,7 +15,8 @@
 /// facade (sim/run.hpp), one overload per channel model: it routes a run
 /// to one of two back-ends with identical semantics — the universal
 /// slot-by-slot interpreter (sim/interpreter.hpp) or the word-parallel
-/// batch engine for oblivious protocols (sim/batch_engine.hpp) — per
+/// batch engine for oblivious protocols (sim/batch_engine.hpp), which
+/// resolves one 64-slot schedule word per station per round — per
 /// SimConfig::engine.  Both back-ends serve one channel and C alike (the
 /// paper's channel is the one-lane case of the C-channel extension,
 /// mac/multichannel.hpp), and both channel models share one result type.
@@ -128,10 +129,9 @@ struct SimResult {
   /// pattern arrival order: station_energy[i] = slots the i-th waking
   /// station spent transmitting or listening under the selected model, and
   /// station_transmits[i] its transmit-slot component.  The interpreter
-  /// counts both in-run from its `transmits(t)` calls; the batch engines
-  /// recompute transmits post-hoc via masked popcounts over the
-  /// station-major word matrices — two independent derivations, tested
-  /// bit-identical.  Stations the run never woke (arrival after the end)
+  /// counts both in-run from its `transmits(t)` calls; the batch engine
+  /// popcounts each station's resolved schedule words — two independent
+  /// derivations, tested bit-identical.  Stations the run never woke (arrival after the end)
   /// hold 0.
   std::vector<std::uint64_t> station_energy;
   std::vector<std::uint64_t> station_transmits;

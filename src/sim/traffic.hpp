@@ -3,7 +3,7 @@
 /// \file traffic.hpp
 /// The packet queues the engines serve (internal to sim/).
 ///
-/// One slot loop (sim/interpreter.cpp) and one tile loop
+/// One slot loop (sim/interpreter.cpp) and one word loop
 /// (sim/batch_engine.cpp) run static and dynamic traffic alike: every
 /// station owns a FIFO queue of packets, its head-of-line packet contends
 /// from max(arrival, previous delivery + 1) until delivered, and a drained
@@ -99,7 +99,7 @@ struct Deliveries {
 
 /// The engines' dynamic-traffic entries behind `dispatch_dynamic`: the
 /// slot loop (every protocol; adaptive re-contenders via
-/// `proto::DynamicStation`) and the tile loop (oblivious single-channel
+/// `proto::DynamicStation`) and the word loop (oblivious single-channel
 /// schedules, as `batch_engine_supports` says).  `config.impairment` and
 /// `config.energy` apply; the outcome counters and per-station energy
 /// come back in the SimResult, indexed by queue.

@@ -1,72 +1,17 @@
 #pragma once
 
 /// \file simd.hpp
-/// Word-matrix kernels of the batch engine (sim/batch_engine.cpp).
+/// The name of the word kernels the batch engine runs, for run records.
 ///
-/// The engines resolve channel contention over *station-major word
-/// matrices*: one row of W consecutive 64-slot schedule words per live
-/// station per resolve round (a "tile" of 64·W slots).  Everything the
-/// block loops do to such a matrix is three data-parallel primitives:
-///
-///  * `or_accumulate` — one step of the any/multi OR reduction down the
-///    station axis (`any` has a bit where >= 1 station transmits, `multi`
-///    where >= 2 do), folding one row at a time so incremental
-///    re-reductions (a winner departing mid-tile) reuse the same kernel;
-///  * `masked_popcount_pair` — silence (`~any & mask`) and collision
-///    (`multi & mask`) popcounts over a tile of pending-slot masks;
-///  * `first_set_below` — first set bit over a word array below a bit
-///    bound (the first solo-success slot of a tile).
-///
-/// Each primitive has a portable std::uint64_t implementation and, when
-/// the build enables WAKEUP_SIMD, vectorized variants: AVX2 on x86-64
-/// (picked at runtime via cpuid) and NEON on arm64.  Selection is one
-/// atomic table pointer; `set_force_scalar` (or the WAKEUP_FORCE_SCALAR
-/// environment variable, read once at startup) pins the scalar table so
-/// tests and benches can compare the two paths bit for bit in-process.
-/// All kernels are exact — the SIMD and scalar tables must produce
-/// identical outputs for identical inputs (tests/test_simd_kernels.cpp),
-/// so engine results never depend on the host ISA.
-
-#include <cstddef>
-#include <cstdint>
+/// The batch engine (sim/batch_engine.cpp) folds one 64-slot word per
+/// station per round with plain std::uint64_t operations, so there is one
+/// kernel set and it is portable.  This header is kept only because the
+/// frozen benchmark (perfbench/sweep.cpp) stamps the name into its
+/// run records; nothing in the library calls it.
 
 namespace wakeup::util::simd {
 
-/// Sentinel returned by `first_set_below` when no bit qualifies.
-inline constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
-
-/// One implementation of the kernel suite.  `or_accumulate` folds a
-/// station row into the running reduction: for every word w < words,
-/// multi[w] |= any[w] & row[w]; any[w] |= row[w].
-/// `masked_popcount_pair` adds popcount(~any[w] & mask[w]) to *silences
-/// and popcount(multi[w] & mask[w]) to *collisions.
-struct Kernels {
-  void (*or_accumulate)(std::uint64_t* any, std::uint64_t* multi, const std::uint64_t* row,
-                        std::size_t words);
-  void (*masked_popcount_pair)(const std::uint64_t* any, const std::uint64_t* multi,
-                               const std::uint64_t* mask, std::size_t words,
-                               std::uint64_t* silences, std::uint64_t* collisions);
-  const char* name;  ///< "scalar", "avx2", "neon"
-};
-
-/// The kernel table in effect: the best ISA variant the build and the CPU
-/// support, or the scalar table when forced.  Cheap (one relaxed atomic
-/// load); safe to call concurrently.
-[[nodiscard]] const Kernels& active() noexcept;
-
-/// Name of the active table ("scalar", "avx2", "neon").
-[[nodiscard]] const char* active_name() noexcept;
-
-/// Pin (or unpin) the scalar table, overriding both the ISA probe and the
-/// WAKEUP_FORCE_SCALAR environment variable.  For tests and benches that
-/// compare the two paths in one process.
-void set_force_scalar(bool force) noexcept;
-
-/// First set bit over words[0 .. n_words), as a flat bit index (word 0 bit
-/// 0 = index 0), considering only indices < limit_bits.  Returns kNoBit
-/// when nothing qualifies.  Memory-bound scan: the portable version is a
-/// testz/ctz loop; no ISA variant is worth it at tile widths.
-[[nodiscard]] std::size_t first_set_below(const std::uint64_t* words, std::size_t n_words,
-                                          std::size_t limit_bits) noexcept;
+/// Always "scalar".
+[[nodiscard]] inline const char* active_name() noexcept { return "scalar"; }
 
 }  // namespace wakeup::util::simd

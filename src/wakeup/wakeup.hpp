@@ -74,5 +74,4 @@
 
 #include "util/math.hpp"   // IWYU pragma: export
 #include "util/rng.hpp"    // IWYU pragma: export
-#include "util/simd.hpp"   // IWYU pragma: export
 #include "util/stats.hpp"  // IWYU pragma: export

@@ -13,10 +13,8 @@
 #include "protocols/wakeup_matrix.hpp"
 #include "protocols/wakeup_with_k.hpp"
 #include "protocols/wakeup_with_s.hpp"
-#include "sim/batch_engine.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace ws = wakeup::sim;
 namespace wp = wakeup::proto;
@@ -108,18 +106,11 @@ TEST(PatternSearch, DeterministicForSeed) {
   EXPECT_EQ(a.worst.arrivals(), b.worst.arrivals());
 }
 
-TEST(JamSearch, DeterministicAcrossEngineTuning) {
+TEST(JamSearch, DeterministicAcrossEngines) {
   // The adversarial jam schedule feeds the cell-tag seed contract: the
   // sweep resolves it once per cell and every trial replays it, so the
   // search must be a pure function of (seed, cell identity) — identical
-  // slots no matter the tile width or whether the SIMD kernels are live.
-  struct Guard {
-    ~Guard() {
-      wakeup::sim::set_tile_words(0);
-      wakeup::util::simd::set_force_scalar(false);
-    }
-  } guard;
-
+  // slots on a repeat and no matter which engine evaluates the climb.
   const std::uint32_t n = 64, k = 8;
   wp::RoundRobinProtocol rr(n);
   wakeup::util::Rng rng(2013);
@@ -134,18 +125,14 @@ TEST(JamSearch, DeterministicAcrossEngineTuning) {
   EXPECT_TRUE(std::is_sorted(reference.slots.begin(), reference.slots.end()));
   EXPECT_GT(reference.evaluations, 0u);
 
-  for (const std::size_t tile : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const bool scalar : {false, true}) {
-      wakeup::sim::set_tile_words(tile);
-      wakeup::util::simd::set_force_scalar(scalar);
-      const auto probe = ws::search_worst_jam(rr, pattern, spec, 3, 16, 77, config);
-      EXPECT_EQ(probe.slots, reference.slots)
-          << "tile=" << tile << (scalar ? " scalar" : " simd");
-      EXPECT_EQ(probe.worst_result.rounds, reference.worst_result.rounds)
-          << "tile=" << tile << (scalar ? " scalar" : " simd");
-      EXPECT_EQ(probe.evaluations, reference.evaluations)
-          << "tile=" << tile << (scalar ? " scalar" : " simd");
-    }
+  for (const auto engine : {ws::Engine::kAuto, ws::Engine::kInterpreter, ws::Engine::kBatch}) {
+    ws::SimConfig probe_config = config;
+    probe_config.engine = engine;
+    const auto probe = ws::search_worst_jam(rr, pattern, spec, 3, 16, 77, probe_config);
+    const int label = static_cast<int>(engine);
+    EXPECT_EQ(probe.slots, reference.slots) << "engine=" << label;
+    EXPECT_EQ(probe.worst_result.rounds, reference.worst_result.rounds) << "engine=" << label;
+    EXPECT_EQ(probe.evaluations, reference.evaluations) << "engine=" << label;
   }
 
   // A different seed explores differently (the climb is seed-driven).

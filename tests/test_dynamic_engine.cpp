@@ -1,8 +1,8 @@
 /// Dynamic-traffic layer: arrival-spec grammar round-trips, scenario
 /// generation determinism, queue-conservation invariants, and — the heart
-/// of the file — bit-identity of the tile loop against the slot loop under
-/// dynamic traffic across protocols × arrival kinds × tile widths ×
-/// forced-scalar kernels, plus the identity the shared engines rest on:
+/// of the file — bit-identity of the word loop against the slot loop under
+/// dynamic traffic across protocols × arrival kinds, plus the identity the
+/// shared engines rest on:
 /// static full resolution is single-shot dynamic traffic drained.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "sim/dynamic.hpp"
 #include "sim/run.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "wakeup/wakeup.hpp"
 
@@ -26,13 +25,6 @@ using wu::mac::ArrivalSpec;
 using wu::mac::DynamicScenario;
 
 namespace {
-
-struct EngineTuningGuard {
-  ~EngineTuningGuard() {
-    wu::sim::set_tile_words(0);
-    wu::util::simd::set_force_scalar(false);
-  }
-};
 
 wu::proto::ProtocolPtr make_named(const std::string& name, std::uint32_t n, std::uint32_t k,
                                   std::uint64_t seed) {
@@ -170,7 +162,6 @@ TEST(DynamicScenario, ValidatesAndSortsPackets) {
 // ------------------------------------------------------- engine bit-identity --
 
 TEST(DynamicEngine, BatchMatchesInterpreterAcrossProtocolsAndArrivals) {
-  EngineTuningGuard guard;
   for (const std::string& name : {std::string("round_robin"), std::string("wakeup_with_k"),
                                   std::string("wakeup_matrix"), std::string("wait_and_go")}) {
     const auto protocol = make_named(name, 128, 8, 5);
@@ -181,17 +172,9 @@ TEST(DynamicEngine, BatchMatchesInterpreterAcrossProtocolsAndArrivals) {
       const auto reference =
           wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter);
       expect_invariants(reference, scenario, name + "/" + spec.name());
-      for (const std::size_t tile : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        wu::sim::set_tile_words(tile);
-        const auto batch = wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch);
-        expect_identical(reference, batch,
-                         name + "/" + spec.name() + "/tile=" + std::to_string(tile));
-      }
-      wu::sim::set_tile_words(0);
-      wu::util::simd::set_force_scalar(true);
-      const auto scalar = wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch);
-      wu::util::simd::set_force_scalar(false);
-      expect_identical(reference, scalar, name + "/" + spec.name() + "/scalar");
+      expect_identical(reference,
+                       wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch),
+                       name + "/" + spec.name());
     }
   }
 }
@@ -235,7 +218,6 @@ TEST(DynamicEngine, StaticFullResolutionIsSingleShotDynamicTraffic) {
   // listen:until_woken both charge a station from its wake (contention
   // start) through its delivery, so every per-packet re-contender must
   // agree station by station on every engine.
-  EngineTuningGuard guard;
   constexpr std::uint32_t n = 128;
   constexpr std::uint32_t k = 8;
   std::size_t compared = 0;
@@ -272,29 +254,25 @@ TEST(DynamicEngine, StaticFullResolutionIsSingleShotDynamicTraffic) {
             !wu::sim::batch_engine_supports(*protocol, config)) {
           continue;
         }
-        for (const std::size_t tile : {std::size_t{1}, std::size_t{8}}) {
-          wu::sim::set_tile_words(tile);
-          const std::string label = name + "/seed=" + std::to_string(seed) +
-                                    "/engine=" + std::to_string(static_cast<int>(engine)) +
-                                    "/tile=" + std::to_string(tile);
-          const wu::sim::SimResult once = wu::sim::dispatch_wakeup(*protocol, pattern, config);
-          const wu::sim::DynamicResult queued = wu::sim::dispatch_dynamic(
-              *protocol, scenario, engine, nullptr, config.energy);
-          EXPECT_EQ(once.successes, queued.delivered) << label;
-          EXPECT_EQ(once.completed, queued.backlog == 0) << label;
-          ASSERT_EQ(once.station_energy.size(), pattern.k()) << label;
-          ASSERT_EQ(queued.station_energy.size(), queued.stations.size()) << label;
-          ASSERT_EQ(queued.stations.size(), pattern.k()) << label;
-          for (std::size_t i = 0; i < pattern.k(); ++i) {
-            const wu::mac::StationId id = pattern.arrivals()[i].station;
-            const auto at = std::lower_bound(queued.stations.begin(), queued.stations.end(), id);
-            ASSERT_TRUE(at != queued.stations.end() && *at == id) << label;
-            const auto j = static_cast<std::size_t>(at - queued.stations.begin());
-            EXPECT_EQ(once.station_energy[i], queued.station_energy[j])
-                << label << " station " << id;
-            EXPECT_EQ(once.station_transmits[i], queued.station_transmits[j])
-                << label << " station " << id;
-          }
+        const std::string label = name + "/seed=" + std::to_string(seed) +
+                                  "/engine=" + std::to_string(static_cast<int>(engine));
+        const wu::sim::SimResult once = wu::sim::dispatch_wakeup(*protocol, pattern, config);
+        const wu::sim::DynamicResult queued = wu::sim::dispatch_dynamic(
+            *protocol, scenario, engine, nullptr, config.energy);
+        EXPECT_EQ(once.successes, queued.delivered) << label;
+        EXPECT_EQ(once.completed, queued.backlog == 0) << label;
+        ASSERT_EQ(once.station_energy.size(), pattern.k()) << label;
+        ASSERT_EQ(queued.station_energy.size(), queued.stations.size()) << label;
+        ASSERT_EQ(queued.stations.size(), pattern.k()) << label;
+        for (std::size_t i = 0; i < pattern.k(); ++i) {
+          const wu::mac::StationId id = pattern.arrivals()[i].station;
+          const auto at = std::lower_bound(queued.stations.begin(), queued.stations.end(), id);
+          ASSERT_TRUE(at != queued.stations.end() && *at == id) << label;
+          const auto j = static_cast<std::size_t>(at - queued.stations.begin());
+          EXPECT_EQ(once.station_energy[i], queued.station_energy[j])
+              << label << " station " << id;
+          EXPECT_EQ(once.station_transmits[i], queued.station_transmits[j])
+              << label << " station " << id;
         }
       }
     }

@@ -1,7 +1,7 @@
 /// Per-station energy accounting: bit-identity of the interpreter's in-run
-/// slot counting against the batch engines' station-row popcounts —
-/// across energy models × tile widths {1, 2, 8} × forced-scalar kernels ×
-/// full-resolution × impaired channels, static and dynamic — plus the
+/// slot counting against the batch engine's station-word popcounts —
+/// across energy models × full-resolution × impaired channels, static and
+/// dynamic — plus the
 /// structural guarantees: energy is side-accounting (results identical with
 /// kOff), sweep reports are byte-identical with obs on/off, and the energy
 /// block lands in the dynamic-throughput / figure-scenario-b presets.
@@ -27,25 +27,11 @@
 #include "sim/impairment_engine.hpp"
 #include "sim/run.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace wu = wakeup;
 namespace we = wakeup::exp;
 
 namespace {
-
-/// Restores the engine tuning knobs the tile/scalar sweeps below override.
-struct EngineTuningGuard {
-  ~EngineTuningGuard() {
-    wu::sim::set_tile_words(0);
-    wu::util::simd::set_force_scalar(false);
-  }
-};
-
-const std::vector<std::size_t>& tile_widths() {
-  static const std::vector<std::size_t> widths = {1, 2, 8};
-  return widths;
-}
 
 const std::vector<wu::sim::EnergyModel>& energy_models() {
   static const std::vector<wu::sim::EnergyModel> models = {
@@ -121,8 +107,7 @@ we::SweepSpec small_spec() {
 
 // ------------------------------------------------- static engine parity --
 
-TEST(EnergyParity, StaticEnginesBitIdenticalAcrossTilesAndKernels) {
-  EngineTuningGuard guard;
+TEST(EnergyParity, StaticEnginesBitIdentical) {
   for (const char* name : {"round_robin", "wakeup_with_k", "wakeup_matrix"}) {
     const auto protocol = registry_protocol(name, 200, 16);
     ASSERT_NE(protocol->oblivious_schedule(), nullptr) << name;
@@ -141,27 +126,16 @@ TEST(EnergyParity, StaticEnginesBitIdenticalAcrossTilesAndKernels) {
         ASSERT_EQ(reference.station_energy.size(), pattern.k());
         ASSERT_EQ(reference.station_transmits.size(), pattern.k());
 
-        for (const bool scalar : {false, true}) {
-          wu::util::simd::set_force_scalar(scalar);
-          for (const std::size_t words : tile_widths()) {
-            wu::sim::set_tile_words(words);
-            const std::string label = std::string(name) + " model=" + model_name(model) +
-                                      " trial=" + std::to_string(trial) +
-                                      " tile=" + std::to_string(words) +
-                                      (scalar ? " scalar" : "");
-            wu::sim::SimConfig batch;
-            batch.engine = wu::sim::Engine::kBatch;
-            batch.energy = model;
-            expect_same_energy(reference, run_one(*protocol, pattern, batch), label);
+        const std::string label = std::string(name) + " model=" + model_name(model) +
+                                  " trial=" + std::to_string(trial);
+        wu::sim::SimConfig batch;
+        batch.engine = wu::sim::Engine::kBatch;
+        batch.energy = model;
+        expect_same_energy(reference, run_one(*protocol, pattern, batch), label);
 
-            wu::sim::SimConfig hybrid;  // kAuto: interpreted warm-up + batch tail
-            hybrid.energy = model;
-            expect_same_energy(reference, run_one(*protocol, pattern, hybrid),
-                               label + " auto");
-          }
-        }
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
+        wu::sim::SimConfig hybrid;  // kAuto: interpreted warm-up + batch tail
+        hybrid.energy = model;
+        expect_same_energy(reference, run_one(*protocol, pattern, hybrid), label + " auto");
       }
     }
   }
@@ -200,7 +174,6 @@ TEST(EnergyParity, HybridWarmupCarriesItsTransmits) {
 }
 
 TEST(EnergyParity, FullResolutionDrainAgreesAcrossEngines) {
-  EngineTuningGuard guard;
   const auto protocol = registry_protocol("wakeup_with_k", 64, 8);
   ASSERT_NE(protocol->oblivious_schedule(), nullptr);
   for (const auto model : energy_models()) {
@@ -217,23 +190,18 @@ TEST(EnergyParity, FullResolutionDrainAgreesAcrossEngines) {
       interp.energy = model;
       const auto reference = run_one(*protocol, pattern, interp);
 
-      for (const std::size_t words : tile_widths()) {
-        wu::sim::set_tile_words(words);
-        wu::sim::SimConfig batch;
-        batch.engine = wu::sim::Engine::kBatch;
-        batch.full_resolution = true;
-        batch.energy = model;
-        expect_same_energy(reference, run_one(*protocol, pattern, batch),
-                           "full_resolution model=" + model_name(model) + " tile=" +
-                               std::to_string(words) + " trial=" + std::to_string(trial));
-      }
-      wu::sim::set_tile_words(0);
+      wu::sim::SimConfig batch;
+      batch.engine = wu::sim::Engine::kBatch;
+      batch.full_resolution = true;
+      batch.energy = model;
+      expect_same_energy(reference, run_one(*protocol, pattern, batch),
+                         "full_resolution model=" + model_name(model) +
+                             " trial=" + std::to_string(trial));
     }
   }
 }
 
 TEST(EnergyParity, ImpairedChannelsPreserveStaticParity) {
-  EngineTuningGuard guard;
   const wu::mac::Slot budget = 4096;
   const auto protocol = registry_protocol("wakeup_with_k", 200, 16);
   for (const char* text : {"noise:iid:0.1", "jam:budget:24:random",
@@ -254,15 +222,10 @@ TEST(EnergyParity, ImpairedChannelsPreserveStaticParity) {
       interp.energy = model;
       const auto reference = run_one(*protocol, pattern, interp);
 
-      for (const std::size_t words : tile_widths()) {
-        wu::sim::set_tile_words(words);
-        wu::sim::SimConfig batch = interp;
-        batch.engine = wu::sim::Engine::kBatch;
-        expect_same_energy(reference, run_one(*protocol, pattern, batch),
-                           std::string(text) + " model=" + model_name(model) + " tile=" +
-                               std::to_string(words));
-      }
-      wu::sim::set_tile_words(0);
+      wu::sim::SimConfig batch = interp;
+      batch.engine = wu::sim::Engine::kBatch;
+      expect_same_energy(reference, run_one(*protocol, pattern, batch),
+                         std::string(text) + " model=" + model_name(model));
     }
   }
 }
@@ -321,7 +284,6 @@ TEST(EnergyParity, ListenUntilWokenNeverExceedsListenAll) {
 // ------------------------------------------------ dynamic engine parity --
 
 TEST(EnergyParity, DynamicEnginesBitIdenticalWithEnergy) {
-  EngineTuningGuard guard;
   const wu::mac::Slot horizon = 1024;
   for (const char* name : {"round_robin", "wakeup_with_k"}) {
     const auto protocol = registry_protocol(name, 48, 12);
@@ -339,29 +301,18 @@ TEST(EnergyParity, DynamicEnginesBitIdenticalWithEnergy) {
                                       nullptr, model);
         ASSERT_EQ(reference.station_energy.size(), reference.stations.size());
 
-        for (const bool scalar : {false, true}) {
-          wu::util::simd::set_force_scalar(scalar);
-          for (const std::size_t words : tile_widths()) {
-            wu::sim::set_tile_words(words);
-            const auto batch =
-                wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch,
-                                          nullptr, model);
-            // DynamicResult's defaulted operator== covers the energy and
-            // transmit vectors too.
-            EXPECT_EQ(reference, batch)
-                << name << " model=" << model_name(model) << " tile=" << words
-                << (scalar ? " scalar" : "") << " trial=" << trial;
-          }
-        }
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
+        const auto batch = wu::sim::dispatch_dynamic(*protocol, scenario,
+                                                     wu::sim::Engine::kBatch, nullptr, model);
+        // DynamicResult's defaulted operator== covers the energy and
+        // transmit vectors too.
+        EXPECT_EQ(reference, batch)
+            << name << " model=" << model_name(model) << " trial=" << trial;
       }
     }
   }
 }
 
 TEST(EnergyParity, DynamicFaultModelsPreserveParity) {
-  EngineTuningGuard guard;
   const wu::mac::Slot horizon = 768;
   const auto protocol = registry_protocol("wakeup_with_k", 48, 12);
   for (const char* text :
@@ -380,13 +331,9 @@ TEST(EnergyParity, DynamicFaultModelsPreserveParity) {
       const auto reference =
           wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kInterpreter, &plan,
                                     model);
-      for (const std::size_t words : tile_widths()) {
-        wu::sim::set_tile_words(words);
-        EXPECT_EQ(reference, wu::sim::dispatch_dynamic(*protocol, scenario,
-                                                       wu::sim::Engine::kBatch, &plan, model))
-            << text << " model=" << model_name(model) << " tile=" << words;
-      }
-      wu::sim::set_tile_words(0);
+      EXPECT_EQ(reference, wu::sim::dispatch_dynamic(*protocol, scenario,
+                                                     wu::sim::Engine::kBatch, &plan, model))
+          << text << " model=" << model_name(model);
 
       // Byzantine stations never follow the protocol and pay zero.
       if (plan.byzantine.empty()) continue;

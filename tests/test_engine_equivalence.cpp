@@ -12,21 +12,11 @@
 #include "sim/batch_engine.hpp"
 #include "sim/run.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "wakeup/wakeup.hpp"
 
 namespace wu = wakeup;
 
 namespace {
-
-/// Restores the engine tuning knobs (tile width, kernel table) the SIMD
-/// sweeps below override.
-struct EngineTuningGuard {
-  ~EngineTuningGuard() {
-    wu::sim::set_tile_words(0);
-    wu::util::simd::set_force_scalar(false);
-  }
-};
 
 void expect_identical(const wu::sim::SimResult& a, const wu::sim::SimResult& b,
                       const std::string& label) {
@@ -300,13 +290,10 @@ TEST(CellTrials, PooledBatchTrialsMatchInterpreter) {
   }
 }
 
-/// SIMD vs scalar-fallback bit-identity, across tile widths: every
-/// oblivious protocol, through the forced batch engine, must produce the
-/// interpreter's exact SimResult for every (tile width, kernel table)
-/// combination — the acceptance bar for the word-matrix engine.  Covers
-/// first-success and full-resolution modes over mixed patterns.
-TEST(SimdMatrix, TileWidthsAndKernelsBitIdentical) {
-  EngineTuningGuard guard;
+/// Forced batch engine vs interpreter: every oblivious protocol must
+/// produce the interpreter's exact SimResult over mixed patterns, in
+/// first-success and full-resolution modes.
+TEST(BatchEquivalence, MixedPatternsMatchInterpreterInBothModes) {
   for (const auto& name : oblivious_names()) {
     wu::proto::ProtocolSpec spec;
     spec.name = name;
@@ -322,31 +309,22 @@ TEST(SimdMatrix, TileWidthsAndKernelsBitIdentical) {
         wu::sim::SimConfig interp;
         interp.engine = wu::sim::Engine::kInterpreter;
         interp.full_resolution = full_resolution;
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
         const auto reference = run_one(*protocol, pattern, interp);
-        for (const std::size_t tile : {1u, 2u, 3u, 8u}) {
-          for (const bool scalar : {false, true}) {
-            wu::sim::set_tile_words(tile);
-            wu::util::simd::set_force_scalar(scalar);
-            wu::sim::SimConfig batch = interp;
-            batch.engine = wu::sim::Engine::kBatch;
-            expect_identical(reference, run_one(*protocol, pattern, batch),
-                             name + " trial=" + std::to_string(trial) + " tile=" +
-                                 std::to_string(tile) + (scalar ? " scalar" : " simd") +
-                                 (full_resolution ? " full" : ""));
-          }
-        }
+        wu::sim::SimConfig batch = interp;
+        batch.engine = wu::sim::Engine::kBatch;
+        expect_identical(reference, run_one(*protocol, pattern, batch),
+                         name + " trial=" + std::to_string(trial) +
+                             (full_resolution ? " full" : ""));
       }
     }
   }
 }
 
-/// Budget edges at tile granularity: budgets straddling the 1-2-4-8 tile
-/// ramp boundaries (and the plain 64-slot block edges) must agree with the
-/// interpreter on every counter, including budget exhaustion.
-TEST(SimdMatrix, TileRampBudgetEdgesMatchInterpreter) {
-  EngineTuningGuard guard;
+/// Budget edges: budgets on and around the 64-slot word edges (and the
+/// 128/192/448/512 edges a word-grouping engine would straddle) must agree
+/// with the interpreter on every counter, including budget exhaustion, on
+/// the forced batch engine and the kAuto hybrid.
+TEST(BatchEquivalence, BudgetEdgesMatchInterpreter) {
   for (const auto& name : oblivious_names()) {
     wu::proto::ProtocolSpec spec;
     spec.name = name;
@@ -362,30 +340,22 @@ TEST(SimdMatrix, TileRampBudgetEdgesMatchInterpreter) {
       wu::sim::SimConfig interp;
       interp.engine = wu::sim::Engine::kInterpreter;
       interp.max_slots = budget;
-      wu::sim::set_tile_words(0);
-      wu::util::simd::set_force_scalar(false);
       const auto reference = run_one(*protocol, pattern, interp);
-      for (const std::size_t tile : {1u, 8u}) {
-        wu::sim::set_tile_words(tile);
-        wu::sim::SimConfig batch = interp;
-        batch.engine = wu::sim::Engine::kBatch;
-        expect_identical(reference, run_one(*protocol, pattern, batch),
-                         name + " budget=" + std::to_string(budget) + " tile=" +
-                             std::to_string(tile));
-        wu::sim::SimConfig hybrid = interp;
-        hybrid.engine = wu::sim::Engine::kAuto;
-        expect_identical(reference, run_one(*protocol, pattern, hybrid),
-                         name + " budget=" + std::to_string(budget) + " tile=" +
-                             std::to_string(tile) + " auto");
-      }
+      wu::sim::SimConfig batch = interp;
+      batch.engine = wu::sim::Engine::kBatch;
+      expect_identical(reference, run_one(*protocol, pattern, batch),
+                       name + " budget=" + std::to_string(budget));
+      wu::sim::SimConfig hybrid = interp;
+      hybrid.engine = wu::sim::Engine::kAuto;
+      expect_identical(reference, run_one(*protocol, pattern, hybrid),
+                       name + " budget=" + std::to_string(budget) + " auto");
     }
   }
 }
 
-/// Whole sweep cells under every (tile, kernel) combination must stay
-/// bit-identical, trial by trial, to the interpreter-forced cell.
-TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
-  EngineTuningGuard guard;
+/// Whole sweep cells on the default engine must stay bit-identical, trial
+/// by trial, to the interpreter-forced cell.
+TEST(BatchEquivalence, CellsMatchInterpreterTrialByTrial) {
   for (const auto& name : oblivious_names()) {
     wu::sim::RunSpec spec;
     spec.make_protocol = [name](std::uint64_t seed) {
@@ -403,8 +373,6 @@ TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
     spec.trials = 12;
     spec.base_seed = 20130522;
 
-    wu::sim::set_tile_words(0);
-    wu::util::simd::set_force_scalar(false);
     std::vector<wu::sim::SimResult> reference(spec.trials);
     auto plain_spec = spec;
     plain_spec.sim.engine = wu::sim::Engine::kInterpreter;
@@ -413,23 +381,14 @@ TEST(SimdMatrix, CellsBitIdenticalAcrossTileAndKernel) {
     };
     (void)wu::sim::Run(plain_spec, nullptr);
 
-    for (const std::size_t tile : {1u, 3u, 8u}) {
-      for (const bool scalar : {false, true}) {
-        wu::sim::set_tile_words(tile);
-        wu::util::simd::set_force_scalar(scalar);
-        std::vector<wu::sim::SimResult> tiled(spec.trials);
-        auto tiled_spec = spec;
-        tiled_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
-          tiled[i] = r;
-        };
-        (void)wu::sim::Run(tiled_spec, nullptr);
-        for (std::uint64_t i = 0; i < spec.trials; ++i) {
-          expect_identical(reference[i], tiled[i],
-                           name + " tile=" + std::to_string(tile) +
-                               (scalar ? " scalar" : " simd") + " trial " +
-                               std::to_string(i));
-        }
-      }
+    std::vector<wu::sim::SimResult> batched(spec.trials);
+    auto batched_spec = spec;
+    batched_spec.per_trial = [&](std::uint64_t i, const wu::sim::SimResult& r) {
+      batched[i] = r;
+    };
+    (void)wu::sim::Run(batched_spec, nullptr);
+    for (std::uint64_t i = 0; i < spec.trials; ++i) {
+      expect_identical(reference[i], batched[i], name + " trial " + std::to_string(i));
     }
   }
 }
@@ -492,10 +451,11 @@ TEST(EngineDispatch, ScheduleBlocksMatchRuntimes) {
 }
 
 TEST(EngineDispatch, MultiWordScheduleBlocksMatchSingleWordCalls) {
-  // The tile fetch contract behind the word-matrix engines: one
+  // The multi-word contract of schedule_block (the batch engine fetches
+  // one word per call, but the capability takes n): one
   // schedule_block(from, n) call must emit exactly what n single-word
   // calls do, for every oblivious protocol (single- and multichannel),
-  // including tiles straddling the wake block and family boundaries.
+  // including blocks straddling the wake block and family boundaries.
   struct Subject {
     std::string label;
     const wu::proto::ObliviousSchedule* schedule;

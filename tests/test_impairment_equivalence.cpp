@@ -1,7 +1,6 @@
 /// Impaired-channel engine equivalence: every impairment kind must leave
 /// interpreter ≡ batch bit-identity intact — static single-channel,
-/// multichannel (wideband), and dynamic traffic (fault models) — across
-/// tile widths {1, 2, 8} with the SIMD kernels on and forced scalar.  The
+/// multichannel (wideband), and dynamic traffic (fault models).  The
 /// plan realization is shared by construction (both engines read the same
 /// ImpairmentPlan), so any divergence is a fold bug, not a seed bug.
 
@@ -18,24 +17,10 @@
 #include "sim/impairment_engine.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace wu = wakeup;
 
 namespace {
-
-/// Restores the engine tuning knobs the sweeps below override.
-struct EngineTuningGuard {
-  ~EngineTuningGuard() {
-    wu::sim::set_tile_words(0);
-    wu::util::simd::set_force_scalar(false);
-  }
-};
-
-const std::vector<std::size_t>& tile_widths() {
-  static const std::vector<std::size_t> widths = {1, 2, 8};
-  return widths;
-}
 
 /// Every static-channel impairment kind (noise families, every realizable
 /// jam schedule, and a compound clause).
@@ -90,7 +75,6 @@ void expect_identical(const wu::sim::SimResult& a, const wu::sim::SimResult& b,
 }  // namespace
 
 TEST(ImpairmentEquivalence, StaticEnginesBitIdenticalUnderEveryKind) {
-  EngineTuningGuard guard;
   const wu::mac::Slot budget = 4096;
   for (const char* name : {"round_robin", "wakeup_with_k", "robust_rr"}) {
     const auto protocol = registry_protocol(name, 200, 16);
@@ -112,27 +96,15 @@ TEST(ImpairmentEquivalence, StaticEnginesBitIdenticalUnderEveryKind) {
         config.engine = wu::sim::Engine::kInterpreter;
         const auto reference = wu::sim::dispatch_wakeup(*protocol, pattern, config);
 
-        for (const std::size_t tile : tile_widths()) {
-          for (const bool scalar : {false, true}) {
-            wu::sim::set_tile_words(tile);
-            wu::util::simd::set_force_scalar(scalar);
-            config.engine = wu::sim::Engine::kBatch;
-            const std::string label = std::string(name) + " " + text + " trial=" +
-                                      std::to_string(trial) + " tile=" +
-                                      std::to_string(tile) + (scalar ? " scalar" : " simd");
-            expect_identical(reference, wu::sim::dispatch_wakeup(*protocol, pattern, config),
-                             label);
-          }
-        }
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
+        config.engine = wu::sim::Engine::kBatch;
+        expect_identical(reference, wu::sim::dispatch_wakeup(*protocol, pattern, config),
+                         std::string(name) + " " + text + " trial=" + std::to_string(trial));
       }
     }
   }
 }
 
 TEST(ImpairmentEquivalence, MultichannelEnginesBitIdenticalWideband) {
-  EngineTuningGuard guard;
   const std::uint32_t n = 96, k = 12;
   std::vector<std::pair<std::string, wu::proto::McProtocolPtr>> strategies;
   strategies.emplace_back("striped_rr/C=3", wu::proto::make_striped_round_robin(n, 3));
@@ -161,29 +133,15 @@ TEST(ImpairmentEquivalence, MultichannelEnginesBitIdenticalWideband) {
         config.engine = wu::sim::Engine::kInterpreter;
         const auto reference = wu::sim::dispatch_wakeup(*protocol, pattern, config);
 
-        for (const std::size_t tile : tile_widths()) {
-          for (const bool scalar : {false, true}) {
-            wu::sim::set_tile_words(tile);
-            wu::util::simd::set_force_scalar(scalar);
-            config.engine = wu::sim::Engine::kBatch;
-            const std::string run_label = label + " " + text + " trial=" +
-                                          std::to_string(trial) + " tile=" +
-                                          std::to_string(tile) +
-                                          (scalar ? " scalar" : " simd");
-            expect_identical(reference,
-                             wu::sim::dispatch_wakeup(*protocol, pattern, config),
-                             run_label);
-          }
-        }
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
+        config.engine = wu::sim::Engine::kBatch;
+        expect_identical(reference, wu::sim::dispatch_wakeup(*protocol, pattern, config),
+                         label + " " + text + " trial=" + std::to_string(trial));
       }
     }
   }
 }
 
 TEST(ImpairmentEquivalence, DynamicEnginesBitIdenticalWithFaults) {
-  EngineTuningGuard guard;
   const std::uint32_t n = 96, k = 12;
   const wu::mac::Slot horizon = 512;
   const auto arrival = wu::mac::ArrivalSpec::parse("poisson:0.3");
@@ -217,19 +175,9 @@ TEST(ImpairmentEquivalence, DynamicEnginesBitIdenticalWithFaults) {
           }
         }
 
-        for (const std::size_t tile : tile_widths()) {
-          for (const bool scalar : {false, true}) {
-            wu::sim::set_tile_words(tile);
-            wu::util::simd::set_force_scalar(scalar);
-            const auto batch =
-                wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch, &plan);
-            EXPECT_EQ(reference, batch)
-                << name << " " << text << " trial=" << trial << " tile=" << tile
-                << (scalar ? " scalar" : " simd");
-          }
-        }
-        wu::sim::set_tile_words(0);
-        wu::util::simd::set_force_scalar(false);
+        EXPECT_EQ(reference,
+                  wu::sim::dispatch_dynamic(*protocol, scenario, wu::sim::Engine::kBatch, &plan))
+            << name << " " << text << " trial=" << trial;
       }
     }
   }

@@ -22,7 +22,6 @@
 #include "sim/run.hpp"
 #include "tests/test_helpers.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace wp = wakeup::proto;
 namespace wm = wakeup::mac;
@@ -107,12 +106,13 @@ TEST(McEngineEquivalence, BitIdenticalAcrossSeededTrials) {
 
 TEST(McEngineEquivalence, BudgetExhaustionCountersMatch) {
   // Failure paths must agree on every counter too — all engines walk the
-  // full budget and count every channel-slot.
+  // full budget and count every channel-slot.  Budget 0 is the automatic
+  // budget (every run resolves).
   const std::uint32_t n = 64;
   for (const Strategy& strategy : native_strategies(n, 8)) {
     wu::Rng rng(11);
     const auto pattern = wm::patterns::simultaneous(n, 8, 5, rng);
-    for (const wm::Slot budget : {1, 2, 63, 64, 65, 130}) {
+    for (const wm::Slot budget : {0, 1, 2, 63, 64, 65, 129, 130, 513}) {
       const std::string label = strategy.label + " budget=" + std::to_string(budget);
       const auto reference =
           run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter, budget);
@@ -122,39 +122,6 @@ TEST(McEngineEquivalence, BudgetExhaustionCountersMatch) {
       expect_identical(reference,
                        run_mc(*strategy.protocol, pattern, ws::Engine::kAuto, budget),
                        label + " auto");
-    }
-  }
-}
-
-/// SIMD vs scalar-fallback bit-identity across tile widths for the
-/// C-channel engine: every strategy (striped RR, group WAG, channel-0
-/// adapter), every counter, including budget-exhaustion runs straddling
-/// the tile ramp boundaries.
-TEST(McEngineEquivalence, TileWidthsAndKernelsBitIdentical) {
-  struct Guard {
-    ~Guard() {
-      ws::set_tile_words(0);
-      wakeup::util::simd::set_force_scalar(false);
-    }
-  } guard;
-  const std::uint32_t n = 96, k = 12;
-  for (const Strategy& strategy : native_strategies(n, k)) {
-    wu::Rng rng(wu::hash_words({0x4d435348ULL /* "MCSH" */}));
-    const auto pattern = wm::patterns::uniform_window(n, k, 3, 48, rng);
-    for (const wm::Slot budget : {wm::Slot{0}, wm::Slot{65}, wm::Slot{129}, wm::Slot{513}}) {
-      ws::set_tile_words(0);
-      wakeup::util::simd::set_force_scalar(false);
-      const auto reference = run_mc(*strategy.protocol, pattern, ws::Engine::kInterpreter, budget);
-      for (const std::size_t tile : {1u, 2u, 8u}) {
-        for (const bool scalar : {false, true}) {
-          ws::set_tile_words(tile);
-          wakeup::util::simd::set_force_scalar(scalar);
-          expect_identical(reference,
-                           run_mc(*strategy.protocol, pattern, ws::Engine::kBatch, budget),
-                           strategy.label + " budget=" + std::to_string(budget) + " tile=" +
-                               std::to_string(tile) + (scalar ? " scalar" : " simd"));
-        }
-      }
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "obs/trace.hpp"
 #include "protocols/multichannel.hpp"
 #include "protocols/registry.hpp"
+#include "protocols/round_robin.hpp"
 #include "sim/run.hpp"
 
 namespace wu = wakeup;
@@ -325,9 +326,9 @@ TEST(ExecutionTraceRing, PartiallyFilledRingIsChronological) {
 // ------------------------------------------------- hot-path instrumentation --
 
 TEST(ObsInstrumentation, MultichannelCellEmitsBatchCounters) {
-  // C-channel cells run the same tile loop as single-channel ones, so a
-  // striped round-robin cell at C = 4 must report its tiles and fetched
-  // words like any other batched cell.
+  // C-channel cells run the same word loop as single-channel ones, so a
+  // striped round-robin cell at C = 4 must report its rounds ("tiles") and
+  // fetched words like any other batched cell.
   ObsReset guard;
   obs::set_enabled(true);
 
@@ -347,6 +348,32 @@ TEST(ObsInstrumentation, MultichannelCellEmitsBatchCounters) {
   if (obs::kCompiled) {
     EXPECT_GT(obs::snapshot_value(snap, "batch.tiles"), 0u);
     EXPECT_GT(obs::snapshot_value(snap, "batch.words_fetched"), 0u);
+  } else {
+    EXPECT_TRUE(snap.empty());
+  }
+}
+
+TEST(ObsInstrumentation, BatchFetchesNoWordPastTheResolvingWord) {
+  // The batch engine resolves one 64-slot word per round, so a run whose
+  // first success lands in word success_slot/64 fetches exactly the words
+  // from s/64 through it, one per live station per round — none past it.
+  ObsReset guard;
+  obs::set_enabled(true);
+
+  const wu::proto::RoundRobinProtocol protocol(1024);
+  const wu::mac::WakePattern pattern(1024, {{300, 0}, {500, 0}, {700, 0}, {900, 0}});
+  wu::sim::SimConfig config;
+  config.engine = wu::sim::Engine::kBatch;
+  const wu::sim::SimResult r =
+      wu::sim::Run({.protocol = &protocol, .pattern = &pattern, .sim = config}).sim;
+  ASSERT_TRUE(r.success);
+  ASSERT_GT(r.success_slot, 192);  // the run spans several words
+
+  const auto snap = obs::snapshot();
+  if (obs::kCompiled) {
+    const auto rounds = static_cast<std::uint64_t>(r.success_slot / 64 - r.s / 64 + 1);
+    EXPECT_EQ(obs::snapshot_value(snap, "batch.tiles"), rounds);
+    EXPECT_EQ(obs::snapshot_value(snap, "batch.words_fetched"), pattern.k() * rounds);
   } else {
     EXPECT_TRUE(snap.empty());
   }
