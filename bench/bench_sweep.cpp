@@ -1,22 +1,23 @@
-/// S1 — sweep orchestration: runner overhead, sharding, worker scaling.
+/// S1 — sweep orchestration: runner overhead, pool sizes, worker scaling.
 ///
 /// The subsystem claim: `exp::run_sweep` adds negligible cost over a
-/// hand-rolled loop of `sim::Run` cells (the PR-4 state of the art), while
-/// giving grids declarative specs, a resumable manifest, CIs, and cell
-/// sharding.  Measured here:
+/// hand-rolled loop of `sim::Run` cells, while giving grids declarative
+/// specs, a resumable manifest, CIs, and cells that share one nested pool
+/// with their trials.  Measured here:
 ///   * 1/2/4-process worker fleets vs a single-process run on the 96-cell
 ///     scenario-b acceptance grid — the multi-process scale-out path.
 ///     Gates: claim-ledger + merge overhead (1 worker vs classic) <= 5%,
 ///     and >= 1.6x at 2 workers when the host has >= 2 cores (reported
 ///     otherwise: single-core CI runs this too).  Fleet reports must be
 ///     byte-identical to the single-process run.
-///   * hand-rolled loop vs run_sweep (trial-sharded) on the same grid —
-///     the orchestration overhead, acceptance <= 15%;
-///   * run_sweep cell-sharded vs inline — the composition speedup on
-///     multi-core hosts (reported, not gated).
-/// Bit-identity of the sharding modes and of every fleet report is
-/// asserted in-run, mirroring the SimdMatrix bench contract.  The fleet legs run FIRST: `run_sweep_fleet` forks, and the
-/// process must not have spawned pool threads yet.
+///   * hand-rolled loop vs run_sweep, both on the shared pool, on the same
+///     grid — the orchestration overhead, acceptance <= 15%;
+///   * run_sweep on the shared pool vs on a 0-worker pool — the speedup of
+///     cells and trials nested on one pool (reported, not gated).
+/// The run_sweep reports on 0-, 1- and 4-worker pools and every fleet
+/// report must be byte-identical; both are asserted in-run.  The fleet
+/// legs run FIRST: `run_sweep_fleet` forks, and the process must not have
+/// spawned pool threads yet.
 
 #include <chrono>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include <iostream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "exp/presets.hpp"
@@ -128,26 +130,25 @@ int main(int argc, char** argv) {
   }
   const double hand_s = seconds_since(t0);
 
-  exp::SweepOptions trial_sharded;
-  trial_sharded.out_dir = out_dir("trials");
-  trial_sharded.sharding = exp::Sharding::kTrials;
-  trial_sharded.ci_resamples = 0;  // measure orchestration, not bootstrap math
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto trials_outcome = exp::run_sweep(spec, trial_sharded);
-  const double trials_s = seconds_since(t1);
-
-  exp::SweepOptions cell_sharded;
-  cell_sharded.out_dir = out_dir("cells");
-  cell_sharded.sharding = exp::Sharding::kCells;
-  cell_sharded.ci_resamples = 0;
-  const auto t2 = std::chrono::steady_clock::now();
-  const auto cells_outcome = exp::run_sweep(spec, cell_sharded);
-  const double cells_s = seconds_since(t2);
-
-  const bool identical = slurp(trials_outcome.csv_path) == slurp(cells_outcome.csv_path) &&
-                         slurp(trials_outcome.json_path) == slurp(cells_outcome.json_path);
-  const double overhead = hand_s > 0 ? trials_s / hand_s - 1.0 : 0.0;
-  const double sharding_speedup = cells_s > 0 ? trials_s / cells_s : 0.0;
+  const auto sweep_on = [&](util::ThreadPool& pool, const std::string& leg) {
+    exp::SweepOptions options;
+    options.out_dir = out_dir(leg);
+    options.pool = &pool;
+    options.ci_resamples = 0;  // measure orchestration, not bootstrap math
+    const auto t = std::chrono::steady_clock::now();
+    const auto outcome = exp::run_sweep(spec, options);
+    return std::make_pair(seconds_since(t), slurp(outcome.csv_path) + slurp(outcome.json_path));
+  };
+  const auto [sweep_s, sweep_report] = sweep_on(bench::pool(), "pooled");
+  util::ThreadPool pool0(0);
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool4(4);
+  const auto [inline_s, inline_report] = sweep_on(pool0, "inline");
+  const bool identical = sweep_report == inline_report &&
+                         sweep_on(pool1, "one_worker").second == inline_report &&
+                         sweep_on(pool4, "four_workers").second == inline_report;
+  const double overhead = hand_s > 0 ? sweep_s / hand_s - 1.0 : 0.0;
+  const double pool_speedup = sweep_s > 0 ? inline_s / sweep_s : 0.0;
 
   sim::ResultsSink sink("s1_sweep_orchestration",
                         {"leg", "cells", "trials/cell", "seconds", "cells/s"});
@@ -160,9 +161,9 @@ int main(int argc, char** argv) {
     sink.end_row();
   };
   row("hand-rolled loop", hand_s);
-  row("run_sweep trial-sharded", trials_s);
-  row("run_sweep cell-sharded", cells_s);
-  sink.flush("S1: sweep orchestration overhead + sharding composition");
+  row("run_sweep", sweep_s);
+  row("run_sweep, 0-worker pool", inline_s);
+  sink.flush("S1: sweep orchestration overhead + nested pool");
 
   sim::ResultsSink fleet_sink("s1_sweep_worker_scaling",
                               {"leg", "workers", "seconds", "speedup", "cells/s"});
@@ -188,10 +189,10 @@ int main(int argc, char** argv) {
   report.config("fleet_cells", std::uint64_t{fleet_cells.size()});
   report.config("fleet_trials_per_cell", fleet_spec.trials);
   report.row({{"leg", "hand_rolled"}, {"seconds", hand_s}});
-  report.row({{"leg", "trial_sharded"}, {"seconds", trials_s}, {"overhead_vs_hand", overhead}});
-  report.row({{"leg", "cell_sharded"},
-              {"seconds", cells_s},
-              {"speedup_vs_trial_sharded", sharding_speedup},
+  report.row({{"leg", "run_sweep"}, {"seconds", sweep_s}, {"overhead_vs_hand", overhead}});
+  report.row({{"leg", "run_sweep_inline"},
+              {"seconds", inline_s},
+              {"pool_speedup", pool_speedup},
               {"reports_identical", identical}});
   report.row({{"leg", "single_process"}, {"seconds", single_s}});
   report.row({{"leg", "fleet_1"},
@@ -209,16 +210,17 @@ int main(int argc, char** argv) {
   report.write();
 
   std::cout << "orchestration overhead vs hand-rolled loop: " << overhead * 100.0 << "%\n"
-            << "cell-sharded vs trial-sharded: " << sharding_speedup
+            << "run_sweep pooled vs 0-worker pool: " << pool_speedup
             << "x (workers=" << bench::pool().worker_count() << ")\n"
-            << "sharding modes byte-identical: " << (identical ? "yes" : "NO") << "\n"
+            << "reports on 0/1/4-worker pools byte-identical: " << (identical ? "yes" : "NO")
+            << "\n"
             << "ledger+merge overhead (1 worker vs classic): " << fleet_overhead * 100.0
             << "%\n"
             << "fleet speedup: " << speedup2 << "x @ 2 workers, " << speedup4
             << "x @ 4 workers (cores=" << cores << ")\n";
   bool ok = true;
   if (!identical) {
-    std::cout << "FAIL: sharding modes disagree\n";
+    std::cout << "FAIL: reports differ across pool sizes\n";
     ok = false;
   }
   if (hand_s >= 0.25 && overhead > 0.15) {

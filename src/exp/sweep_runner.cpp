@@ -66,13 +66,11 @@ proto::McProtocolPtr build_mc_protocol(const Cell& cell, std::uint64_t seed) {
                                             cell.channels);
 }
 
-/// Executes one cell and returns its finished record.  `trial_pool` is the
-/// pool handed to sim::Run — nullptr in cell-sharded mode, where the
-/// calling thread is already a pool worker and Run's
-/// ThreadPool::current() detection keeps the trials inline instead of
-/// deadlocking on (or oversubscribing) the pool the cells are sharded on.
+/// Executes one cell and returns its finished record.  The cell's trials
+/// run through sim::Run on `pool` (nullptr: the shared pool), which nests
+/// inside the pool task the cell itself may be running on.
 CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOptions& options,
-                         util::ThreadPool* trial_pool) {
+                         util::ThreadPool* pool) {
   sim::RunSpec run;
   run.trials = cell.trials;
   run.base_seed = spec.base_seed;
@@ -98,7 +96,7 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
     run.make_protocol = [&cell](std::uint64_t seed) {
       return build_registry_protocol(cell, seed);
     };
-    record.stats = sim::Run(run, trial_pool).cell(options.ci_resamples);
+    record.stats = sim::Run(run, pool).cell(options.ci_resamples);
     return record;  // theory bounds are one-shot statements; no bound column
   }
   run.trial_csv = options.trial_csv;
@@ -138,7 +136,7 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
     };
   }
 
-  record.stats = sim::Run(run, trial_pool).cell(options.ci_resamples);
+  record.stats = sim::Run(run, pool).cell(options.ci_resamples);
   record.bound = cell_bound(cell);
   record.normalized_mean = record.bound > 0 && record.stats.rounds.count > 0
                                ? record.stats.rounds.mean / record.bound
@@ -152,10 +150,10 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
 /// state — the record itself is untouched, so reports stay byte-identical
 /// with obs on, off, or compiled out.
 CellRecord run_cell(const SweepSpec& spec, const Cell& cell, const SweepOptions& options,
-                    util::ThreadPool* trial_pool) {
+                    util::ThreadPool* pool) {
   const bool observing = obs::active() || obs::trace_active();
   const std::uint64_t t0 = observing ? obs::trace_now_us() : 0;
-  CellRecord record = run_cell_impl(spec, cell, options, trial_pool);
+  CellRecord record = run_cell_impl(spec, cell, options, pool);
   if (observing) {
     const std::uint64_t wall = obs::trace_now_us() - t0;
     if (obs::active()) {
@@ -421,17 +419,17 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options) {
                         /*append=*/options.resume && manifest_exists);
 
   util::ThreadPool* pool = options.pool != nullptr ? options.pool : &util::ThreadPool::shared();
-  const bool cell_sharded =
-      options.sharding == Sharding::kCells ||
-      (options.sharding == Sharding::kAuto &&
-       pending.size() >= std::max<std::size_t>(2, pool->worker_count()));
-
   std::vector<CellRecord> fresh(pending.size());
   std::mutex progress_mutex;
   std::atomic<std::uint64_t> heartbeat_done{0};
   const auto start_time = std::chrono::steady_clock::now();
-  const auto run_one = [&](std::size_t i, util::ThreadPool* trial_pool) {
-    fresh[i] = run_cell(spec, *pending[i], options, trial_pool);
+  // One cell per chunk: neighbouring cells share a protocol and rise in n
+  // or k, so contiguous chunks would stack a grid's costliest cells on one
+  // thread.  Each cell's Run fans its trials onto the same pool, so a long
+  // cell late in the grid spreads over the workers its finished
+  // neighbours left idle.
+  pool->parallel_for(0, pending.size(), [&](std::size_t i) {
+    fresh[i] = run_cell(spec, *pending[i], options, pool);
     writer.append(fresh[i]);
     const std::uint64_t done_now = heartbeat_done.fetch_add(1) + 1;
     if (options.heartbeat_cells > 0 && done_now % options.heartbeat_cells == 0) {
@@ -445,22 +443,7 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options) {
                   static_cast<unsigned long long>(fresh[i].stats.failures));
       std::fflush(stdout);
     }
-  };
-  if (cell_sharded) {
-    // Nested Runs must stay inline: with workers, ThreadPool::current()
-    // inside sim::Run detects the worker thread (trial_pool == nullptr);
-    // a 0-worker pool runs parallel_for on the caller — not a worker — so
-    // pass the inline pool itself, or Run would silently fan trials onto
-    // the multi-threaded shared pool against the "0 = inline" contract.
-    util::ThreadPool* trial_pool = pool->worker_count() == 0 ? pool : nullptr;
-    // One cell per task: neighbouring cells share a protocol and rise in
-    // n or k, so contiguous chunks would stack a grid's costliest cells on
-    // one worker and hang the sweep's wall time on that worker alone.
-    pool->parallel_for(0, pending.size(), [&](std::size_t i) { run_one(i, trial_pool); },
-                       /*chunk=*/1);
-  } else {
-    for (std::size_t i = 0; i < pending.size(); ++i) run_one(i, options.pool);
-  }
+  }, /*chunk=*/1);
   outcome.cells_run = pending.size();
 
   if (outcome.cells_remaining > 0) {

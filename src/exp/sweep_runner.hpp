@@ -3,13 +3,13 @@
 /// \file sweep_runner.hpp
 /// Sharded, resumable execution of a sweep grid.
 ///
-/// `run_sweep` expands the spec, shards the pending cells onto a thread
-/// pool (cell-level parallelism composes with the facade's trial-level
-/// parallelism without oversubscription: a `sim::Run` issued from inside a
-/// pool worker detects the pool via `util::ThreadPool::current()` and runs
-/// its trials inline), streams every finished cell's `sim::Run` statistics
-/// into the append-only JSONL manifest, and finally writes a CSV + JSON
-/// report in grid order.
+/// `run_sweep` expands the spec, runs the pending cells on a thread pool
+/// one cell per chunk, and hands the same pool to every cell's `sim::Run`,
+/// whose trials nest on it (util/thread_pool.hpp): cells keep the workers
+/// busy while many are pending, and the last long cells fan their trials
+/// onto the workers that went idle, without oversubscription.  Every
+/// finished cell's statistics stream into the append-only JSONL manifest,
+/// and a CSV + JSON report is written in grid order at the end.
 ///
 /// Interruption contract: kill the process at any point; re-running with
 /// `resume = true` re-reads the manifest, skips completed cells (dropping a
@@ -33,17 +33,6 @@ class TrialCsvSink;
 
 namespace wakeup::exp {
 
-/// How pending cells map onto the pool.
-enum class Sharding : std::uint8_t {
-  /// Cell-parallel when there are at least as many pending cells as
-  /// workers, trial-parallel otherwise.  The default.
-  kAuto,
-  /// One pool task per cell; each cell's trials run inline in the worker.
-  kCells,
-  /// Cells sequential on the caller; each cell fans its trials on the pool.
-  kTrials,
-};
-
 /// One progress heartbeat (see SweepOptions::heartbeat_cells).
 struct SweepHeartbeat {
   std::int32_t worker_id = -1;    ///< -1 in single-process mode
@@ -62,9 +51,9 @@ struct SweepOptions {
   std::string out_dir = "sweep_out";
   /// Resume from an existing manifest in out_dir (fresh run when none).
   bool resume = false;
-  /// Pool for cell/trial parallelism; nullptr uses ThreadPool::shared().
+  /// Pool for cell and trial parallelism; nullptr uses
+  /// ThreadPool::shared().  A 0-worker pool runs everything inline.
   util::ThreadPool* pool = nullptr;
-  Sharding sharding = Sharding::kAuto;
   /// Bootstrap resamples for the per-cell CIs (0 disables).
   std::uint64_t ci_resamples = 2000;
   /// Stop after this many *pending* cells (0 = run all): lets tests and the

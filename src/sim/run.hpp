@@ -141,9 +141,12 @@ struct RunOutcome {
 };
 
 /// Executes `spec`.  With `pool` null, multi-trial specs run on the
-/// process-wide `util::ThreadPool::shared()` (single runs, and nested
-/// calls from inside a pool worker, stay inline); pass an explicit pool —
-/// e.g. one with 0 workers — to control placement.  Results are bitwise
+/// process-wide `util::ThreadPool::shared()`; pass an explicit pool — e.g.
+/// one with 0 workers, which keeps every trial inline — to control
+/// placement.  Trial 0 runs on the calling thread and is timed; the other
+/// trials fan out onto the pool only when that time x (trials - 1) pays for
+/// waking its workers, and run inline otherwise.  The pool nests, so a Run
+/// issued from inside a task of the same pool is safe.  Results are bitwise
 /// identical for every worker count.  Throws std::invalid_argument on
 /// ambiguous or incomplete specs (see RunSpec) and on engine/feature
 /// combinations the chosen model cannot serve.

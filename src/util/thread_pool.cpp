@@ -1,12 +1,79 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
+
+#include "obs/metrics.hpp"
 
 namespace wakeup::util {
 
 namespace {
-thread_local ThreadPool* tl_worker_pool = nullptr;
+
+/// One parallel_for call, shared by its caller and its helper tasks.
+///
+/// Chunks are claimed from `next`; whoever claims chunk c runs it, so a
+/// claimed chunk is always running on a live thread.  The caller waits
+/// only for `finished` to reach `chunks` after it has claimed everything
+/// it could, i.e. only for chunks running on other threads.
+///
+/// Why nested calls cannot deadlock: a thread blocks only in the wait
+/// above, and only on a chunk of its own job that another thread is
+/// running.  If that thread blocks too, it waits on a job it created
+/// inside that chunk, so every wait edge points from a job to a job
+/// created strictly later, inside one of its chunks.  A cycle would need
+/// two jobs each created inside a chunk of the other, which is
+/// impossible; every chain of waits ends at a thread that is running
+/// code, and the chain unwinds from there.  Queued helpers never block
+/// anyone: a caller does not wait for a helper to start.
+///
+/// A helper that dequeues after the call returned keeps the job alive
+/// through its shared_ptr, finds every chunk claimed, and never touches
+/// `fn` (which may be gone by then).
+struct Job {
+  Job(const std::function<void(std::size_t)>& f, std::size_t b, std::size_t e,
+      std::size_t size)
+      : fn(&f), begin(b), end(e), chunk_size(size), chunks((e - b + size - 1) / size) {}
+
+  const std::function<void(std::size_t)>* fn;
+  const std::size_t begin;
+  const std::size_t end;
+  const std::size_t chunk_size;
+  const std::size_t chunks;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> finished{0};
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::exception_ptr first_error;  ///< guarded by `mutex`
+
+  /// Claims and runs chunks until none is left.
+  void drain() {
+    for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
+         c = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t lo = begin + c * chunk_size;
+      const std::size_t hi = std::min(end, lo + chunk_size);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) (*fn)(i);
+      } catch (...) {
+        const std::lock_guard lock(mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+        const std::lock_guard lock(mutex);
+        done_cv.notify_all();
+      }
+    }
+  }
+
+  /// Blocks until every chunk has finished, then rethrows the first error.
+  void wait() {
+    std::unique_lock lock(mutex);
+    done_cv.wait(lock, [this] { return finished.load(std::memory_order_acquire) == chunks; });
+    if (first_error) std::rethrow_exception(first_error);
+  }
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
@@ -26,7 +93,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  tl_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -46,54 +112,35 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn, std::size_t chunk) {
   if (begin >= end) return;
-  if (threads_.empty()) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
   const std::size_t total = end - begin;
   // A few chunks per worker balances load without flooding the queue.
   const std::size_t chunks =
       chunk > 0 ? (total + chunk - 1) / chunk : std::min(total, threads_.size() * 4);
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
+  if (threads_.empty() || chunks <= 1) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
+  }
+  const auto job = std::make_shared<Job>(fn, begin, end, (total + chunks - 1) / chunks);
 
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = 0;
-  std::exception_ptr first_error;
-
+  const std::size_t helpers = std::min(threads_.size(), job->chunks - 1);
   {
     std::lock_guard lock(mutex_);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = begin + c * chunk_size;
-      if (lo >= end) break;
-      const std::size_t hi = std::min(end, lo + chunk_size);
-      ++remaining;
-      tasks_.push([&, lo, hi] {
-        std::exception_ptr err;
-        try {
-          for (std::size_t i = lo; i < hi; ++i) fn(i);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        std::lock_guard done_lock(done_mutex);
-        if (err && !first_error) first_error = err;
-        if (--remaining == 0) done_cv.notify_all();
-      });
-    }
+    for (std::size_t h = 0; h < helpers; ++h) tasks_.push([job] { job->drain(); });
   }
-  cv_.notify_all();
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  if (obs::active()) {
+    static const auto c_helpers = obs::Counter::get("pool.helpers");
+    c_helpers.add(helpers);
+  }
 
-  std::unique_lock done_lock(done_mutex);
-  done_cv.wait(done_lock, [&] { return remaining == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+  job->drain();
+  job->wait();
 }
 
 std::size_t ThreadPool::default_workers() noexcept {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 1 ? hw : 1;
 }
-
-ThreadPool* ThreadPool::current() noexcept { return tl_worker_pool; }
 
 ThreadPool& ThreadPool::shared() {
   static ThreadPool instance(default_workers());

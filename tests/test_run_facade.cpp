@@ -11,14 +11,17 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "exp/aggregator.hpp"
+#include "obs/metrics.hpp"
 #include "protocols/multichannel.hpp"
 #include "protocols/registry.hpp"
 #include "protocols/round_robin.hpp"
@@ -30,6 +33,7 @@ namespace ws = wakeup::sim;
 namespace wp = wakeup::proto;
 namespace wm = wakeup::mac;
 namespace wu = wakeup::util;
+namespace obs = wakeup::obs;
 
 namespace {
 
@@ -154,18 +158,37 @@ TEST(RunFacade, RandomizedProtocolSeedsVaryPerTrial) {
   EXPECT_GT(result.rounds.max, result.rounds.min);
 }
 
-TEST(RunFacade, NestedRunInsideAPoolWorkerStaysInline) {
-  // A Run issued from inside a pool task must not queue on the same pool
-  // (deadlock risk with few workers) — it detects the worker context and
-  // runs inline.  One worker makes any deadlock deterministic.
+TEST(RunFacade, NestedRunOnTheSamePoolCompletes) {
+  // A Run issued from inside a pool task dispatches on that same pool.
+  // Each trial sleeps 200 us in its pattern builder, so the timed trial 0
+  // pays for a wake-up and the nested Run fans the other trials out.  With
+  // one worker, a nested call that waited for its own queue would
+  // deadlock, so completion proves it cannot; the result must still equal
+  // the inline reference.
+  ws::RunSpec slow = basic_cell(32, 4, 8);
+  slow.make_pattern = [inner = slow.make_pattern](wu::Rng& rng) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return inner(rng);
+  };
   wu::ThreadPool pool(1);
   ws::CellStats inner_result;
-  pool.parallel_for(0, 1, [&](std::size_t) {
-    inner_result = ws::Run(basic_cell(32, 4, 8)).cell();
-  });
-  const auto reference = ws::Run(basic_cell(32, 4, 8)).cell();
+  obs::reset();
+  obs::set_enabled(true);
+  pool.parallel_for(0, 2, [&](std::size_t i) {
+    if (i == 1) inner_result = ws::Run(slow, &pool).cell();
+  }, /*chunk=*/1);
+  obs::set_enabled(false);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::reset();
+  wu::ThreadPool inline_pool(0);
+  const auto reference = ws::Run(basic_cell(32, 4, 8), &inline_pool).cell();
   EXPECT_EQ(inner_result.trials, 8u);
   EXPECT_DOUBLE_EQ(inner_result.rounds.mean, reference.rounds.mean);
+  EXPECT_DOUBLE_EQ(inner_result.rounds.max, reference.rounds.max);
+  if (obs::kCompiled) {
+    EXPECT_EQ(obs::snapshot_value(snap, "sim.runs_fanned"), 1u);
+    EXPECT_EQ(obs::snapshot_value(snap, "sim.runs_inline"), 0u);
+  }
 }
 
 TEST(RunFacade, RejectsAmbiguousSpecs) {

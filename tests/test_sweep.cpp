@@ -1,8 +1,8 @@
 /// Sweep orchestration subsystem (src/exp/): grid expansion determinism,
 /// axis grammar, validation messages, streaming aggregation vs a naive
 /// reference, manifest round-trips (incl. torn tails), resume-equals-fresh
-/// byte identity, oversubscription-safe cell sharding, and a concurrent
-/// TrialCsvSink stress.
+/// byte identity, cells and their trials nested on one pool, and a
+/// concurrent TrialCsvSink stress.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "exp/presets.hpp"
 #include "exp/sweep_runner.hpp"
 #include "exp/sweep_spec.hpp"
+#include "obs/metrics.hpp"
 #include "sim/results_sink.hpp"
 #include "sim/run.hpp"
 #include "util/thread_pool.hpp"
@@ -25,6 +26,7 @@
 namespace we = wakeup::exp;
 namespace ws = wakeup::sim;
 namespace wu = wakeup::util;
+namespace obs = wakeup::obs;
 
 namespace {
 
@@ -475,33 +477,6 @@ TEST(SweepRunner, ResumeRepairsATornManifestTail) {
   EXPECT_EQ(data.dropped_lines, 0u);
 }
 
-TEST(SweepRunner, ZeroWorkerPoolStaysInlineOnTheCellShardedPath) {
-  // --threads=0 means "no worker threads anywhere": a 0-worker pool runs
-  // parallel_for on the caller (NOT a worker thread), so the cell-sharded
-  // path must hand the inline pool to the nested Runs instead of letting
-  // them fall through to the multi-threaded shared pool.  Exercises that
-  // branch and pins byte-identity against the trial-sharded inline run.
-  const auto spec = small_spec();
-  wu::ThreadPool pool0(0);
-
-  we::SweepOptions cells_mode;
-  cells_mode.out_dir = fresh_dir("zero_worker_cells");
-  cells_mode.ci_resamples = 100;
-  cells_mode.pool = &pool0;
-  cells_mode.sharding = we::Sharding::kCells;
-  const auto via_cells = we::run_sweep(spec, cells_mode);
-  ASSERT_TRUE(via_cells.completed);
-
-  we::SweepOptions trials_mode;
-  trials_mode.out_dir = fresh_dir("zero_worker_trials");
-  trials_mode.ci_resamples = 100;
-  trials_mode.pool = &pool0;
-  trials_mode.sharding = we::Sharding::kTrials;
-  const auto via_trials = we::run_sweep(spec, trials_mode);
-  EXPECT_EQ(slurp(via_cells.csv_path), slurp(via_trials.csv_path));
-  EXPECT_EQ(slurp(via_cells.json_path), slurp(via_trials.json_path));
-}
-
 TEST(SweepRunner, ResumeRefusesAForeignManifest) {
   auto spec = small_spec();
   we::SweepOptions options;
@@ -513,41 +488,54 @@ TEST(SweepRunner, ResumeRefusesAForeignManifest) {
   EXPECT_THROW((void)we::run_sweep(spec, options), std::runtime_error);
 }
 
-TEST(SweepRunner, CellShardedNestedRunsStayInline) {
-  // The oversubscription guard on the cell-sharded path: cells are pool
-  // tasks, and the sim::Run inside each worker must detect the pool via
-  // ThreadPool::current() and run its trials inline.  With ONE worker,
-  // queueing trials back on the pool would deadlock — completion is the
-  // proof — and the report must be bitwise identical to the inline run.
-  const auto spec = small_spec();
+TEST(SweepRunner, NestedRunsShareTheSweepPool) {
+  // Cells are chunks of one parallel_for on the sweep's pool, and every
+  // cell's sim::Run fans its trials onto that same pool.  With ONE worker a
+  // nested dispatch that waited on its own queue would deadlock, so
+  // completion is the proof; the reports must be bitwise identical for 0,
+  // 1 and 4 workers.  The grid mixes microsecond cells with one Scenario C
+  // cell (wakeup_matrix, n=4096, k=256) whose trials take about a
+  // millisecond each, so its timed trial 0 sends the rest onto the pool.
+  we::SweepSpec spec;
+  spec.protocols = {"round_robin", "wakeup_matrix"};
+  spec.ns = {64, 4096};
+  spec.ks = {2, 256};
+  spec.patterns = {we::PatternKind::kSimultaneous};
+  spec.trials = 6;
+  spec.base_seed = 11;
+  const std::size_t cells = we::expand(spec).size();
+  ASSERT_EQ(cells, 6u);
 
-  we::SweepOptions inline_run;
-  inline_run.out_dir = fresh_dir("inline");
-  inline_run.ci_resamples = 100;
-  wu::ThreadPool inline_pool(0);
-  inline_run.pool = &inline_pool;
-  inline_run.sharding = we::Sharding::kTrials;
-  const auto inline_outcome = we::run_sweep(spec, inline_run);
-
-  we::SweepOptions one_worker;
-  one_worker.out_dir = fresh_dir("one_worker");
-  one_worker.ci_resamples = 100;
-  wu::ThreadPool pool1(1);
-  one_worker.pool = &pool1;
-  one_worker.sharding = we::Sharding::kCells;
-  const auto one_outcome = we::run_sweep(spec, one_worker);
-
-  we::SweepOptions many_workers;
-  many_workers.out_dir = fresh_dir("many_workers");
-  many_workers.ci_resamples = 100;
-  wu::ThreadPool pool4(4);
-  many_workers.pool = &pool4;
-  many_workers.sharding = we::Sharding::kCells;
-  const auto many_outcome = we::run_sweep(spec, many_workers);
+  const auto run_on = [&](std::size_t workers) {
+    wu::ThreadPool pool(workers);
+    we::SweepOptions options;
+    options.out_dir = fresh_dir("nested_" + std::to_string(workers));
+    options.ci_resamples = 100;
+    options.pool = &pool;
+    const auto outcome = we::run_sweep(spec, options);
+    EXPECT_TRUE(outcome.completed);
+    return outcome;
+  };
+  const auto inline_outcome = run_on(0);
+  const auto one_outcome = run_on(1);
+  obs::reset();
+  obs::set_enabled(true);
+  const auto many_outcome = run_on(4);
+  obs::set_enabled(false);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::reset();
 
   EXPECT_EQ(slurp(inline_outcome.csv_path), slurp(one_outcome.csv_path));
+  EXPECT_EQ(slurp(inline_outcome.json_path), slurp(one_outcome.json_path));
   EXPECT_EQ(slurp(inline_outcome.csv_path), slurp(many_outcome.csv_path));
   EXPECT_EQ(slurp(inline_outcome.json_path), slurp(many_outcome.json_path));
+  if (obs::kCompiled) {
+    // One trial-0 decision per multi-trial cell; the long cell fans out.
+    const std::uint64_t fanned = obs::snapshot_value(snap, "sim.runs_fanned");
+    EXPECT_EQ(fanned + obs::snapshot_value(snap, "sim.runs_inline"), cells);
+    EXPECT_GE(fanned, 1u);
+    EXPECT_GE(obs::snapshot_value(snap, "pool.helpers"), 1u);
+  }
 }
 
 TEST(SweepRunner, ConcurrentTrialCsvSinkStressNoTornRows) {
@@ -574,7 +562,6 @@ TEST(SweepRunner, ConcurrentTrialCsvSinkStressNoTornRows) {
     options.trial_csv = &sink;
     wu::ThreadPool pool(4);
     options.pool = &pool;
-    options.sharding = we::Sharding::kCells;
     const auto outcome = we::run_sweep(spec, options);
     ASSERT_TRUE(outcome.completed);
     EXPECT_EQ(sink.rows(), cells.size() * spec.trials);

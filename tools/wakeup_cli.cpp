@@ -133,7 +133,6 @@ sweep options:
                          report is byte-identical to an uninterrupted run
   --threads=<int>        pool size for cell/trial parallelism (default:
                          shared pool; 0 = inline)
-  --sharding=<sel>       auto|cells|trials
   --ci-resamples=<int>   bootstrap resamples per cell (default 2000)
   --max-cells=<int>      stop after N pending cells (CI/kill simulation)
   --per-trial-csv=<csv>  stream one row per trial across all cells
@@ -441,15 +440,6 @@ int cmd_sweep(const util::Args& args) {
     }
     options.worker_id =
         static_cast<std::int32_t>(bounded_flag(args, "worker-id", 0, 0, 1'000'000));
-  }
-  const std::string sharding = args.get("sharding", "auto");
-  if (sharding == "cells") {
-    options.sharding = exp::Sharding::kCells;
-  } else if (sharding == "trials") {
-    options.sharding = exp::Sharding::kTrials;
-  } else if (sharding != "auto") {
-    throw std::invalid_argument("unknown sharding '" + sharding +
-                                "' (one of: auto, cells, trials)");
   }
   const std::int64_t threads = threads_flag(args);
   const bool per_trial_csv = args.has("per-trial-csv");
