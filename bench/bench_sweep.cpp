@@ -11,7 +11,8 @@
 ///     otherwise: single-core CI runs this too).  Fleet reports must be
 ///     byte-identical to the single-process run.
 ///   * hand-rolled loop vs run_sweep, both on the shared pool, on the same
-///     grid — the orchestration overhead, acceptance <= 15%;
+///     grid — the orchestration overhead, acceptance <= 15%, timed as
+///     interleaved min-of-reps (`bench::measure`) at both sizes;
 ///   * run_sweep on the shared pool vs on a 0-worker pool — the speedup of
 ///     cells and trials nested on one pool (reported, not gated).
 /// The run_sweep reports on 0-, 1- and 4-worker pools and every fleet
@@ -116,19 +117,21 @@ int main(int argc, char** argv) {
 
   // Baseline: the hand-rolled loop every multi-cell experiment used before
   // this subsystem — one sim::Run per cell, aggregate discarded.
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& cell : cells) {
-    auto run = bench::cell_for(cell.protocol, cell.n, cell.k, cell.s,
-                               [&cell](util::Rng& rng) {
-                                 return mac::patterns::generate(
-                                     exp::generator_kind(cell.pattern), cell.n, cell.k, cell.s,
-                                     rng);
-                               },
-                               cell.trials, spec.base_seed);
-    run.cell_tag = cell.tag_hash;
-    (void)sim::Run(run, &bench::pool());
-  }
-  const double hand_s = seconds_since(t0);
+  const auto hand_rolled = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& cell : cells) {
+      auto run = bench::cell_for(cell.protocol, cell.n, cell.k, cell.s,
+                                 [&cell](util::Rng& rng) {
+                                   return mac::patterns::generate(
+                                       exp::generator_kind(cell.pattern), cell.n, cell.k,
+                                       cell.s, rng);
+                                 },
+                                 cell.trials, spec.base_seed);
+      run.cell_tag = cell.tag_hash;
+      (void)sim::Run(run, &bench::pool());
+    }
+    return seconds_since(t0);
+  };
 
   const auto sweep_on = [&](util::ThreadPool& pool, const std::string& leg) {
     exp::SweepOptions options;
@@ -137,9 +140,20 @@ int main(int argc, char** argv) {
     options.ci_resamples = 0;  // measure orchestration, not bootstrap math
     const auto t = std::chrono::steady_clock::now();
     const auto outcome = exp::run_sweep(spec, options);
-    return std::make_pair(seconds_since(t), slurp(outcome.csv_path) + slurp(outcome.json_path));
+    const double seconds = seconds_since(t);
+    return std::make_pair(seconds, slurp(outcome.csv_path) + slurp(outcome.json_path));
   };
-  const auto [sweep_s, sweep_report] = sweep_on(bench::pool(), "pooled");
+  // Each leg takes a few milliseconds, so both are timed as interleaved
+  // reps (min of each) until each has >= 100 ms: one shot of each would
+  // gate on timer noise.
+  std::string sweep_report;
+  const bench::Measured orchestration = bench::measure(hand_rolled, [&] {
+    auto [seconds, report] = sweep_on(bench::pool(), "pooled");
+    sweep_report = std::move(report);
+    return seconds;
+  });
+  const double hand_s = orchestration.a_secs;
+  const double sweep_s = orchestration.b_secs;
   util::ThreadPool pool0(0);
   util::ThreadPool pool1(1);
   util::ThreadPool pool4(4);
@@ -188,6 +202,7 @@ int main(int argc, char** argv) {
   report.config("hardware_cores", std::uint64_t{cores});
   report.config("fleet_cells", std::uint64_t{fleet_cells.size()});
   report.config("fleet_trials_per_cell", fleet_spec.trials);
+  report.config("orchestration_reps", orchestration.reps);
   report.row({{"leg", "hand_rolled"}, {"seconds", hand_s}});
   report.row({{"leg", "run_sweep"}, {"seconds", sweep_s}, {"overhead_vs_hand", overhead}});
   report.row({{"leg", "run_sweep_inline"},
@@ -209,7 +224,8 @@ int main(int argc, char** argv) {
               {"reports_identical", fleet[2].identical}});
   report.write();
 
-  std::cout << "orchestration overhead vs hand-rolled loop: " << overhead * 100.0 << "%\n"
+  std::cout << "orchestration overhead vs hand-rolled loop: " << overhead * 100.0 << "% (min of "
+            << orchestration.reps << " interleaved reps each)\n"
             << "run_sweep pooled vs 0-worker pool: " << pool_speedup
             << "x (workers=" << bench::pool().worker_count() << ")\n"
             << "reports on 0/1/4-worker pools byte-identical: " << (identical ? "yes" : "NO")
@@ -223,7 +239,7 @@ int main(int argc, char** argv) {
     std::cout << "FAIL: reports differ across pool sizes\n";
     ok = false;
   }
-  if (hand_s >= 0.25 && overhead > 0.15) {
+  if (overhead > 0.15) {
     std::cout << "FAIL: orchestration overhead above 15%\n";
     ok = false;
   }

@@ -296,8 +296,9 @@ ManifestData load_manifest(const std::string& path) {
         (data.header.version < kManifestVersion
              ? " (v2 added p99 and throughput/fairness columns, v3 added the impairment "
                "identity and rounds_inflation robustness column, v4 added the energy block "
-               "to every line) — a resumed report could not be byte-identical; re-run the "
-               "sweep fresh (delete the output directory or pass a new --out)"
+               "to every line, v5 made the median CI exact) — a resumed report could not be "
+               "byte-identical; re-run the sweep fresh (delete the output directory or pass a "
+               "new --out)"
              : " — this manifest was written by a newer build"));
   }
 

@@ -78,9 +78,10 @@ struct CellRecord {
 /// throughput/jain/latency summaries, packet totals); v3 added the
 /// channel-impairment identity and the rounds_inflation robustness column;
 /// v4 added the energy block (energy_mean / energy_max summaries and the
-/// energy_mean CI).  Older manifests cannot round-trip byte-identically and
-/// are rejected with a friendly error.
-inline constexpr std::uint64_t kManifestVersion = 4;
+/// energy_mean CI); v5 made median_ci_lo/median_ci_hi the exact bootstrap
+/// interval instead of a 2000-resample estimate of it.  Older manifests
+/// cannot round-trip byte-identically and are rejected with a friendly error.
+inline constexpr std::uint64_t kManifestVersion = 5;
 
 struct ManifestHeader {
   std::uint64_t version = kManifestVersion;

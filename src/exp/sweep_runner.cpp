@@ -80,7 +80,7 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
   run.impairment = cell.impairment;
   // Sweep cells account energy under the listen:all model.  Energy is pure
   // side-accounting (the trial seed streams and outcomes are untouched) and
-  // deliberately NOT part of the cell tag — every manifest v4 record simply
+  // deliberately NOT part of the cell tag — every manifest record (since v4) simply
   // carries the block, so resumed and fresh reports stay byte-identical.
   run.sim.energy = sim::EnergyModel::kListenAll;
 

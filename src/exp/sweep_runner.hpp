@@ -54,7 +54,8 @@ struct SweepOptions {
   /// Pool for cell and trial parallelism; nullptr uses
   /// ThreadPool::shared().  A 0-worker pool runs everything inline.
   util::ThreadPool* pool = nullptr;
-  /// Bootstrap resamples for the per-cell CIs (0 disables).
+  /// Bootstrap resamples for the per-cell mean CIs; the median CI is exact
+  /// (0 disables every CI).
   std::uint64_t ci_resamples = 2000;
   /// Stop after this many *pending* cells (0 = run all): lets tests and the
   /// CI smoke leg simulate a mid-grid kill deterministically.  A capped run

@@ -21,6 +21,17 @@ void fold_energy(const std::vector<std::uint64_t>& station_energy, Slot& slot) {
   slot.energy_max = static_cast<double>(max);
 }
 
+/// The median's exact CI; `ci_resamples` == 0 turns it off with the
+/// resampled CIs, collapsing it to [median, median].
+util::BootstrapCI median_ci(const util::Sample& sample, std::uint64_t ci_resamples,
+                            double ci_level) {
+  if (ci_resamples > 0) return util::BootstrapCI::of_quantile(sample, 0.5, ci_level);
+  util::BootstrapCI ci;
+  ci.level = ci_level;
+  ci.mean = ci.lo = ci.hi = sample.median();
+  return ci;
+}
+
 }  // namespace
 
 Aggregator::Aggregator(std::uint64_t trials, bool dynamic)
@@ -80,8 +91,7 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
     stats.collisions = util::Summary::of(collisions);
     stats.silences = util::Summary::of(silences);
     stats.mean_ci = util::BootstrapCI::of_mean(throughput, ci_level, ci_resamples, ci_seed);
-    stats.median_ci =
-        util::BootstrapCI::of_quantile(throughput, 0.5, ci_level, ci_resamples, ci_seed);
+    stats.median_ci = median_ci(throughput, ci_resamples, ci_level);
     stats.energy_mean = util::Summary::of(energy_mean);
     stats.energy_max = util::Summary::of(energy_max);
     stats.energy_mean_ci =
@@ -115,8 +125,7 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
   stats.silences = util::Summary::of(silences);
   stats.completion = util::Summary::of(completion);
   stats.mean_ci = util::BootstrapCI::of_mean(rounds, ci_level, ci_resamples, ci_seed);
-  stats.median_ci =
-      util::BootstrapCI::of_quantile(rounds, 0.5, ci_level, ci_resamples, ci_seed);
+  stats.median_ci = median_ci(rounds, ci_resamples, ci_level);
   stats.energy_mean = util::Summary::of(energy_mean);
   stats.energy_max = util::Summary::of(energy_max);
   stats.energy_mean_ci =

@@ -29,8 +29,8 @@ struct CellStats {
   util::Summary collisions;
   util::Summary silences;
   /// Full-resolution rounds over successful trials that completed
-  /// (SimConfig::full_resolution; empty otherwise).  Not part of manifest
-  /// v4: sweeps never run full resolution.
+  /// (SimConfig::full_resolution; empty otherwise).  Not part of the
+  /// manifest: sweeps never run full resolution.
   util::Summary completion;
   /// Bootstrap CIs for the mean and the median of the cell's headline
   /// statistic: rounds (over successful trials) for static cells,
@@ -73,10 +73,11 @@ class Aggregator {
   void add(std::uint64_t trial, const SimResult& result);
   void add(std::uint64_t trial, const DynamicResult& result);
 
-  /// Statistics over the recorded trials, CIs seeded by `ci_seed`
-  /// (deterministic: same trials + seed => identical CellStats, regardless
-  /// of the order `add` was called in).  `ci_resamples` == 0 degenerates
-  /// the CIs to [estimate, estimate].
+  /// Statistics over the recorded trials, mean CIs from `ci_resamples`
+  /// resamples seeded by `ci_seed`, the median CI exact (deterministic:
+  /// same trials + seed => identical CellStats, regardless of the order
+  /// `add` was called in).  `ci_resamples` == 0 degenerates every CI to
+  /// [estimate, estimate].
   [[nodiscard]] CellStats finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed,
                                    double ci_level = 0.95) const;
 

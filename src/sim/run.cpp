@@ -337,7 +337,15 @@ RunOutcome Run(const RunSpec& spec, util::ThreadPool* pool) {
 }
 
 CellStats RunOutcome::cell(std::uint64_t ci_resamples) const {
-  return trials_.finalize(ci_resamples, ci_seed_);
+  if (!obs::active()) return trials_.finalize(ci_resamples, ci_seed_);
+  const auto start = std::chrono::steady_clock::now();
+  CellStats stats = trials_.finalize(ci_resamples, ci_seed_);
+  static const auto h_finalize = obs::Histogram::get("phase.finalize_us");
+  h_finalize.observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                                            start)
+          .count()));
+  return stats;
 }
 
 // Seed derivations — the documented RunSpec contract, stable since the

@@ -130,8 +130,10 @@ struct RunOutcome {
   DynamicResult dynamic;      ///< trials == 1, dynamic traffic
 
   /// The cell's statistics over every trial, finalized on each call, with
-  /// `ci_resamples` bootstrap resamples (0: CIs collapse to the estimate)
-  /// seeded by ci_seed(base_seed, cell_tag).
+  /// `ci_resamples` bootstrap resamples for the mean CIs, seeded by
+  /// ci_seed(base_seed, cell_tag), and the exact median CI (0: every CI
+  /// collapses to its estimate).  While `obs::active()`, each call's wall
+  /// time lands in the "phase.finalize_us" histogram.
   [[nodiscard]] CellStats cell(std::uint64_t ci_resamples = 0) const;
 
  private:

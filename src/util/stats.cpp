@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "util/math.hpp"
@@ -142,53 +144,163 @@ BootstrapCI BootstrapCI::of_mean(const Sample& sample, double level, std::uint64
   return ci;
 }
 
-BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double level,
-                                     std::uint64_t resamples, std::uint64_t seed) {
+namespace {
+
+/// log C(n, k), summed term by term: C(n, k) itself overflows a double past
+/// n = 1029, and std::lgamma writes a process-wide global (`signgam`).
+double log_choose(std::size_t n, std::size_t k) {
+  k = std::min(k, n - k);
+  double acc = 0.0;
+  for (std::size_t i = 1; i <= k; ++i) {
+    acc += std::log(static_cast<double>(n - k + i) / static_cast<double>(i));
+  }
+  return acc;
+}
+
+/// P(Bin(n, f) >= k) for 0 < f < 1 and 1 <= k <= n, given log C(n, k).
+/// Sums whichever tail lies beyond the mean outward from k, where its
+/// largest term sits, until the terms no longer move the sum; that term
+/// comes from log space, so neither C(n, k) nor (1 - f)^n underflows.
+double binomial_at_least(std::size_t n, std::size_t k, double f, double log_choose_k) {
+  const double odds = f / (1.0 - f);
+  const auto term_at = [&](std::size_t i, double log_choose_i) {
+    return std::exp(log_choose_i + static_cast<double>(i) * std::log(f) +
+                    static_cast<double>(n - i) * std::log1p(-f));
+  };
+  double sum = 0.0;
+  if (static_cast<double>(k) > static_cast<double>(n) * f) {
+    // Upper tail i = k..n; term(i+1) = term(i) (n-i)/(i+1) odds.
+    double term = term_at(k, log_choose_k);
+    for (std::size_t i = k;; ++i) {
+      sum += term;
+      if (i == n || term <= sum * 1e-17) return sum;
+      term *= static_cast<double>(n - i) / static_cast<double>(i + 1) * odds;
+    }
+  }
+  // Lower tail i = k-1..0, then the complement; term(i-1) = term(i) i/(n-i+1)/odds.
+  const double log_choose_below =
+      log_choose_k + std::log(static_cast<double>(k) / static_cast<double>(n - k + 1));
+  double term = term_at(k - 1, log_choose_below);
+  for (std::size_t i = k - 1;; --i) {
+    sum += term;
+    if (i == 0 || term <= sum * 1e-17) return 1.0 - sum;
+    term *= static_cast<double>(i) / (static_cast<double>(n - i + 1) * odds);
+  }
+}
+
+}  // namespace
+
+BootstrapCI BootstrapCI::of_quantile(const Sample& sample, double p, double level) {
   BootstrapCI ci;
   ci.level = std::clamp(level, 0.5, 0.999);
   ci.mean = sample.quantile(p);
   ci.lo = ci.hi = ci.mean;
   const auto& values = sample.values();
-  if (values.size() < 2 || resamples == 0) return ci;
+  if (values.size() < 2) return ci;
 
-  // Distinct stream tag from of_mean so the two CIs of one cell draw
-  // independent resamples even when seeded identically.
-  Rng rng(hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}));
   const std::size_t n = values.size();
   const double clamped_p = std::clamp(p, 0.0, 1.0);
   const double pos = clamped_p * static_cast<double>(n - 1);
   const auto lo_rank = static_cast<std::size_t>(pos);
-  const std::size_t hi_rank = std::min(lo_rank + 1, n - 1);
   const double frac = pos - static_cast<double>(lo_rank);
+  const std::size_t k = lo_rank + 1;  // X(lo_rank) is the k-th smallest draw
+  const std::size_t m = n - k;
 
-  // Every order statistic of a resample is a sample value, so a resample
-  // is fully described by how often it drew each distinct value.  Rank
-  // the distinct values once; per resample, count the drawn ranks and walk
-  // the cumulative counts to order statistics lo_rank and hi_rank (the
-  // same values Sample::quantile's sort would put there).
-  std::vector<double> distinct(values);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  std::vector<std::uint32_t> rank_of(n);
+  // Distinct values v[0] < ... < v[d-1] and share[j] = F_{j+1}, the share
+  // of the sample at or below v[j].
+  std::vector<double> v(values);
+  std::sort(v.begin(), v.end());
+  std::vector<double> share;
+  std::size_t d = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    rank_of[i] = static_cast<std::uint32_t>(
-        std::lower_bound(distinct.begin(), distinct.end(), values[i]) - distinct.begin());
+    if (i + 1 < n && v[i + 1] == v[i]) continue;
+    v[d++] = v[i];
+    share.push_back(static_cast<double>(i + 1) / static_cast<double>(n));
   }
-  std::vector<std::uint32_t> counts(distinct.size());
-  std::vector<double> quantiles(resamples);
-  for (double& quantile : quantiles) {
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t i = 0; i < n; ++i) ++counts[rank_of[rng.uniform(n)]];
-    // upto = how many drawn values rank at or below distinct[r].
-    std::size_t r = 0;
-    std::size_t upto = counts[0];
-    while (upto <= lo_rank) upto += counts[++r];
-    const double lo_value = distinct[r];
-    while (upto <= hi_rank) upto += counts[++r];
-    const double hi_value = distinct[r];
-    quantile = lo_value * (1.0 - frac) + hi_value * frac;
+  v.resize(d);
+
+  // A resample's statistic is T = atom(a, b) = v[a] (1-frac) + v[b] frac,
+  // with X(lo_rank) = v[a] and X(lo_rank+1) = v[b], b >= a: the expression
+  // Sample::quantile evaluates, so the estimate is an atom, and monotone in
+  // a and in b.  For b > a,
+  //   P(a, b) = C(n,k) (F_a^k - F_{a-1}^k) ((1-F_{b-1})^m - (1-F_b)^m),
+  // which telescopes over b: the mass of row a at or below its column B
+  // is P(X(lo_rank) = v[a]) - row[a] * col[B], with
+  //   row[a] = C(n,k) (F_a^k - F_{a-1}^k),  col[B] = (1-F_B)^m,
+  // and col[d-1] = 0.  Both factors are kept as logs.
+  const double log_ck = log_choose(n, k);
+  std::vector<double> log_row(d);
+  std::vector<double> log_col(d);
+  double log_prev = -std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < d; ++j) {
+    const double log_f = std::log(share[j]);
+    log_row[j] = log_ck + static_cast<double>(k) * log_f +
+                 std::log(-std::expm1(static_cast<double>(k) * (log_prev - log_f)));
+    log_col[j] = static_cast<double>(m) * std::log1p(-share[j]);
+    log_prev = log_f;
   }
-  pick_interval(quantiles, ci);
+  // The two products of an atom, each rounded once, as Sample::quantile
+  // rounds them.
+  std::vector<double> low_part(d);
+  std::vector<double> high_part(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    low_part[j] = v[j] * (1.0 - frac);
+    high_part[j] = v[j] * frac;
+  }
+  const auto atom = [&](std::size_t a, std::size_t b) { return low_part[a] + high_part[b]; };
+
+  // G(t) = P(T <= t), with the largest atom <= t and the smallest atom > t,
+  // for t >= atom(0, 0).  Rows a with atom(a, a) <= t form a prefix 0..A;
+  // G is their total P(X(lo_rank) <= v[A]) = P(Bin(n, F_A) >= k) minus the
+  // row tails above each row's last column B_a, which only falls as a
+  // rises (two pointers).
+  struct Eval {
+    double cdf;
+    double below;
+    double above;
+  };
+  const auto eval = [&](double t) {
+    Eval e{0.0, -std::numeric_limits<double>::infinity(),
+           std::numeric_limits<double>::infinity()};
+    double tails = 0.0;
+    std::size_t b = d - 1;
+    std::size_t a = 0;
+    for (; a < d && atom(a, a) <= t; ++a) {
+      while (atom(a, b) > t) --b;
+      e.below = std::max(e.below, atom(a, b));
+      if (b + 1 < d) {
+        e.above = std::min(e.above, atom(a, b + 1));
+        tails += std::exp(log_row[a] + log_col[b]);
+      }
+    }
+    if (a < d) e.above = std::min(e.above, atom(a, a));
+    const double rows = a == d ? 1.0 : binomial_at_least(n, k, share[a - 1], log_ck);
+    e.cdf = rows - tails;
+    return e;
+  };
+
+  // The least atom t with G(t) >= q, by bisection over T's values: every
+  // atom below `floor` misses q, `ceil` is an atom that reaches it, and each
+  // step moves one of them past the midpoint onto an atom.  A computed G
+  // can miss an exact tie by a few ulps, so a G within kTie of q counts as
+  // reaching it: a law that hits q exactly takes the atom where it does, as
+  // the >= rule asks.  (Next to q, G's steps are ~1e-4 apart at n = 4096.)
+  constexpr double kTie = 1e-9;
+  const auto least_atom_reaching = [&](double q, double floor) {
+    double ceil = atom(d - 1, d - 1);
+    while (floor < ceil) {
+      const Eval e = eval(std::midpoint(floor, ceil));
+      if (e.cdf >= q - kTie) {
+        ceil = e.below;
+      } else {
+        floor = e.above;
+      }
+    }
+    return ceil;
+  };
+  const double alpha = (1.0 - ci.level) / 2.0;
+  ci.lo = least_atom_reaching(alpha, atom(0, 0));
+  ci.hi = least_atom_reaching(1.0 - alpha, ci.lo);
   return ci;
 }
 

@@ -94,20 +94,24 @@ class Log2Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Percentile bootstrap confidence interval for the mean of a sample.
+/// Percentile bootstrap confidence intervals for the mean and for a
+/// quantile of a sample.
 ///
-/// Precondition: no sample value is NaN.  The interval ends are order
-/// statistics of the resampled statistics, and NaN has no order.
+/// Precondition: no sample value is NaN.  The interval ends are quantiles
+/// of the resampled statistic's law, and NaN has no order.
 ///
-/// Cost: R resamples of n draws each, one `Rng::uniform(n)` per draw, so
-/// a call is bound by the R * n draws.  `of_mean` sums each resample in
-/// draw order (the sums are not integers; reordering them changes bits).
-/// `of_quantile` ranks the distinct sample values once, counts each
-/// resample's drawn ranks and walks the cumulative counts to the two
-/// order statistics it interpolates, with no copy and no selection per
-/// resample.  Both then pick the interval ends with two `nth_element`
-/// calls instead of sorting all R statistics.  The draw stream and every
-/// output bit are those of the sort-based definition.
+/// Cost: `of_mean` draws R resamples of n values each, one
+/// `Rng::uniform(n)` per draw, so a call is bound by the R * n draws; it
+/// sums each resample in draw order (the sums are not integers; reordering
+/// them changes bits) and picks the interval ends with two `nth_element`
+/// calls.  `of_quantile` draws nothing: a resample's quantile interpolates
+/// two adjacent order statistics, whose joint law is a closed-form sum
+/// over the d distinct sample values (Hutson & Ernst 2000, "The exact
+/// bootstrap mean and variance of an L-estimator", JRSS-B 62).  It returns
+/// the interval the percentile bootstrap converges to as R grows, in one
+/// sort plus O(d) per CDF evaluation; each end bisects over the <= d^2
+/// values the resampled quantile takes, about log2(d^2) evaluations (47
+/// for both ends at d = n = 4096, 6-16 on integer rounds).
 struct BootstrapCI {
   double mean = 0.0;
   double lo = 0.0;
@@ -119,11 +123,14 @@ struct BootstrapCI {
   [[nodiscard]] static BootstrapCI of_mean(const Sample& sample, double level,
                                            std::uint64_t resamples, std::uint64_t seed);
 
-  /// Same percentile bootstrap for the p-quantile of a sample (`mean` holds
-  /// the point estimate, i.e. sample.quantile(p)).  The sweep aggregator
-  /// uses p = 0.5 for median CIs alongside of_mean.
-  [[nodiscard]] static BootstrapCI of_quantile(const Sample& sample, double p, double level,
-                                               std::uint64_t resamples, std::uint64_t seed);
+  /// Exact percentile bootstrap interval for the p-quantile of a sample
+  /// (`mean` holds the point estimate, i.e. sample.quantile(p)).  With
+  /// alpha = (1 - level) / 2 and G the CDF of the resampled quantile over
+  /// all n^n equally likely resamples, `lo` is the least t with
+  /// G(t) >= alpha and `hi` the least t with G(t) >= 1 - alpha; both are
+  /// values the resampled quantile takes.  Degenerate samples (size < 2)
+  /// return [mean, mean].  The sweep aggregator uses p = 0.5.
+  [[nodiscard]] static BootstrapCI of_quantile(const Sample& sample, double p, double level);
 };
 
 }  // namespace wakeup::util

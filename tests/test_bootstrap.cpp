@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -12,8 +14,8 @@ namespace wu = wakeup::util;
 
 namespace {
 
-// The sort-based bootstrap the library shipped before the rank-histogram
-// rewrite, kept verbatim as the bit-identity oracle for the fast path.
+// The sort-based mean bootstrap the library shipped before its selection-
+// based interval pick, kept verbatim as the bit-identity oracle.
 
 wu::BootstrapCI reference_of_mean(const wu::Sample& sample, double level,
                                   std::uint64_t resamples, std::uint64_t seed) {
@@ -45,8 +47,11 @@ wu::BootstrapCI reference_of_mean(const wu::Sample& sample, double level,
   return ci;
 }
 
-wu::BootstrapCI reference_of_quantile(const wu::Sample& sample, double p, double level,
-                                      std::uint64_t resamples, std::uint64_t seed) {
+// The 2000-resample Monte-Carlo quantile interval the library shipped
+// before the exact one (rank-histogram form, bit-identical to sorting each
+// resample), kept to check the exact interval against its spread.
+wu::BootstrapCI monte_carlo_of_quantile(const wu::Sample& sample, double p, double level,
+                                        std::uint64_t resamples, std::uint64_t seed) {
   wu::BootstrapCI ci;
   ci.level = std::clamp(level, 0.5, 0.999);
   ci.mean = sample.quantile(p);
@@ -55,37 +60,74 @@ wu::BootstrapCI reference_of_quantile(const wu::Sample& sample, double p, double
   if (values.size() < 2 || resamples == 0) return ci;
 
   wu::Rng rng(wu::hash_words({seed, 0x51424f4f54ULL /* "QBOOT" */}));
-  const double clamped_p = std::clamp(p, 0.0, 1.0);
-  const double pos = clamped_p * static_cast<double>(values.size() - 1);
+  const std::size_t n = values.size();
+  const double pos = std::clamp(p, 0.0, 1.0) * static_cast<double>(n - 1);
   const auto lo_rank = static_cast<std::size_t>(pos);
-  const std::size_t hi_rank = std::min(lo_rank + 1, values.size() - 1);
+  const std::size_t hi_rank = std::min(lo_rank + 1, n - 1);
   const double frac = pos - static_cast<double>(lo_rank);
-  std::vector<double> draw(values.size());
-  std::vector<double> quantiles;
-  quantiles.reserve(resamples);
-  for (std::uint64_t r = 0; r < resamples; ++r) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      draw[i] = values[rng.uniform(values.size())];
-    }
-    std::nth_element(draw.begin(), draw.begin() + static_cast<std::ptrdiff_t>(lo_rank),
-                     draw.end());
-    const double lo_value = draw[lo_rank];
-    const double hi_value =
-        hi_rank == lo_rank
-            ? lo_value
-            : *std::min_element(draw.begin() + static_cast<std::ptrdiff_t>(lo_rank) + 1,
-                                draw.end());
-    quantiles.push_back(lo_value * (1.0 - frac) + hi_value * frac);
+  std::vector<double> distinct(values);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  std::vector<std::uint32_t> rank_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rank_of[i] = static_cast<std::uint32_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), values[i]) - distinct.begin());
+  }
+  std::vector<std::uint32_t> counts(distinct.size());
+  std::vector<double> quantiles(resamples);
+  for (double& quantile : quantiles) {
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) ++counts[rank_of[rng.uniform(n)]];
+    std::size_t r = 0;
+    std::size_t upto = counts[0];
+    while (upto <= lo_rank) upto += counts[++r];
+    const double lo_value = distinct[r];
+    while (upto <= hi_rank) upto += counts[++r];
+    quantile = lo_value * (1.0 - frac) + distinct[r] * frac;
   }
   std::sort(quantiles.begin(), quantiles.end());
   const double alpha = (1.0 - ci.level) / 2.0;
   const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(quantiles.size() - 1);
-    return quantiles[static_cast<std::size_t>(pos)];
+    return quantiles[static_cast<std::size_t>(q * static_cast<double>(resamples - 1))];
   };
   ci.lo = at(alpha);
   ci.hi = at(1.0 - alpha);
   return ci;
+}
+
+/// The resampled p-quantile's law by brute force: every one of the n^n
+/// equally likely resamples, counted per value it takes (n <= 6).
+std::map<double, std::uint64_t> enumerate_quantile_law(const wu::Sample& sample, double p) {
+  const auto& values = sample.values();
+  const std::size_t n = values.size();
+  const double pos = std::clamp(p, 0.0, 1.0) * static_cast<double>(n - 1);
+  const auto lo_rank = static_cast<std::size_t>(pos);
+  const std::size_t hi_rank = std::min(lo_rank + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo_rank);
+  std::map<double, std::uint64_t> law;
+  std::vector<std::size_t> index(n, 0);
+  std::vector<double> draw(n);
+  for (;;) {
+    for (std::size_t i = 0; i < n; ++i) draw[i] = values[index[i]];
+    std::sort(draw.begin(), draw.end());
+    ++law[draw[lo_rank] * (1.0 - frac) + draw[hi_rank] * frac];
+    std::size_t digit = 0;
+    while (digit < n && ++index[digit] == n) index[digit++] = 0;
+    if (digit == n) return law;
+  }
+}
+
+/// The least value whose resample count reaches share q of all n^n
+/// resamples, compared in integers scaled exactly as the >= rule reads.
+double least_value_reaching(const std::map<double, std::uint64_t>& law, double q) {
+  std::uint64_t total = 0;
+  for (const auto& [value, count] : law) total += count;
+  std::uint64_t upto = 0;
+  for (const auto& [value, count] : law) {
+    upto += count;
+    if (static_cast<double>(upto) >= q * static_cast<double>(total)) return value;
+  }
+  return law.rbegin()->first;
 }
 
 void expect_bit_equal(const wu::BootstrapCI& got, const wu::BootstrapCI& want) {
@@ -150,18 +192,15 @@ TEST(BootstrapCI, LevelClamped) {
 TEST(BootstrapCI, QuantileCIBracketsTheEstimate) {
   wu::Sample s;
   for (int i = 0; i < 200; ++i) s.push(i % 40);
-  const auto ci = wu::BootstrapCI::of_quantile(s, 0.5, 0.95, 600, 4);
+  const auto ci = wu::BootstrapCI::of_quantile(s, 0.5, 0.95);
   EXPECT_NEAR(ci.mean, s.median(), 1e-12);
   EXPECT_LE(ci.lo, ci.mean);
   EXPECT_GE(ci.hi, ci.mean);
-  // Deterministic, and on a different resample stream than of_mean.
-  const auto again = wu::BootstrapCI::of_quantile(s, 0.5, 0.95, 600, 4);
-  EXPECT_DOUBLE_EQ(ci.lo, again.lo);
-  EXPECT_DOUBLE_EQ(ci.hi, again.hi);
+  EXPECT_LT(ci.lo, ci.hi);
 
   wu::Sample one;
   one.push(7.0);
-  const auto degenerate = wu::BootstrapCI::of_quantile(one, 0.5, 0.95, 100, 1);
+  const auto degenerate = wu::BootstrapCI::of_quantile(one, 0.5, 0.95);
   EXPECT_DOUBLE_EQ(degenerate.lo, 7.0);
   EXPECT_DOUBLE_EQ(degenerate.hi, 7.0);
 }
@@ -178,8 +217,7 @@ TEST(BootstrapCI, NarrowsWithSampleSize) {
 TEST(BootstrapCI, BitIdenticalToTheSortBasedReference) {
   // Sample shapes the aggregator produces: all-tied cells, rounds (few
   // distinct integers) and energy means (continuous).  No NaN (the
-  // documented precondition) and no -0.0: the reference's selection
-  // returned whichever zero it landed on.
+  // documented precondition).
   wu::Rng corpus(20130522);
   std::vector<std::size_t> sizes = {2, 3, 5, 48};
   for (int i = 0; i < 2; ++i) sizes.push_back(2 + corpus.uniform(999));
@@ -198,11 +236,132 @@ TEST(BootstrapCI, BitIdenticalToTheSortBasedReference) {
                                           << " resamples=" << resamples << " level=" << level);
           expect_bit_equal(wu::BootstrapCI::of_mean(sample, level, resamples, seed),
                            reference_of_mean(sample, level, resamples, seed));
-          for (const double p : {0.0, 0.5, 0.95, 1.0}) {
-            SCOPED_TRACE(testing::Message() << "p=" << p);
-            expect_bit_equal(wu::BootstrapCI::of_quantile(sample, p, level, resamples, seed),
-                             reference_of_quantile(sample, p, level, resamples, seed));
-          }
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// n <= 6 samples of the aggregator's shapes: all tied, few distinct
+/// integers (rounds), continuous (energy means, throughput).
+std::vector<wu::Sample> small_corpus(std::size_t n, wu::Rng& rng) {
+  std::vector<wu::Sample> corpus;
+  for (int shape = 0; shape < 3; ++shape) {
+    for (int copy = 0; copy < (shape == 0 ? 1 : 4); ++copy) {
+      wu::Sample sample;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (shape == 0) sample.push(17.0);
+        if (shape == 1) sample.push(static_cast<double>(8 + rng.uniform(3)));
+        if (shape == 2) sample.push(rng.uniform01() * 300.0 - 100.0);
+      }
+      corpus.push_back(sample);
+    }
+  }
+  return corpus;
+}
+
+}  // namespace
+
+TEST(BootstrapCI, QuantileMatchesBruteForceEnumeration) {
+  // The exact interval against all n^n resamples, counted in integers:
+  // both ends and the estimate must match to the bit.
+  wu::Rng rng(20130522);
+  for (std::size_t n = 2; n <= 6; ++n) {
+    for (const wu::Sample& sample : small_corpus(n, rng)) {
+      for (const double p : {0.0, 0.5, 0.95, 1.0}) {
+        const auto law = enumerate_quantile_law(sample, p);
+        for (const double level : {0.5, 0.8, 0.9, 0.95, 0.99, 0.999}) {
+          SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << p << " level=" << level
+                                          << " first=" << sample.values()[0]);
+          const double alpha = (1.0 - level) / 2.0;
+          const auto ci = wu::BootstrapCI::of_quantile(sample, p, level);
+          expect_bit_equal(ci, {sample.quantile(p), least_value_reaching(law, alpha),
+                                least_value_reaching(law, 1.0 - alpha), level});
+        }
+      }
+    }
+  }
+}
+
+TEST(BootstrapCI, QuantileTakesTheValueWhereTheLawHitsAlphaExactly) {
+  // At level .5 (alpha = .25) a value's cumulative count can equal exactly
+  // n^n / 4 or 3 n^n / 4.  The >= rule then takes that value as the
+  // interval end, not the next one above it: a tie goes to the lower side.
+  // No n = 4 sample does this (every tie pattern was searched at each p:
+  // no count reaches 64 or 192 of 256), nor any n = 6 sample over four
+  // values; every untied n = 2 sample does, at both ends (counts 1, 2, 1).
+  wu::Rng rng(20130522);
+  int hits = 0;
+  for (std::size_t n = 2; n <= 6; ++n) {
+    for (const wu::Sample& sample : small_corpus(n, rng)) {
+      const auto law = enumerate_quantile_law(sample, 0.5);
+      const auto ci = wu::BootstrapCI::of_quantile(sample, 0.5, 0.5);
+      std::uint64_t total = 0;
+      for (const auto& [value, count] : law) total += count;
+      std::uint64_t upto = 0;
+      for (const auto& [value, count] : law) {
+        upto += count;
+        if (4 * upto != total && 4 * upto != 3 * total) continue;
+        SCOPED_TRACE(testing::Message() << "n=" << n << " value=" << value);
+        ++hits;
+        ASSERT_NE(law.upper_bound(value), law.end());
+        EXPECT_EQ(4 * upto == total ? ci.lo : ci.hi, value);
+      }
+    }
+  }
+  EXPECT_GE(hits, 2) << "no corpus sample whose median law reaches alpha exactly";
+}
+
+TEST(BootstrapCI, QuantileAtFourThousandTrialsFallsInsideTheMonteCarloSpread) {
+  // d = n = 4096 (continuous) and d = 6 (few distinct), the sizes of a
+  // throughput cell at --trials=4096.  The exact ends must lie within the
+  // range the 2000-resample estimate gives over 50 seeds.
+  wu::Rng rng(7);
+  for (int shape = 0; shape < 2; ++shape) {
+    wu::Sample sample;
+    for (int i = 0; i < 4096; ++i) {
+      sample.push(shape == 0 ? rng.uniform01() * 300.0 - 100.0
+                             : static_cast<double>(8 + rng.uniform(6)));
+    }
+    const auto ci = wu::BootstrapCI::of_quantile(sample, 0.5, 0.95);
+    SCOPED_TRACE(testing::Message() << "shape=" << shape << " lo=" << ci.lo << " hi=" << ci.hi);
+    EXPECT_TRUE(std::isfinite(ci.lo));
+    EXPECT_TRUE(std::isfinite(ci.hi));
+    EXPECT_LE(ci.lo, ci.mean);
+    EXPECT_LE(ci.mean, ci.hi);
+    double lo_min = INFINITY, lo_max = -INFINITY, hi_min = INFINITY, hi_max = -INFINITY;
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+      const auto mc = monte_carlo_of_quantile(sample, 0.5, 0.95, 2000, seed);
+      lo_min = std::min(lo_min, mc.lo);
+      lo_max = std::max(lo_max, mc.lo);
+      hi_min = std::min(hi_min, mc.hi);
+      hi_max = std::max(hi_max, mc.hi);
+    }
+    EXPECT_LE(lo_min, ci.lo);
+    EXPECT_LE(ci.lo, lo_max);
+    EXPECT_LE(hi_min, ci.hi);
+    EXPECT_LE(ci.hi, hi_max);
+  }
+}
+
+TEST(BootstrapCI, QuantileIntervalNestsAsTheLevelRises) {
+  wu::Rng rng(11);
+  for (const std::size_t n : {2u, 7u, 48u, 1000u}) {
+    for (int shape = 0; shape < 2; ++shape) {
+      wu::Sample sample;
+      for (std::size_t i = 0; i < n; ++i) {
+        sample.push(shape == 0 ? rng.uniform01() : static_cast<double>(rng.uniform(5)));
+      }
+      for (const double p : {0.0, 0.5, 0.95, 1.0}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " shape=" << shape << " p=" << p);
+        wu::BootstrapCI outer = wu::BootstrapCI::of_quantile(sample, p, 0.5);
+        for (const double level : {0.6, 0.8, 0.9, 0.95, 0.99, 0.999}) {
+          const auto ci = wu::BootstrapCI::of_quantile(sample, p, level);
+          EXPECT_LE(ci.lo, outer.lo) << "level=" << level;
+          EXPECT_GE(ci.hi, outer.hi) << "level=" << level;
+          outer = ci;
         }
       }
     }

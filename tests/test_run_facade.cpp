@@ -191,6 +191,31 @@ TEST(RunFacade, NestedRunOnTheSamePoolCompletes) {
   }
 }
 
+TEST(RunFacade, FinalizeTimeLandsInThePhaseHistogramOnlyWhileObserving) {
+  // RunOutcome::cell times its finalize into "phase.finalize_us" only
+  // while obs is active, and the statistics are the same either way.
+  const auto out = ws::Run(basic_cell(32, 4, 12));
+  const auto finalizes = [] {
+    const obs::Snapshot snap = obs::snapshot();
+    const auto it = snap.find("phase.finalize_us");
+    return it == snap.end() ? std::uint64_t{0} : it->second.count;
+  };
+  obs::reset();
+  const ws::CellStats off = out.cell(200);
+  EXPECT_EQ(finalizes(), 0u);
+  obs::set_enabled(true);
+  const ws::CellStats on = out.cell(200);
+  obs::set_enabled(false);
+  EXPECT_EQ(finalizes(), obs::kCompiled ? 1u : 0u);
+  obs::reset();
+  EXPECT_EQ(on.mean_ci.lo, off.mean_ci.lo);
+  EXPECT_EQ(on.mean_ci.hi, off.mean_ci.hi);
+  EXPECT_EQ(on.median_ci.lo, off.median_ci.lo);
+  EXPECT_EQ(on.median_ci.hi, off.median_ci.hi);
+  EXPECT_EQ(on.energy_mean_ci.lo, off.energy_mean_ci.lo);
+  EXPECT_EQ(on.energy_mean_ci.hi, off.energy_mean_ci.hi);
+}
+
 TEST(RunFacade, RejectsAmbiguousSpecs) {
   const wp::RoundRobinProtocol rr(8);
   const wm::WakePattern pattern(8, {{1, 0}});

@@ -133,7 +133,8 @@ sweep options:
                          report is byte-identical to an uninterrupted run
   --threads=<int>        pool size for cell/trial parallelism (default:
                          shared pool; 0 = inline)
-  --ci-resamples=<int>   bootstrap resamples per cell (default 2000)
+  --ci-resamples=<int>   mean-CI resamples; 0 turns every CI off; the median
+                         CI is exact (default 2000)
   --max-cells=<int>      stop after N pending cells (CI/kill simulation)
   --per-trial-csv=<csv>  stream one row per trial across all cells
   --quiet                suppress per-cell progress lines
