@@ -375,7 +375,7 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   if (options.trial_csv != nullptr && !spec.arrivals.empty()) {
     throw std::invalid_argument(
         "sweep: the per-trial CSV stream has no row schema for dynamic cells — drop "
-        "--trials-csv from arrival-axis sweeps");
+        "--per-trial-csv from arrival-axis sweeps");
   }
   if (!util::ensure_directory(options.out_dir)) {
     throw std::runtime_error("sweep: cannot create output directory " + options.out_dir);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace wakeup::sim {
 
 namespace {
@@ -30,6 +32,22 @@ util::BootstrapCI median_ci(const util::Sample& sample, std::uint64_t ci_resampl
   ci.level = ci_level;
   ci.mean = ci.lo = ci.hi = sample.median();
   return ci;
+}
+
+/// Sets the cell's two mean CIs: the headline sample's and the per-trial
+/// mean energy's, from one draw pass when their sizes match (every trial
+/// is in both: all succeeded, or the cell is dynamic, and energy is on).
+void set_mean_cis(const util::Sample& headline, const util::Sample& energy_mean,
+                  std::uint64_t ci_resamples, std::uint64_t ci_seed, double ci_level,
+                  CellStats& stats) {
+  const util::MeanCIPair cis =
+      util::BootstrapCI::of_means(headline, energy_mean, ci_level, ci_resamples, ci_seed);
+  stats.mean_ci = cis.first;
+  stats.energy_mean_ci = cis.second;
+  if (obs::active()) {
+    static const auto c_draws = obs::Counter::get("ci.mean_draws");
+    c_draws.add(cis.draws);
+  }
 }
 
 }  // namespace
@@ -90,12 +108,10 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
     stats.latency = util::Summary::of(latency);
     stats.collisions = util::Summary::of(collisions);
     stats.silences = util::Summary::of(silences);
-    stats.mean_ci = util::BootstrapCI::of_mean(throughput, ci_level, ci_resamples, ci_seed);
     stats.median_ci = median_ci(throughput, ci_resamples, ci_level);
     stats.energy_mean = util::Summary::of(energy_mean);
     stats.energy_max = util::Summary::of(energy_max);
-    stats.energy_mean_ci =
-        util::BootstrapCI::of_mean(energy_mean, ci_level, ci_resamples, ci_seed);
+    set_mean_cis(throughput, energy_mean, ci_resamples, ci_seed, ci_level, stats);
     return stats;
   }
   util::Sample rounds, collisions, silences, completion, energy_mean, energy_max;
@@ -124,12 +140,10 @@ CellStats Aggregator::finalize(std::uint64_t ci_resamples, std::uint64_t ci_seed
   stats.collisions = util::Summary::of(collisions);
   stats.silences = util::Summary::of(silences);
   stats.completion = util::Summary::of(completion);
-  stats.mean_ci = util::BootstrapCI::of_mean(rounds, ci_level, ci_resamples, ci_seed);
   stats.median_ci = median_ci(rounds, ci_resamples, ci_level);
   stats.energy_mean = util::Summary::of(energy_mean);
   stats.energy_max = util::Summary::of(energy_max);
-  stats.energy_mean_ci =
-      util::BootstrapCI::of_mean(energy_mean, ci_level, ci_resamples, ci_seed);
+  set_mean_cis(rounds, energy_mean, ci_resamples, ci_seed, ci_level, stats);
   return stats;
 }
 

@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -55,11 +56,11 @@ double Sample::max() const noexcept {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-double Sample::quantile(double p) const {
-  if (values_.empty()) return 0.0;
+namespace {
+
+/// Linear-interpolated p-quantile of a non-empty ascending vector.
+double sorted_quantile(const std::vector<double>& sorted, double p) {
   p = std::clamp(p, 0.0, 1.0);
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
   const double pos = p * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
@@ -67,16 +68,30 @@ double Sample::quantile(double p) const {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+}  // namespace
+
+double Sample::quantile(double p) const {
+  if (values_.empty()) return 0.0;
+  std::vector<double> sorted = values_;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted_quantile(sorted, p);
+}
+
 Summary Summary::of(const Sample& s) {
   Summary out;
   out.count = s.size();
   out.mean = s.mean();
   out.stddev = s.stddev();
-  out.min = s.min();
-  out.median = s.median();
-  out.p95 = s.quantile(0.95);
-  out.p99 = s.quantile(0.99);
-  out.max = s.max();
+  if (s.empty()) return out;
+  // One sorted copy serves the order statistics (no value is NaN, so its
+  // ends are the sample's min and max).
+  std::vector<double> sorted = s.values();
+  std::sort(sorted.begin(), sorted.end());
+  out.min = sorted.front();
+  out.median = sorted_quantile(sorted, 0.5);
+  out.p95 = sorted_quantile(sorted, 0.95);
+  out.p99 = sorted_quantile(sorted, 0.99);
+  out.max = sorted.back();
   return out;
 }
 
@@ -119,29 +134,68 @@ void pick_interval(std::vector<double>& stats, BootstrapCI& ci) {
   ci.hi = stats[hi];
 }
 
+/// The degenerate interval [mean, mean] at the clamped level.
+BootstrapCI point_ci(const Sample& sample, double level) {
+  BootstrapCI ci;
+  ci.level = std::clamp(level, 0.5, 0.999);
+  ci.mean = ci.lo = ci.hi = sample.mean();
+  return ci;
+}
+
+/// `Rng::uniform` draws `BootstrapCI::of_mean` makes on an n-value sample.
+std::uint64_t mean_draws(std::size_t n, std::uint64_t resamples) {
+  return n < 2 ? 0 : resamples * n;
+}
+
+/// The mean CIs of K samples of one size n >= 2, from one stream of
+/// `resamples` x n indices: each `rng.uniform(n)` picks the same position
+/// in every sample.  Each sum adds in draw order: the means are not
+/// integers, so any other order of the adds would change their bits.
+template <std::size_t K>
+std::array<BootstrapCI, K> resampled_mean_cis(const std::array<const Sample*, K>& samples,
+                                              double level, std::uint64_t resamples,
+                                              std::uint64_t seed) {
+  Rng rng(hash_words({seed, 0x424f4f54ULL /* "BOOT" */}));
+  const std::size_t n = samples[0]->size();
+  std::array<const double*, K> values;
+  std::array<std::vector<double>, K> means;
+  for (std::size_t s = 0; s < K; ++s) {
+    values[s] = samples[s]->values().data();
+    means[s].resize(resamples);
+  }
+  for (std::uint64_t r = 0; r < resamples; ++r) {
+    std::array<double, K> acc{};
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t at = rng.uniform(n);
+      for (std::size_t s = 0; s < K; ++s) acc[s] += values[s][at];
+    }
+    for (std::size_t s = 0; s < K; ++s) means[s][r] = acc[s] / static_cast<double>(n);
+  }
+  std::array<BootstrapCI, K> cis;
+  for (std::size_t s = 0; s < K; ++s) {
+    cis[s] = point_ci(*samples[s], level);
+    pick_interval(means[s], cis[s]);
+  }
+  return cis;
+}
+
 }  // namespace
 
 BootstrapCI BootstrapCI::of_mean(const Sample& sample, double level, std::uint64_t resamples,
                                  std::uint64_t seed) {
-  BootstrapCI ci;
-  ci.level = std::clamp(level, 0.5, 0.999);
-  ci.mean = sample.mean();
-  ci.lo = ci.hi = ci.mean;
-  const auto& values = sample.values();
-  if (values.size() < 2 || resamples == 0) return ci;
+  if (mean_draws(sample.size(), resamples) == 0) return point_ci(sample, level);
+  return resampled_mean_cis<1>({&sample}, level, resamples, seed)[0];
+}
 
-  Rng rng(hash_words({seed, 0x424f4f54ULL /* "BOOT" */}));
-  const std::size_t n = values.size();
-  // Each resample sums in draw order: the means are not integers, so any
-  // other order of the adds would change their bits.
-  std::vector<double> means(resamples);
-  for (double& mean : means) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) acc += values[rng.uniform(n)];
-    mean = acc / static_cast<double>(n);
+MeanCIPair BootstrapCI::of_means(const Sample& first, const Sample& second, double level,
+                                 std::uint64_t resamples, std::uint64_t seed) {
+  const std::uint64_t draws = mean_draws(first.size(), resamples);
+  if (draws == 0 || first.size() != second.size()) {
+    return {of_mean(first, level, resamples, seed), of_mean(second, level, resamples, seed),
+            draws + mean_draws(second.size(), resamples)};
   }
-  pick_interval(means, ci);
-  return ci;
+  const auto cis = resampled_mean_cis<2>({&first, &second}, level, resamples, seed);
+  return {cis[0], cis[1], draws};
 }
 
 namespace {

@@ -94,6 +94,8 @@ class Log2Histogram {
   std::uint64_t total_ = 0;
 };
 
+struct MeanCIPair;
+
 /// Percentile bootstrap confidence intervals for the mean and for a
 /// quantile of a sample.
 ///
@@ -104,7 +106,10 @@ class Log2Histogram {
 /// `Rng::uniform(n)` per draw, so a call is bound by the R * n draws; it
 /// sums each resample in draw order (the sums are not integers; reordering
 /// them changes bits) and picks the interval ends with two `nth_element`
-/// calls.  `of_quantile` draws nothing: a resample's quantile interpolates
+/// calls.  `of_means` takes two samples at one seed: when their sizes
+/// match, both would draw the same index stream, so one pass of R * n
+/// draws feeds both sums (about the cost of one `of_mean`, half that of
+/// two).  `of_quantile` draws nothing: a resample's quantile interpolates
 /// two adjacent order statistics, whose joint law is a closed-form sum
 /// over the d distinct sample values (Hutson & Ernst 2000, "The exact
 /// bootstrap mean and variance of an L-estimator", JRSS-B 62).  It returns
@@ -123,6 +128,13 @@ struct BootstrapCI {
   [[nodiscard]] static BootstrapCI of_mean(const Sample& sample, double level,
                                            std::uint64_t resamples, std::uint64_t seed);
 
+  /// `of_mean` on each sample at one seed, bit for bit.  Equal sizes
+  /// n >= 2 with resamples > 0 share one draw pass; otherwise each sample
+  /// is resampled on its own.
+  [[nodiscard]] static MeanCIPair of_means(const Sample& first, const Sample& second,
+                                           double level, std::uint64_t resamples,
+                                           std::uint64_t seed);
+
   /// Exact percentile bootstrap interval for the p-quantile of a sample
   /// (`mean` holds the point estimate, i.e. sample.quantile(p)).  With
   /// alpha = (1 - level) / 2 and G the CDF of the resampled quantile over
@@ -131,6 +143,14 @@ struct BootstrapCI {
   /// values the resampled quantile takes.  Degenerate samples (size < 2)
   /// return [mean, mean].  The sweep aggregator uses p = 0.5.
   [[nodiscard]] static BootstrapCI of_quantile(const Sample& sample, double p, double level);
+};
+
+/// Two mean CIs from `BootstrapCI::of_means`, and the `Rng::uniform`
+/// draws they took.
+struct MeanCIPair {
+  BootstrapCI first;
+  BootstrapCI second;
+  std::uint64_t draws = 0;
 };
 
 }  // namespace wakeup::util

@@ -7,9 +7,13 @@
 #include <map>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "sim/aggregator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+namespace obs = wakeup::obs;
+namespace ws = wakeup::sim;
 namespace wu = wakeup::util;
 
 namespace {
@@ -130,6 +134,18 @@ double least_value_reaching(const std::map<double, std::uint64_t>& law, double q
   return law.rbegin()->first;
 }
 
+/// An n-value sample of one of the aggregator's shapes: all tied (0), few
+/// distinct integers (1, rounds) or continuous (2, energy means).
+wu::Sample shaped_sample(std::size_t n, int shape, wu::Rng& rng) {
+  wu::Sample sample;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shape == 0) sample.push(17.0);
+    if (shape == 1) sample.push(static_cast<double>(8 + rng.uniform(6)));
+    if (shape == 2) sample.push(rng.uniform01() * 300.0 - 100.0);
+  }
+  return sample;
+}
+
 void expect_bit_equal(const wu::BootstrapCI& got, const wu::BootstrapCI& want) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean), std::bit_cast<std::uint64_t>(want.mean));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lo), std::bit_cast<std::uint64_t>(want.lo));
@@ -223,12 +239,7 @@ TEST(BootstrapCI, BitIdenticalToTheSortBasedReference) {
   for (int i = 0; i < 2; ++i) sizes.push_back(2 + corpus.uniform(999));
   for (const std::size_t n : sizes) {
     for (int shape = 0; shape < 3; ++shape) {
-      wu::Sample sample;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (shape == 0) sample.push(17.0);
-        if (shape == 1) sample.push(static_cast<double>(8 + corpus.uniform(6)));
-        if (shape == 2) sample.push(corpus.uniform01() * 300.0 - 100.0);
-      }
+      const wu::Sample sample = shaped_sample(n, shape, corpus);
       for (const std::uint64_t resamples : {1ULL, 2ULL, 3ULL, 2000ULL}) {
         for (const double level : {0.5, 0.9, 0.95, 0.999}) {
           const std::uint64_t seed = corpus.next_u64();
@@ -238,6 +249,108 @@ TEST(BootstrapCI, BitIdenticalToTheSortBasedReference) {
                            reference_of_mean(sample, level, resamples, seed));
         }
       }
+    }
+  }
+}
+
+namespace {
+
+/// `of_means` against the reference on each stream, and its draw count.
+void expect_means_match_reference(const wu::Sample& first, const wu::Sample& second,
+                                  double level, std::uint64_t resamples, std::uint64_t seed,
+                                  std::uint64_t draws) {
+  const wu::MeanCIPair pair = wu::BootstrapCI::of_means(first, second, level, resamples, seed);
+  expect_bit_equal(pair.first, reference_of_mean(first, level, resamples, seed));
+  expect_bit_equal(pair.second, reference_of_mean(second, level, resamples, seed));
+  EXPECT_EQ(pair.draws, draws);
+}
+
+}  // namespace
+
+TEST(BootstrapCI, SharedDrawPassIsBitIdenticalToTheReferenceOnEachStream) {
+  // Equal sizes share one pass of R * n draws; each stream's interval must
+  // still be the one its own of_mean call gives, to the bit.
+  wu::Rng corpus(20130522);
+  for (const std::size_t n : {2u, 3u, 48u, 1000u}) {
+    for (const auto& [first_shape, second_shape] :
+         {std::pair{1, 2}, std::pair{2, 2}, std::pair{0, 1}, std::pair{1, 1}}) {
+      const wu::Sample first = shaped_sample(n, first_shape, corpus);
+      const wu::Sample second = shaped_sample(n, second_shape, corpus);
+      for (const std::uint64_t resamples : {1ULL, 3ULL, 2000ULL}) {
+        for (const double level : {0.5, 0.9, 0.95, 0.999}) {
+          const std::uint64_t seed = corpus.next_u64();
+          SCOPED_TRACE(testing::Message() << "n=" << n << " shapes=" << first_shape << "/"
+                                          << second_shape << " resamples=" << resamples
+                                          << " level=" << level);
+          expect_means_match_reference(first, second, level, resamples, seed, resamples * n);
+        }
+      }
+    }
+  }
+}
+
+TEST(BootstrapCI, SharedDrawPassFallsBackToOneStreamEach) {
+  // Unequal sizes, a sample below two values, and zero resamples cannot
+  // share a pass; each stream then draws (or skips) on its own.
+  wu::Rng corpus(7);
+  struct Case {
+    std::size_t first_n;
+    std::size_t second_n;
+    std::uint64_t resamples;
+    std::uint64_t draws;
+  };
+  const Case cases[] = {
+      {48, 47, 2000, 2000 * 95}, {47, 48, 2000, 2000 * 95}, {48, 0, 2000, 2000 * 48},
+      {0, 48, 2000, 2000 * 48},  {1, 1, 2000, 0},           {1, 48, 500, 500 * 48},
+      {0, 0, 2000, 0},           {48, 48, 0, 0},            {3, 2, 1, 5},
+  };
+  for (const Case& c : cases) {
+    for (const double level : {0.5, 0.95}) {
+      SCOPED_TRACE(testing::Message() << "sizes=" << c.first_n << "/" << c.second_n
+                                      << " resamples=" << c.resamples << " level=" << level);
+      const wu::Sample first = shaped_sample(c.first_n, 1, corpus);
+      const wu::Sample second = shaped_sample(c.second_n, 2, corpus);
+      expect_means_match_reference(first, second, level, c.resamples, corpus.next_u64(),
+                                   c.draws);
+    }
+  }
+}
+
+TEST(BootstrapCI, AggregatorMeanCIsEqualSeparateOfMeanCalls) {
+  // A failed trial leaves rounds one value short of energy (failed trials
+  // pay energy too), so the cell's mean CIs take the fallback; with every
+  // trial successful they share a pass.  Either way each equals its own
+  // of_mean call, and ci.mean_draws counts the draws made.
+  for (const bool with_failure : {true, false}) {
+    SCOPED_TRACE(with_failure ? "one failed trial" : "all trials succeed");
+    wu::Rng rng(31);
+    const std::size_t trials = 24;
+    ws::Aggregator aggregator(trials);
+    wu::Sample rounds, energy;
+    for (std::size_t t = 0; t < trials; ++t) {
+      ws::SimResult result;
+      result.success = !(with_failure && t == 5);
+      result.rounds = static_cast<std::int64_t>(1 + rng.uniform(40));
+      result.station_energy = {1 + rng.uniform(9), 1 + rng.uniform(9), 1 + rng.uniform(9)};
+      aggregator.add(t, result);
+      if (result.success) rounds.push(static_cast<double>(result.rounds));
+      const auto& e = result.station_energy;
+      energy.push(static_cast<double>(e[0] + e[1] + e[2]) / 3.0);
+    }
+    ASSERT_EQ(rounds.size(), with_failure ? trials - 1 : trials);
+    const std::uint64_t resamples = 700;
+    const std::uint64_t seed = 0xfeed;
+    obs::reset();
+    obs::set_enabled(true);
+    const ws::CellStats stats = aggregator.finalize(resamples, seed, 0.9);
+    obs::set_enabled(false);
+    const std::uint64_t draws = obs::snapshot_value(obs::snapshot(), "ci.mean_draws");
+    obs::reset();
+    expect_bit_equal(stats.mean_ci, wu::BootstrapCI::of_mean(rounds, 0.9, resamples, seed));
+    expect_bit_equal(stats.energy_mean_ci,
+                     wu::BootstrapCI::of_mean(energy, 0.9, resamples, seed));
+    if (obs::kCompiled) {
+      EXPECT_EQ(draws, resamples * (with_failure ? 2 * trials - 1 : trials));
     }
   }
 }
