@@ -5,7 +5,9 @@
 /// specs, a resumable manifest, CIs, and cells that share one nested pool
 /// with their trials.  Measured here:
 ///   * 1/2/4-process worker fleets vs a single-process run on the 96-cell
-///     scenario-b acceptance grid — the multi-process scale-out path.
+///     scenario-b acceptance grid — the multi-process scale-out path, each
+///     fleet leg timed against the single-process leg as interleaved
+///     min-of-reps (`bench::measure`).
 ///     Gates: claim-ledger + merge overhead (1 worker vs classic) <= 5%,
 ///     and >= 1.6x at 2 workers when the host has >= 2 cores (reported
 ///     otherwise: single-core CI runs this too).  Fleet reports must be
@@ -20,6 +22,7 @@
 /// legs run FIRST: `run_sweep_fleet` forks, and the process must not have
 /// spawned pool threads yet.
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -80,36 +83,59 @@ int main(int argc, char** argv) {
   fleet_spec.trials = quick ? 96 : 4096;
   const auto fleet_cells = exp::expand(fleet_spec);
 
+  // Each fleet leg is timed against the single-process leg as interleaved
+  // min-of-reps (`bench::measure`), every rep into a fresh out_dir, so the
+  // ratios compare runs under the same machine noise.
   util::ThreadPool inline_pool(0);  // threadless: keeps the baseline fork-safe
-  exp::SweepOptions single;
-  single.out_dir = out_dir("single");
-  single.ci_resamples = 0;
-  single.pool = &inline_pool;
-  const auto f0 = std::chrono::steady_clock::now();
-  const auto single_outcome = exp::run_sweep(fleet_spec, single);
-  const double single_s = seconds_since(f0);
-  const std::string single_csv = slurp(single_outcome.csv_path);
-  const std::string single_json = slurp(single_outcome.json_path);
+  std::string single_csv;
+  std::string single_json;
+  const auto single_leg = [&] {
+    exp::SweepOptions options;
+    options.out_dir = out_dir("single");
+    options.ci_resamples = 0;
+    options.pool = &inline_pool;
+    const auto t = std::chrono::steady_clock::now();
+    const auto outcome = exp::run_sweep(fleet_spec, options);
+    const double seconds = seconds_since(t);
+    single_csv = slurp(outcome.csv_path);
+    single_json = slurp(outcome.json_path);
+    return seconds;
+  };
 
   struct FleetLeg {
     std::uint32_t workers;
     double seconds = 0.0;
-    bool identical = false;
+    double single_seconds = 0.0;  ///< the single-process leg it was paired with
+    int reps = 0;
+    bool identical = true;
   };
   std::vector<FleetLeg> fleet = {{1}, {2}, {4}};
   for (FleetLeg& leg : fleet) {
-    exp::SweepOptions options;
-    options.out_dir = out_dir("fleet" + std::to_string(leg.workers));
-    options.ci_resamples = 0;
-    const auto t = std::chrono::steady_clock::now();
-    const auto outcome = exp::run_sweep_fleet(fleet_spec, options, leg.workers, 0);
-    leg.seconds = seconds_since(t);
-    leg.identical = outcome.completed && slurp(outcome.csv_path) == single_csv &&
-                    slurp(outcome.json_path) == single_json;
+    const bench::Measured m = bench::measure(single_leg, [&] {
+      exp::SweepOptions options;
+      options.out_dir = out_dir("fleet" + std::to_string(leg.workers));
+      options.ci_resamples = 0;
+      const auto t = std::chrono::steady_clock::now();
+      const auto outcome = exp::run_sweep_fleet(fleet_spec, options, leg.workers, 0);
+      const double seconds = seconds_since(t);
+      leg.identical = leg.identical && outcome.completed &&
+                      slurp(outcome.csv_path) == single_csv &&
+                      slurp(outcome.json_path) == single_json;
+      return seconds;
+    });
+    leg.single_seconds = m.a_secs;
+    leg.seconds = m.b_secs;
+    leg.reps = m.reps;
   }
-  const double fleet_overhead = single_s > 0 ? fleet[0].seconds / single_s - 1.0 : 0.0;
-  const double speedup2 = fleet[1].seconds > 0 ? single_s / fleet[1].seconds : 0.0;
-  const double speedup4 = fleet[2].seconds > 0 ? single_s / fleet[2].seconds : 0.0;
+  const auto speedup = [](const FleetLeg& leg) {
+    return leg.seconds > 0 ? leg.single_seconds / leg.seconds : 0.0;
+  };
+  const double single_s = std::min({fleet[0].single_seconds, fleet[1].single_seconds,
+                                    fleet[2].single_seconds});
+  const double fleet_overhead =
+      fleet[0].single_seconds > 0 ? fleet[0].seconds / fleet[0].single_seconds - 1.0 : 0.0;
+  const double speedup2 = speedup(fleet[1]);
+  const double speedup4 = speedup(fleet[2]);
   const unsigned cores = std::thread::hardware_concurrency();
 
   const exp::SweepSpec spec = bench_spec(quick);
@@ -181,16 +207,19 @@ int main(int argc, char** argv) {
 
   sim::ResultsSink fleet_sink("s1_sweep_worker_scaling",
                               {"leg", "workers", "seconds", "speedup", "cells/s"});
-  const auto fleet_row = [&](const char* leg, std::uint64_t workers, double seconds) {
+  const auto fleet_row = [&](const char* leg, std::uint64_t workers, double seconds,
+                             double speedup_vs_single) {
     fleet_sink.cell(leg)
         .cell(workers)
         .cell(seconds, 3)
-        .cell(seconds > 0 ? single_s / seconds : 0.0, 2)
+        .cell(speedup_vs_single, 2)
         .cell(seconds > 0 ? static_cast<double>(fleet_cells.size()) / seconds : 0.0, 1);
     fleet_sink.end_row();
   };
-  fleet_row("single process", 1, single_s);
-  for (const FleetLeg& leg : fleet) fleet_row("worker fleet", leg.workers, leg.seconds);
+  fleet_row("single process", 1, single_s, 1.0);
+  for (const FleetLeg& leg : fleet) {
+    fleet_row("worker fleet", leg.workers, leg.seconds, speedup(leg));
+  }
   fleet_sink.flush("S1: multi-process worker scaling (scenario-b, " +
                    std::to_string(fleet_cells.size()) + " cells)");
 
@@ -210,18 +239,14 @@ int main(int argc, char** argv) {
               {"pool_speedup", pool_speedup},
               {"reports_identical", identical}});
   report.row({{"leg", "single_process"}, {"seconds", single_s}});
-  report.row({{"leg", "fleet_1"},
-              {"seconds", fleet[0].seconds},
-              {"overhead_vs_single", fleet_overhead},
-              {"reports_identical", fleet[0].identical}});
-  report.row({{"leg", "fleet_2"},
-              {"seconds", fleet[1].seconds},
-              {"speedup_vs_single", speedup2},
-              {"reports_identical", fleet[1].identical}});
-  report.row({{"leg", "fleet_4"},
-              {"seconds", fleet[2].seconds},
-              {"speedup_vs_single", speedup4},
-              {"reports_identical", fleet[2].identical}});
+  for (const FleetLeg& leg : fleet) {
+    report.row({{"leg", "fleet_" + std::to_string(leg.workers)},
+                {"seconds", leg.seconds},
+                {"single_seconds", leg.single_seconds},
+                {"speedup_vs_single", speedup(leg)},
+                {"reps", leg.reps},
+                {"reports_identical", leg.identical}});
+  }
   report.write();
 
   std::cout << "orchestration overhead vs hand-rolled loop: " << overhead * 100.0 << "% (min of "
@@ -231,7 +256,8 @@ int main(int argc, char** argv) {
             << "reports on 0/1/4-worker pools byte-identical: " << (identical ? "yes" : "NO")
             << "\n"
             << "ledger+merge overhead (1 worker vs classic): " << fleet_overhead * 100.0
-            << "%\n"
+            << "% (each fleet leg min of " << fleet[0].reps << "/" << fleet[1].reps << "/"
+            << fleet[2].reps << " interleaved reps against the single process)\n"
             << "fleet speedup: " << speedup2 << "x @ 2 workers, " << speedup4
             << "x @ 4 workers (cores=" << cores << ")\n";
   bool ok = true;

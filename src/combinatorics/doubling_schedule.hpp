@@ -77,7 +77,7 @@ class DoublingSchedule {
   /// `from` into one word: bit j = transmits(u, from + j).  Assembles the
   /// word from per-family `membership_word` chunks instead of re-running
   /// position()'s binary search per step — the word-parallel building
-  /// block of the oblivious schedule_block implementations.
+  /// block of the oblivious schedule_word implementations.
   [[nodiscard]] std::uint64_t schedule_word(Station u, std::uint64_t from) const noexcept;
 
   /// Is `idx mod period` the first set of some family?

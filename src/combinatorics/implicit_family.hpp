@@ -95,7 +95,7 @@ class ImplicitFamily {
   /// 64 consecutive membership bits for station u starting at set `from`:
   /// bit j of the result is contains(from + j, u).  Bits at or past
   /// length() are unspecified — callers mask, exactly as with
-  /// `ObliviousSchedule::schedule_block`.  The default loops `contains`;
+  /// `ObliviousSchedule::schedule_word`.  The default loops `contains`;
   /// implementations override with run-structured arithmetic.
   [[nodiscard]] virtual std::uint64_t membership_word(Station u, std::size_t from) const;
 

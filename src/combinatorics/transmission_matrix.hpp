@@ -71,7 +71,7 @@ struct MatrixParams {
 ///
 /// The hash is hash_words({seed, "MATRIX", row, j, u}), whose
 /// (seed, "MATRIX", row) prefix is constant along a row.  Word-at-a-time
-/// callers (the protocol's schedule_block) compute `row_prefix` once per
+/// callers (the protocol's schedule_word) compute `row_prefix` once per
 /// row, then query `contains_prefixed` per slot; `contains` is the same
 /// computation in one call, so membership has a single definition.
 class LazyTransmissionMatrix {

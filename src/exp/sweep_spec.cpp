@@ -369,17 +369,21 @@ std::vector<mac::ArrivalSpec> parse_arrival_axis(const std::string& text) {
 
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> items;
-  std::string current;
-  for (const char c : text) {
-    if (c == ',') {
-      if (!current.empty()) items.push_back(current);
-      current.clear();
-    } else if (c != ' ') {
-      current += c;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = std::min(text.find(',', begin), text.size());
+    const std::size_t lo = std::min(text.find_first_not_of(' ', begin), comma);
+    std::size_t hi = comma;
+    while (hi > lo && text[hi - 1] == ' ') --hi;
+    std::string item = text.substr(lo, hi - lo);
+    if (item.empty() || item.find(' ') != std::string::npos) {
+      throw std::invalid_argument("bad list item '" + item + "' in '" + text +
+                                  "' (items are comma-separated, non-empty, without spaces)");
     }
+    items.push_back(std::move(item));
+    if (comma == text.size()) return items;
+    begin = comma + 1;
   }
-  if (!current.empty()) items.push_back(current);
-  return items;
 }
 
 namespace {

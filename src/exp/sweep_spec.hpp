@@ -173,7 +173,9 @@ struct Cell {
 /// on "replay" (replay traffic is loaded from a file, not swept).
 [[nodiscard]] std::vector<mac::ArrivalSpec> parse_arrival_axis(const std::string& text);
 
-/// Splits "a,b,c" into trimmed non-empty items (shared by axis parsers).
+/// Splits "a, b,c" into items with the spaces at their ends trimmed
+/// (shared by axis parsers).  Throws std::invalid_argument naming the item
+/// for an empty item ("2,,4", "2,", "") or a space inside one ("2 4").
 [[nodiscard]] std::vector<std::string> split_list(const std::string& text);
 
 }  // namespace wakeup::exp

@@ -51,25 +51,17 @@ std::unique_ptr<StationRuntime> InterleavedProtocol::make_runtime(StationId u, S
                                               odd_->make_runtime(u, odd_wake));
 }
 
-void InterleavedProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                         std::uint64_t* out_words, std::size_t n_words) const {
-  const Slot w0 = wake < 0 ? 0 : wake;
-  const Slot even_wake = (w0 + 1) / 2;  // virtual wakes, as in make_runtime
-  const Slot odd_wake = w0 / 2;
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot b = from + static_cast<Slot>(64 * w);
-    // The 32 even-parity global slots in [b, b+64) map to virtual slots
-    // (b+1)/2 ... of the even component; the 32 odd-parity ones to
-    // b/2 ... of the odd component.  Fetch one virtual word from each and
-    // interleave the low halves.
-    std::uint64_t even_bits = 0;
-    std::uint64_t odd_bits = 0;
-    even_sched_->schedule_block(u, even_wake, (b + 1) / 2, &even_bits, 1);
-    odd_sched_->schedule_block(u, odd_wake, b / 2, &odd_bits, 1);
-    const std::uint64_t e = util::spread_even_bits32(even_bits);
-    const std::uint64_t o = util::spread_even_bits32(odd_bits);
-    out_words[w] = b % 2 == 0 ? (e | (o << 1)) : (o | (e << 1));
-  }
+std::uint64_t InterleavedProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
+  // The 32 even-parity global slots in [from, from+64) map to virtual
+  // slots (from+1)/2 ... of the even component (woken at (wake+1)/2, as in
+  // make_runtime); the 32 odd-parity ones to from/2 ... of the odd
+  // component (woken at wake/2).  Fetch one virtual word from each and
+  // interleave the low halves.
+  const std::uint64_t e =
+      util::spread_even_bits32(even_sched_->schedule_word(u, (wake + 1) / 2, (from + 1) / 2));
+  const std::uint64_t o =
+      util::spread_even_bits32(odd_sched_->schedule_word(u, wake / 2, from / 2));
+  return from % 2 == 0 ? (e | (o << 1)) : (o | (e << 1));
 }
 
 }  // namespace wakeup::proto

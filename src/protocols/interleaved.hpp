@@ -40,8 +40,7 @@ class InterleavedProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override {
     return (even_sched_ != nullptr && odd_sched_ != nullptr) ? this : nullptr;
   }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
   [[nodiscard]] bool words_are_cheap() const override {
     return even_sched_ != nullptr && odd_sched_ != nullptr && even_sched_->words_are_cheap() &&
            odd_sched_->words_are_cheap();

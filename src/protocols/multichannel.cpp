@@ -1,5 +1,6 @@
 #include "protocols/multichannel.hpp"
 
+#include "protocols/wait_and_go.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -8,17 +9,20 @@ namespace {
 
 // ------------------------------------------------------------- adapter
 
+/// Runs a single-channel runtime on one fixed lane.
 class AdapterRuntime final : public McStationRuntime {
  public:
-  explicit AdapterRuntime(std::unique_ptr<StationRuntime> inner) : inner_(std::move(inner)) {}
+  AdapterRuntime(std::unique_ptr<StationRuntime> inner, std::uint32_t lane)
+      : inner_(std::move(inner)), lane_(lane) {}
 
   [[nodiscard]] mac::ChannelAction act(Slot t) override {
-    return {inner_->transmits(t), 0};
+    return {inner_->transmits(t), lane_};
   }
   void feedback(Slot t, ChannelFeedback fb) override { inner_->feedback(t, fb); }
 
  private:
   std::unique_ptr<StationRuntime> inner_;
+  std::uint32_t lane_;
 };
 
 /// Lifts an inner single-channel oblivious schedule onto lane 0 of a
@@ -30,9 +34,8 @@ class AdapterSchedule final : public ObliviousSchedule {
       : inner_(inner), channels_(channels) {}
 
   [[nodiscard]] std::uint32_t schedule_channels() const override { return channels_; }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override {
-    inner_->schedule_block(u, wake, from, out_words, n_words);
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
+    return inner_->schedule_word(u, wake, from);
   }
   [[nodiscard]] bool words_are_cheap() const override { return inner_->words_are_cheap(); }
 
@@ -54,7 +57,7 @@ class SingleChannelAdapter final : public McProtocol {
   [[nodiscard]] std::uint32_t channels() const override { return channels_; }
   [[nodiscard]] std::unique_ptr<McStationRuntime> make_runtime(StationId u,
                                                                Slot wake) const override {
-    return std::make_unique<AdapterRuntime>(inner_->make_runtime(u, wake));
+    return std::make_unique<AdapterRuntime>(inner_->make_runtime(u, wake), 0);
   }
   [[nodiscard]] const Protocol* single_channel() const override { return inner_.get(); }
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override {
@@ -113,23 +116,16 @@ class StripedRoundRobin final : public McProtocol, public ObliviousSchedule {
     (void)wake;
     return u % channels_;
   }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override {
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
     (void)wake;  // the stripe depends only on the global clock
     const auto turn = static_cast<Slot>(u / channels_);
     const auto cycle = static_cast<Slot>(cycle_);
-    if (turn >= cycle) {  // out-of-universe station: its turn never comes
-      for (std::size_t w = 0; w < n_words; ++w) out_words[w] = 0;
-      return;
-    }
-    for (std::size_t w = 0; w < n_words; ++w) {
-      const Slot t0 = from + static_cast<Slot>(64 * w);
-      Slot j = (turn - t0) % cycle;
-      if (j < 0) j += cycle;
-      std::uint64_t word = 0;
-      for (; j < 64; j += cycle) word |= std::uint64_t{1} << j;
-      out_words[w] = word;
-    }
+    if (turn >= cycle) return 0;  // out-of-universe station: its turn never comes
+    Slot j = (turn - from) % cycle;
+    if (j < 0) j += cycle;
+    std::uint64_t word = 0;
+    for (; j < 64; j += cycle) word |= std::uint64_t{1} << j;
+    return word;
   }
   [[nodiscard]] bool words_are_cheap() const override { return true; }
 
@@ -141,27 +137,6 @@ class StripedRoundRobin final : public McProtocol, public ObliviousSchedule {
 
 // ------------------------------------------------------ group wait_and_go
 
-class GroupWagRuntime final : public McStationRuntime {
- public:
-  GroupWagRuntime(StationId u, Slot wake, std::uint32_t channel,
-                  comb::DoublingSchedulePtr schedule)
-      : u_(u), channel_(channel), schedule_(std::move(schedule)) {
-    go_ = schedule_->next_family_start(static_cast<std::uint64_t>(wake < 0 ? 0 : wake));
-  }
-
-  [[nodiscard]] mac::ChannelAction act(Slot t) override {
-    const auto ut = static_cast<std::uint64_t>(t);
-    const bool tx = t >= 0 && ut >= go_ && schedule_->transmits(u_, ut);
-    return {tx, channel_};
-  }
-
- private:
-  StationId u_;
-  std::uint32_t channel_;
-  comb::DoublingSchedulePtr schedule_;
-  std::uint64_t go_ = 0;
-};
-
 class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
  public:
   GroupWaitAndGo(std::uint32_t n, std::uint32_t k, std::uint32_t channels,
@@ -169,14 +144,10 @@ class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
       : channels_(channels < 1 ? 1 : channels), seed_(seed) {
     // Per-group contention is ~k/C; keep the full-k depth for safety when
     // hashing is uneven, but per-group schedules use independent seeds.
-    schedules_.reserve(channels_);
+    lanes_.reserve(channels_);
     for (std::uint32_t c = 0; c < channels_; ++c) {
-      comb::DoublingSchedule::Config config;
-      config.n = n;
-      config.k_max = std::max<std::uint32_t>(2, k);
-      config.kind = kind;
-      config.seed = util::hash_words({seed, 0x4d43574147ULL /* "MCWAG" */, c});
-      schedules_.push_back(comb::make_doubling_schedule(config));
+      const std::uint64_t lane_seed = util::hash_words({seed, 0x4d43574147ULL /* "MCWAG" */, c});
+      lanes_.push_back(make_wait_and_go(n, k, kind, lane_seed));
     }
   }
 
@@ -185,46 +156,19 @@ class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<McStationRuntime> make_runtime(StationId u,
                                                                Slot wake) const override {
     const std::uint32_t group = group_of(u);
-    return std::make_unique<GroupWagRuntime>(u, wake, group, schedules_[group]);
+    return std::make_unique<AdapterRuntime>(lanes_[group]->make_runtime(u, wake), group);
   }
 
   // Oblivious capability: station u is pinned to channel h(u) and runs its
-  // group's doubling schedule there, frozen until the next family boundary
-  // — the wait_and_go rule per lane.
+  // group's wait_and_go there.
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
   [[nodiscard]] std::uint32_t schedule_channels() const override { return channels_; }
   [[nodiscard]] std::uint32_t channel_lane(StationId u, Slot wake) const override {
     (void)wake;
     return group_of(u);
   }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override {
-    const comb::DoublingSchedule& schedule = *schedules_[group_of(u)];
-    const auto j0 = static_cast<std::uint64_t>(wake < 0 ? 0 : wake);
-    const std::uint64_t go = schedule.next_family_start(j0);
-    for (std::size_t w = 0; w < n_words; ++w) {
-      const Slot t0 = from + static_cast<Slot>(64 * w);
-      if (t0 < 0) {  // negative slots never transmit; per-bit boundary path
-        std::uint64_t word = 0;
-        for (unsigned j = 0; j < 64; ++j) {
-          const Slot t = t0 + static_cast<Slot>(j);
-          if (t < 0 || static_cast<std::uint64_t>(t) < go) continue;
-          if (schedule.transmits(u, static_cast<std::uint64_t>(t))) {
-            word |= std::uint64_t{1} << j;
-          }
-        }
-        out_words[w] = word;
-        continue;
-      }
-      const auto ut0 = static_cast<std::uint64_t>(t0);
-      if (ut0 + 64 <= go) {  // still waiting for a family boundary
-        out_words[w] = 0;
-        continue;
-      }
-      std::uint64_t word = schedule.schedule_word(u, ut0);
-      if (ut0 < go) word &= ~std::uint64_t{0} << (go - ut0);
-      out_words[w] = word;
-    }
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
+    return lanes_[group_of(u)]->oblivious_schedule()->schedule_word(u, wake, from);
   }
 
  private:
@@ -235,7 +179,7 @@ class GroupWaitAndGo final : public McProtocol, public ObliviousSchedule {
 
   std::uint32_t channels_;
   std::uint64_t seed_;
-  std::vector<comb::DoublingSchedulePtr> schedules_;
+  std::vector<ProtocolPtr> lanes_;  ///< one wait_and_go per lane
 };
 
 // ---------------------------------------------------- random-channel RPD

@@ -111,7 +111,7 @@ class ObliviousSchedule {
 
   /// The fixed channel lane station `u` acts on (transmits and listens)
   /// for its entire run.  Must be < schedule_channels() and constant over
-  /// slots: a pure function of (u, wake), like schedule_block.  Oblivious
+  /// slots: a pure function of (u, wake), like schedule_word.  Oblivious
   /// *multichannel* protocols whose stations hop lanes mid-run do not fit
   /// this capability and stay on the slot interpreter.
   [[nodiscard]] virtual std::uint32_t channel_lane(StationId u, Slot wake) const {
@@ -120,19 +120,17 @@ class ObliviousSchedule {
     return 0;
   }
 
-  /// Writes `n_words` consecutive 64-slot blocks of station `u`'s schedule
-  /// starting at slot `from`: bit j of out_words[w] covers slot
-  /// from + 64*w + j and must equal what a fresh `make_runtime(u, wake)`
-  /// runtime would answer from `transmits` at that slot (for multichannel
-  /// protocols: the `transmit` flag of `act`, which always targets
-  /// `channel_lane(u, wake)`), for every covered slot >= wake.  Bits
-  /// covering slots earlier than `wake` are unspecified — callers must
-  /// mask them out (the StationRuntime contract never queries those slots
-  /// either).
-  virtual void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                              std::size_t n_words) const = 0;
+  /// One 64-slot block of station `u`'s schedule starting at slot `from`:
+  /// bit j covers slot from + j and must equal what a fresh
+  /// `make_runtime(u, wake)` runtime would answer from `transmits` at that
+  /// slot (for multichannel protocols: the `transmit` flag of `act`, which
+  /// always targets `channel_lane(u, wake)`), for every covered slot >=
+  /// wake.  Bits covering slots earlier than `wake` are unspecified —
+  /// callers must mask them out (the StationRuntime contract never queries
+  /// those slots either).  Requires wake >= 0 and from >= 0.
+  [[nodiscard]] virtual std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const = 0;
 
-  /// Cost class of schedule_block, used by the auto dispatch to size its
+  /// Cost class of schedule_word, used by the auto dispatch to size its
   /// interpreted warm-up window.  True means a word costs a handful of bit
   /// operations (round_robin's strided bits) so batching is always worth
   /// it; false (default) means words walk per-slot tables or hashes, and

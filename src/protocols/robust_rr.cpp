@@ -27,35 +27,26 @@ std::unique_ptr<StationRuntime> RobustRoundRobinProtocol::make_runtime(StationId
   return std::make_unique<RobustRoundRobinRuntime>(u, n_, r_);
 }
 
-void RobustRoundRobinProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                              std::uint64_t* out_words,
-                                              std::size_t n_words) const {
+std::uint64_t RobustRoundRobinProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
   (void)wake;  // schedule depends only on the global clock
-  if (u >= n_) {  // out-of-universe station: the runtime never transmits
-    for (std::size_t w = 0; w < n_words; ++w) out_words[w] = 0;
-    return;
-  }
+  if (u >= n_) return 0;  // out-of-universe station: the runtime never transmits
   // Station u's runs are the slots [a, a + r) with a ≡ u·r (mod n·r): walk
   // run boundaries instead of bits, so a word costs O(64/r + 1) iterations.
   const auto r = static_cast<Slot>(r_);
   const auto p = static_cast<Slot>(n_) * r;  // full period
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    // First run start >= t0 - (r - 1) (a run may straddle the word start).
-    Slot a = static_cast<Slot>(u) * r + (t0 - static_cast<Slot>(u) * r) / p * p;
-    while (a + r <= t0) a += p;
-    std::uint64_t word = 0;
-    for (; a < t0 + 64; a += p) {
-      const Slot lo = a < t0 ? 0 : a - t0;
-      const Slot hi = a + r - t0 < 64 ? a + r - t0 : 64;  // exclusive
-      if (hi <= lo) continue;
-      const std::uint64_t span =
-          hi - lo == 64 ? ~std::uint64_t{0}
-                        : ((std::uint64_t{1} << (hi - lo)) - 1) << lo;
-      word |= span;
-    }
-    out_words[w] = word;
+  // First run start >= from - (r - 1) (a run may straddle the word start).
+  Slot a = static_cast<Slot>(u) * r + (from - static_cast<Slot>(u) * r) / p * p;
+  while (a + r <= from) a += p;
+  std::uint64_t word = 0;
+  for (; a < from + 64; a += p) {
+    const Slot lo = a < from ? 0 : a - from;
+    const Slot hi = a + r - from < 64 ? a + r - from : 64;  // exclusive
+    if (hi <= lo) continue;
+    const std::uint64_t span =
+        hi - lo == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (hi - lo)) - 1) << lo;
+    word |= span;
   }
+  return word;
 }
 
 }  // namespace wakeup::proto

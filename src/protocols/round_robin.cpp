@@ -23,22 +23,15 @@ std::unique_ptr<StationRuntime> RoundRobinProtocol::make_runtime(StationId u, Sl
   return std::make_unique<RoundRobinRuntime>(u, n_);
 }
 
-void RoundRobinProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                        std::uint64_t* out_words, std::size_t n_words) const {
+std::uint64_t RoundRobinProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
   (void)wake;  // schedule depends only on the global clock
-  if (u >= n_) {  // out-of-universe station: the runtime never transmits
-    for (std::size_t w = 0; w < n_words; ++w) out_words[w] = 0;
-    return;
-  }
+  if (u >= n_) return 0;  // out-of-universe station: the runtime never transmits
   const auto n = static_cast<Slot>(n_);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    Slot j = (static_cast<Slot>(u) - t0) % n;
-    if (j < 0) j += n;
-    std::uint64_t word = 0;
-    for (; j < 64; j += n) word |= std::uint64_t{1} << j;
-    out_words[w] = word;
-  }
+  Slot j = (static_cast<Slot>(u) - from) % n;
+  if (j < 0) j += n;
+  std::uint64_t word = 0;
+  for (; j < 64; j += n) word |= std::uint64_t{1} << j;
+  return word;
 }
 
 }  // namespace wakeup::proto

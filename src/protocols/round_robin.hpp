@@ -22,8 +22,7 @@ class RoundRobinProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
   [[nodiscard]] bool words_are_cheap() const override { return true; }
 
   [[nodiscard]] std::uint32_t n() const noexcept { return n_; }

@@ -29,30 +29,12 @@ std::unique_ptr<StationRuntime> SelectAmongTheFirstProtocol::make_runtime(Statio
   return std::make_unique<SatfRuntime>(u, wake == s_, s_, schedule_);
 }
 
-void SelectAmongTheFirstProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                                 std::uint64_t* out_words,
-                                                 std::size_t n_words) const {
-  if (wake != s_) {  // non-participants stay silent forever
-    for (std::size_t w = 0; w < n_words; ++w) out_words[w] = 0;
-    return;
-  }
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    if (t0 >= s_) {
-      // Whole word past s: one incremental 64-bit pull from the schedule.
-      out_words[w] = schedule_->schedule_word(u, static_cast<std::uint64_t>(t0 - s_));
-      continue;
-    }
-    std::uint64_t word = 0;  // boundary block straddling s: per-bit
-    for (unsigned j = 0; j < 64; ++j) {
-      const Slot t = t0 + static_cast<Slot>(j);
-      if (t < s_) continue;
-      if (schedule_->transmits(u, static_cast<std::uint64_t>(t - s_))) {
-        word |= std::uint64_t{1} << j;
-      }
-    }
-    out_words[w] = word;
-  }
+std::uint64_t SelectAmongTheFirstProtocol::schedule_word(StationId u, Slot wake,
+                                                          Slot from) const {
+  if (wake != s_) return 0;  // non-participants stay silent forever
+  // A word straddling s is the word at s, shifted up to its offset.
+  if (from < s_) return s_ - from >= 64 ? 0 : schedule_word(u, wake, s_) << (s_ - from);
+  return schedule_->schedule_word(u, static_cast<std::uint64_t>(from - s_));
 }
 
 }  // namespace wakeup::proto

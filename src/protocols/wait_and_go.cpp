@@ -29,33 +29,13 @@ std::unique_ptr<StationRuntime> WaitAndGoProtocol::make_runtime(StationId u, Slo
   return std::make_unique<WaitAndGoRuntime>(u, wake, schedule_);
 }
 
-void WaitAndGoProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                       std::uint64_t* out_words, std::size_t n_words) const {
-  const auto j0 = static_cast<std::uint64_t>(wake < 0 ? 0 : wake);
-  const std::uint64_t go = schedule_->next_family_start(j0);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    if (t0 < 0) {  // negative slots never transmit; per-bit boundary path
-      std::uint64_t word = 0;
-      for (unsigned j = 0; j < 64; ++j) {
-        const Slot t = t0 + static_cast<Slot>(j);
-        if (t < 0 || static_cast<std::uint64_t>(t) < go) continue;
-        if (schedule_->transmits(u, static_cast<std::uint64_t>(t))) {
-          word |= std::uint64_t{1} << j;
-        }
-      }
-      out_words[w] = word;
-      continue;
-    }
-    const auto ut0 = static_cast<std::uint64_t>(t0);
-    if (ut0 + 64 <= go) {  // still waiting for a family boundary
-      out_words[w] = 0;
-      continue;
-    }
-    std::uint64_t word = schedule_->schedule_word(u, ut0);
-    if (ut0 < go) word &= ~std::uint64_t{0} << (go - ut0);
-    out_words[w] = word;
-  }
+std::uint64_t WaitAndGoProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
+  const std::uint64_t go = schedule_->next_family_start(static_cast<std::uint64_t>(wake));
+  const auto ufrom = static_cast<std::uint64_t>(from);
+  if (ufrom + 64 <= go) return 0;  // still waiting for a family boundary
+  std::uint64_t word = schedule_->schedule_word(u, ufrom);
+  if (ufrom < go) word &= ~std::uint64_t{0} << (go - ufrom);
+  return word;
 }
 
 ProtocolPtr make_wait_and_go(std::uint32_t n, std::uint32_t k, comb::FamilyKind kind,

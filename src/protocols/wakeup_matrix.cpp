@@ -53,14 +53,12 @@ std::unique_ptr<StationRuntime> WakeupMatrixProtocol::make_runtime(StationId u, 
   return std::make_unique<WakeupMatrixRuntime>(u, wake, matrix_);
 }
 
-void WakeupMatrixProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                          std::uint64_t* out_words, std::size_t n_words) const {
+std::uint64_t WakeupMatrixProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
   const auto& p = matrix_.params();
   const Slot operative = p.mu(wake);
-  const Slot end = from + static_cast<Slot>(64 * n_words);
-  std::fill(out_words, out_words + n_words, 0);
+  const Slot end = from + 64;
   Slot t = std::max(from, operative);  // silent until the window boundary
-  if (t >= end) return;
+  if (t >= end) return 0;
 
   // Row state at t: the runtime's scan walks rows 1..rows cyclically with
   // durations m(i) starting at `operative`.  Whole scans carry no row-state
@@ -86,8 +84,6 @@ void WakeupMatrixProtocol::schedule_block(StationId u, Slot wake, Slot from,
   const unsigned window = p.window;
   std::uint64_t j = static_cast<std::uint64_t>(t) % ell;
   unsigned rho = p.rho(j);
-  auto w = static_cast<std::size_t>((t - from) / 64);
-  auto bit = static_cast<unsigned>((t - from) % 64);
   std::uint64_t word = 0;
   for (; t < end; ++t) {
     if (t >= row_end) {
@@ -96,21 +92,15 @@ void WakeupMatrixProtocol::schedule_block(StationId u, Slot wake, Slot from,
     }
     const bool member =
         comb::LazyTransmissionMatrix::contains_prefixed(prefix, row + rho, j, u);
-    word |= static_cast<std::uint64_t>(member) << bit;
-    if (++bit == 64) {  // `end` is word-aligned, so the last word lands here
-      out_words[w++] = word;
-      word = 0;
-      bit = 0;
-    }
-    // Negative slots (never queried by the engines) take their column from
-    // the unsigned cast, as contains() does; slot 0 restarts at column 0.
-    if (++j == ell || t == -1) {
+    word |= static_cast<std::uint64_t>(member) << (t - from);
+    if (++j == ell) {
       j = 0;
       rho = 0;
     } else if (++rho == window) {
       rho = 0;
     }
   }
+  return word;
 }
 
 }  // namespace wakeup::proto

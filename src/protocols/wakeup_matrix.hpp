@@ -33,8 +33,7 @@ class WakeupMatrixProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
 
   [[nodiscard]] const comb::LazyTransmissionMatrix& matrix() const noexcept { return matrix_; }
 

@@ -39,46 +39,27 @@ std::unique_ptr<StationRuntime> WakeupWithSProtocol::make_runtime(StationId u, S
   return std::make_unique<WakeupWithSRuntime>(u, wake, s_, schedule_->config().n, schedule_);
 }
 
-void WakeupWithSProtocol::schedule_block(StationId u, Slot wake, Slot from,
-                                         std::uint64_t* out_words, std::size_t n_words) const {
-  const bool participates_satf = wake == s_;
+std::uint64_t WakeupWithSProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
+  // A word straddling s is the word at s, shifted up to its offset.
+  if (from < s_) return s_ - from >= 64 ? 0 : schedule_word(u, wake, s_) << (s_ - from);
+  // Even offsets d = 2v run round-robin at virtual slot v, odd offsets
+  // d = 2v + 1 run SATF at v.  The 32 even offsets in this block cover
+  // virtual slots (d0+1)/2 ..., the 32 odd ones d0/2 ...; build each
+  // 32-bit half and interleave by block parity.
+  const Slot d0 = from - s_;
   const auto n = static_cast<Slot>(schedule_->config().n);
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const Slot t0 = from + static_cast<Slot>(64 * w);
-    const Slot d0 = t0 - s_;
-    if (d0 < 0) {
-      // Boundary block straddling s: per-bit replica of the runtime rule.
-      std::uint64_t word = 0;
-      for (unsigned j = 0; j < 64; ++j) {
-        const Slot d = d0 + static_cast<Slot>(j);
-        if (d < 0) continue;
-        const bool on = d % 2 == 0
-                            ? (d / 2) % n == static_cast<Slot>(u)
-                            : participates_satf &&
-                                  schedule_->transmits(
-                                      u, static_cast<std::uint64_t>((d - 1) / 2));
-        if (on) word |= std::uint64_t{1} << j;
-      }
-      out_words[w] = word;
-      continue;
-    }
-    // Even offsets d = 2v run round-robin at virtual slot v, odd offsets
-    // d = 2v + 1 run SATF at v.  The 32 even offsets in this block cover
-    // virtual slots (d0+1)/2 ..., the 32 odd ones d0/2 ...; build each
-    // 32-bit half and interleave by block parity.
-    const Slot ve0 = (d0 + 1) / 2;
-    std::uint64_t rr_bits = 0;
-    if (static_cast<Slot>(u) < n) {  // out-of-universe stations never get a TDM turn
-      Slot i = (static_cast<Slot>(u) - ve0) % n;
-      if (i < 0) i += n;
-      for (; i < 32; i += n) rr_bits |= std::uint64_t{1} << i;
-    }
-    const std::uint64_t satf_bits =
-        participates_satf ? schedule_->schedule_word(u, static_cast<std::uint64_t>(d0 / 2)) : 0;
-    const std::uint64_t rr = util::spread_even_bits32(rr_bits);
-    const std::uint64_t satf = util::spread_even_bits32(satf_bits);
-    out_words[w] = d0 % 2 == 0 ? (rr | (satf << 1)) : (satf | (rr << 1));
+  const Slot ve0 = (d0 + 1) / 2;
+  std::uint64_t rr_bits = 0;
+  if (static_cast<Slot>(u) < n) {  // out-of-universe stations never get a TDM turn
+    Slot i = (static_cast<Slot>(u) - ve0) % n;
+    if (i < 0) i += n;
+    for (; i < 32; i += n) rr_bits |= std::uint64_t{1} << i;
   }
+  const std::uint64_t satf_bits =
+      wake == s_ ? schedule_->schedule_word(u, static_cast<std::uint64_t>(d0 / 2)) : 0;
+  const std::uint64_t rr = util::spread_even_bits32(rr_bits);
+  const std::uint64_t satf = util::spread_even_bits32(satf_bits);
+  return d0 % 2 == 0 ? (rr | (satf << 1)) : (satf | (rr << 1));
 }
 
 ProtocolPtr make_wakeup_with_s(std::uint32_t n, Slot s, comb::FamilyKind kind,

@@ -33,8 +33,7 @@ class WakeupWithSProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
-  void schedule_block(StationId u, Slot wake, Slot from, std::uint64_t* out_words,
-                      std::size_t n_words) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
   [[nodiscard]] Slot s() const noexcept { return s_; }
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }
 

@@ -73,7 +73,7 @@ std::size_t fill_row(const proto::ObliviousSchedule& schedule, Row& st, mac::Slo
     return 0;
   }
   // h < wb + 64, so the word at wb is the one holding the contention start.
-  schedule.schedule_block(st.id, h, wb, &st.word, 1);
+  st.word = schedule.schedule_word(st.id, h, wb);
   if (h > wb) st.word &= ~std::uint64_t{0} << (h - wb);
   if (st.stop < round_end) st.word &= (std::uint64_t{1} << (st.stop - wb)) - 1;
   return 1;

@@ -6,14 +6,15 @@
 /// `dispatch_dynamic`.
 ///
 /// Advances one 64-slot word per resolve round: each live station
-/// contributes one schedule word (`proto::ObliviousSchedule::schedule_block`
-/// with n_words = 1), so a run fetches no word past the one holding its
-/// last examined slot.  Every station is pinned to one channel lane
-/// (`channel_lane`; always 0 for single-channel schedules) and its word is
-/// OR-folded into that lane's (any, multi) word pair (`any` = some station
-/// transmits, `multi` = two or more); popcounts give the per-lane
-/// silence/collision totals and the lowest bit of the lane-solo union is
-/// the first success.  Rows are per-station packet queues
+/// contributes one schedule word (one
+/// `proto::ObliviousSchedule::schedule_word` call), so a run fetches no
+/// word past the one holding its last examined slot.  Every station is
+/// pinned to one channel lane (`channel_lane`; always 0 for single-channel
+/// schedules) and its word is OR-folded into that lane's (any, multi)
+/// word pair (`any` = some station transmits, `multi` = two or more);
+/// popcounts give the per-lane silence/collision totals and the lowest
+/// bit of the lane-solo union is the first success.  Rows are per-station
+/// packet queues
 /// (sim/traffic.hpp): after each single-channel delivery the winner's word
 /// is refilled from its next head-of-line contention start — zeroed when
 /// its queue drains, which for a static station's one packet is the

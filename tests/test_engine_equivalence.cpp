@@ -140,16 +140,15 @@ class PulseProtocol final : public wu::proto::Protocol, public wu::proto::Oblivi
   [[nodiscard]] const wu::proto::ObliviousSchedule* oblivious_schedule() const override {
     return this;
   }
-  void schedule_block(wu::mac::StationId u, wu::mac::Slot wake, wu::mac::Slot from,
-                      std::uint64_t* out_words, std::size_t n_words) const override {
+  [[nodiscard]] std::uint64_t schedule_word(wu::mac::StationId u, wu::mac::Slot wake,
+                                            wu::mac::Slot from) const override {
     (void)wake;
-    for (std::size_t w = 0; w < n_words; ++w) out_words[w] = 0;
-    if (u >= pulses_.size()) return;
+    std::uint64_t word = 0;
+    if (u >= pulses_.size()) return word;
     for (const wu::mac::Slot t : pulses_[u]) {
-      if (t < from || t >= from + static_cast<wu::mac::Slot>(64 * n_words)) continue;
-      const auto bit = static_cast<std::size_t>(t - from);
-      out_words[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      if (t >= from && t < from + 64) word |= std::uint64_t{1} << (t - from);
     }
+    return word;
   }
 
  private:
@@ -420,100 +419,32 @@ TEST(EngineDispatch, RandomizedProtocolsStayOnInterpreter) {
   EXPECT_THROW((void)run_one(*protocol, pattern, config), std::invalid_argument);
 }
 
-TEST(EngineDispatch, ScheduleBlocksMatchRuntimes) {
+TEST(EngineDispatch, ScheduleWordsMatchRuntimes) {
   // Direct word-level check of every oblivious schedule against its own
-  // runtime, over a window crossing several 64-slot block boundaries.
+  // runtime, one schedule_word call per 64-slot block over a window
+  // crossing several block boundaries.  Wakes at s put the word straddling
+  // s (SATF, wakeup_with_s) at an odd (s = 3) and an even (s = 70) offset.
   for (const auto& name : oblivious_names()) {
-    wu::proto::ProtocolSpec spec;
-    spec.name = name;
-    spec.n = 37;  // deliberately not a power of two or multiple of 64
-    spec.k = 5;
-    spec.s = 3;
-    const auto protocol = wu::proto::make_protocol_by_name(spec);
-    const auto* schedule = protocol->oblivious_schedule();
-    ASSERT_NE(schedule, nullptr) << name;
-    for (const wu::mac::Slot wake : {wu::mac::Slot{3}, wu::mac::Slot{10}, wu::mac::Slot{129}}) {
-      // 45 >= n: out-of-universe stations must stay silent in both engines.
-      for (const wu::mac::StationId u : {0u, 1u, 17u, 36u, 45u}) {
-        auto runtime = protocol->make_runtime(u, wake);
-        const wu::mac::Slot from = (wake / 64) * 64;  // block containing wake
-        std::uint64_t words[4] = {0, 0, 0, 0};
-        schedule->schedule_block(u, wake, from, words, 4);
-        for (wu::mac::Slot t = wake; t < from + 256; ++t) {
-          const auto bit = static_cast<std::size_t>(t - from);
-          const bool batch_says = (words[bit / 64] >> (bit % 64)) & 1u;
-          ASSERT_EQ(batch_says, runtime->transmits(t))
-              << name << " u=" << u << " wake=" << wake << " t=" << t;
-        }
-      }
-    }
-  }
-}
-
-TEST(EngineDispatch, MultiWordScheduleBlocksMatchSingleWordCalls) {
-  // The multi-word contract of schedule_block (the batch engine fetches
-  // one word per call, but the capability takes n): one
-  // schedule_block(from, n) call must emit exactly what n single-word
-  // calls do, for every oblivious protocol (single- and multichannel),
-  // including blocks straddling the wake block and family boundaries.
-  struct Subject {
-    std::string label;
-    const wu::proto::ObliviousSchedule* schedule;
-    wu::proto::ProtocolPtr keep;        // ownership
-    wu::proto::McProtocolPtr keep_mc;   // ownership
-  };
-  std::vector<Subject> subjects;
-  const auto make = [](const std::string& name) {
-    wu::proto::ProtocolSpec spec;
-    spec.name = name;
-    spec.n = 37;
-    spec.k = 5;
-    spec.s = 3;
-    spec.seed = 77;
-    return wu::proto::make_protocol_by_name(spec);
-  };
-  for (const auto& name : oblivious_names()) {
-    auto protocol = make(name);
-    subjects.push_back({name, protocol->oblivious_schedule(), protocol, nullptr});
-  }
-  for (const std::uint32_t c : {1u, 3u}) {
-    auto striped = wu::proto::make_striped_round_robin(37, c);
-    subjects.push_back({"striped_rr/C=" + std::to_string(c), striped->oblivious_schedule(),
-                        nullptr, striped});
-    auto wag = wu::proto::make_group_wait_and_go(37, 5, c, wu::comb::FamilyKind::kRandomized,
-                                                 77);
-    subjects.push_back({"group_wag/C=" + std::to_string(c), wag->oblivious_schedule(),
-                        nullptr, wag});
-  }
-  auto adapter = wu::proto::make_single_channel_adapter(make("wait_and_go"), 3);
-  subjects.push_back({"adapter(wait_and_go)/C=3", adapter->oblivious_schedule(), nullptr,
-                      adapter});
-
-  for (const Subject& subject : subjects) {
-    ASSERT_NE(subject.schedule, nullptr) << subject.label;
-    for (const wu::mac::Slot wake : {wu::mac::Slot{0}, wu::mac::Slot{10}, wu::mac::Slot{129}}) {
-      for (const wu::mac::StationId u : {0u, 17u, 36u, 45u}) {
-        for (const wu::mac::Slot from : {wu::mac::Slot{0}, wu::mac::Slot{64},
-                                         wu::mac::Slot{(wake / 64) * 64}}) {
-          for (const std::size_t n_words : {2u, 5u, 8u}) {
-            std::vector<std::uint64_t> tile(n_words, 0);
-            subject.schedule->schedule_block(u, wake, from, tile.data(), n_words);
-            for (std::size_t w = 0; w < n_words; ++w) {
-              std::uint64_t single = 0;
-              subject.schedule->schedule_block(
-                  u, wake, from + static_cast<wu::mac::Slot>(64 * w), &single, 1);
-              // Bits before the wake are unspecified by contract — mask
-              // both sides to the specified region.
-              const wu::mac::Slot block = from + static_cast<wu::mac::Slot>(64 * w);
-              std::uint64_t specified = ~std::uint64_t{0};
-              if (wake >= block + 64) {
-                specified = 0;
-              } else if (wake > block) {
-                specified <<= (wake - block);
-              }
-              ASSERT_EQ(tile[w] & specified, single & specified)
-                  << subject.label << " u=" << u << " wake=" << wake << " from=" << from
-                  << " w=" << w << " n=" << n_words;
+    for (const wu::mac::Slot s : {wu::mac::Slot{3}, wu::mac::Slot{70}}) {
+      wu::proto::ProtocolSpec spec;
+      spec.name = name;
+      spec.n = 37;  // deliberately not a power of two or multiple of 64
+      spec.k = 5;
+      spec.s = s;
+      const auto protocol = wu::proto::make_protocol_by_name(spec);
+      const auto* schedule = protocol->oblivious_schedule();
+      ASSERT_NE(schedule, nullptr) << name;
+      for (const wu::mac::Slot wake : {s, s + 7, wu::mac::Slot{129}}) {
+        // 45 >= n: out-of-universe stations must stay silent in both engines.
+        for (const wu::mac::StationId u : {0u, 1u, 17u, 36u, 45u}) {
+          auto runtime = protocol->make_runtime(u, wake);
+          const wu::mac::Slot from = (wake / 64) * 64;  // block containing wake
+          for (wu::mac::Slot block = from; block < from + 256; block += 64) {
+            const std::uint64_t word = schedule->schedule_word(u, wake, block);
+            for (wu::mac::Slot t = std::max(wake, block); t < block + 64; ++t) {
+              const bool batch_says = (word >> (t - block)) & 1u;
+              ASSERT_EQ(batch_says, runtime->transmits(t))
+                  << name << " s=" << s << " u=" << u << " wake=" << wake << " t=" << t;
             }
           }
         }

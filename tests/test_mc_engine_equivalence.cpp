@@ -127,7 +127,7 @@ TEST(McEngineEquivalence, BudgetExhaustionCountersMatch) {
 }
 
 TEST(McEngineEquivalence, ScheduleAgreesWithRuntimeActions) {
-  // Capability contract: schedule_block bit == act().transmit and
+  // Capability contract: schedule_word bit == act().transmit and
   // channel_lane == act().channel (constant over the run), for stations in
   // and out of the universe, across block boundaries.
   const std::uint32_t n = 37, k = 5;
@@ -141,16 +141,16 @@ TEST(McEngineEquivalence, ScheduleAgreesWithRuntimeActions) {
         ASSERT_LT(lane, strategy.protocol->channels()) << strategy.label;
         auto runtime = strategy.protocol->make_runtime(u, wake);
         const wm::Slot from = (wake / 64) * 64;
-        std::uint64_t words[4] = {0, 0, 0, 0};
-        schedule->schedule_block(u, wake, from, words, 4);
-        for (wm::Slot t = wake; t < from + 256; ++t) {
-          const auto bit = static_cast<std::size_t>(t - from);
-          const bool word_says = (words[bit / 64] >> (bit % 64)) & 1u;
-          const wm::ChannelAction action = runtime->act(t);
-          ASSERT_EQ(word_says, action.transmit)
-              << strategy.label << " u=" << u << " wake=" << wake << " t=" << t;
-          ASSERT_EQ(lane, action.channel)
-              << strategy.label << " u=" << u << " wake=" << wake << " t=" << t;
+        for (wm::Slot block = from; block < from + 256; block += 64) {
+          const std::uint64_t word = schedule->schedule_word(u, wake, block);
+          for (wm::Slot t = std::max(wake, block); t < block + 64; ++t) {
+            const bool word_says = (word >> (t - block)) & 1u;
+            const wm::ChannelAction action = runtime->act(t);
+            ASSERT_EQ(word_says, action.transmit)
+                << strategy.label << " u=" << u << " wake=" << wake << " t=" << t;
+            ASSERT_EQ(lane, action.channel)
+                << strategy.label << " u=" << u << " wake=" << wake << " t=" << t;
+          }
         }
       }
     }
@@ -189,9 +189,9 @@ class OutOfRangeLaneProtocol final : public wp::McProtocol, public wp::Oblivious
                                            wm::Slot /*wake*/) const override {
     return 2;
   }
-  void schedule_block(wm::StationId /*u*/, wm::Slot /*wake*/, wm::Slot /*from*/,
-                      std::uint64_t* out_words, std::size_t n_words) const override {
-    std::fill(out_words, out_words + n_words, ~std::uint64_t{0});
+  [[nodiscard]] std::uint64_t schedule_word(wm::StationId /*u*/, wm::Slot /*wake*/,
+                                            wm::Slot /*from*/) const override {
+    return ~std::uint64_t{0};
   }
 };
 

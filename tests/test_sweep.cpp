@@ -280,6 +280,26 @@ TEST(SweepSpec, AxisGrammar) {
   EXPECT_THROW((void)we::parse_axis_u32("8..2"), std::invalid_argument);
   EXPECT_THROW((void)we::parse_axis_u32("0"), std::invalid_argument);
   EXPECT_THROW((void)we::parse_axis_u32("2^33"), std::invalid_argument);
+  // Spaces are trimmed at item ends only: an inner space or an empty item
+  // is an error naming the item, never a silently joined or dropped value.
+  EXPECT_EQ(we::parse_axis_u32(" 2 , 4 "), (std::vector<std::uint32_t>{2, 4}));
+  for (const char* text : {"2 4", "2,,4", "2,", ",2", " ", "2, ,4"}) {
+    EXPECT_THROW((void)we::parse_axis_u32(text), std::invalid_argument) << text;
+  }
+  try {
+    (void)we::parse_axis_u32("2 4");
+    ADD_FAILURE() << "'2 4' parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'2 4'"), std::string::npos) << e.what();
+  }
+  try {
+    (void)we::split_list("round robin,wait_and_go");
+    ADD_FAILURE() << "'round robin' split";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'round robin'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(we::split_list("round_robin, wait_and_go"),
+            (std::vector<std::string>{"round_robin", "wait_and_go"}));
 }
 
 TEST(SweepSpec, GridFingerprintPinsSpecAndSeed) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "combinatorics/waking_verifier.hpp"
@@ -34,12 +35,13 @@ TEST(WakeupMatrix, RuntimeMatchesDeclarativeRowWalk) {
   }
 }
 
-TEST(WakeupMatrix, ScheduleBlockMatchesContains) {
+TEST(WakeupMatrix, ScheduleWordMatchesContains) {
   // The word path steps the column j = t mod ℓ, ρ(j) and the row-hash
   // prefix incrementally; every bit must still equal the declarative row
   // walk + one-call membership.  n = 16, c = 1 keeps ℓ = 256 and one row
-  // scan at 240 slots, so the tiles below straddle both wraps, start
-  // before µ(σ), and start many whole scans past it.
+  // scan at 240 slots, so the eight words read from each start below
+  // straddle both wraps, start before µ(σ), and start many whole scans
+  // past it.
   const wp::WakeupMatrixProtocol protocol(16, /*c=*/1, /*seed=*/11);
   const auto& matrix = protocol.matrix();
   const auto& p = matrix.params();
@@ -48,21 +50,18 @@ TEST(WakeupMatrix, ScheduleBlockMatchesContains) {
   ASSERT_GT(p.window, 1u);
   std::uint64_t ones = 0;
   for (const wm::Slot wake : {0, 1, 3, 70, 239, 257, 1000}) {
-    for (const wm::Slot from : {wm::Slot{0}, wm::Slot{64}, wm::Slot{192}, wm::Slot{448},
-                                (wake / 64) * 64, wm::Slot{64 * 200}, wm::Slot{64 * 1001}}) {
-      for (const std::size_t n_words : {1u, 3u, 8u}) {
+    for (const wm::Slot start : {wm::Slot{0}, wm::Slot{64}, wm::Slot{192}, wm::Slot{448},
+                                 (wake / 64) * 64, wm::Slot{64 * 200}, wm::Slot{64 * 1001}}) {
+      for (wm::Slot from = start; from < start + 64 * 8; from += 64) {
         for (const wm::StationId u : {0u, 5u, 15u, 20u}) {
-          std::vector<std::uint64_t> words(n_words, ~std::uint64_t{0});
-          protocol.schedule_block(u, wake, from, words.data(), n_words);
-          for (std::size_t bit = 0; bit < 64 * n_words; ++bit) {
-            const wm::Slot t = from + static_cast<wm::Slot>(bit);
-            if (t < wake) continue;  // unspecified by contract
+          const std::uint64_t word = protocol.schedule_word(u, wake, from);
+          for (wm::Slot t = std::max(wake, from); t < from + 64; ++t) {  // t < wake: unspecified
             const auto row = p.row_at(wake, t);
             const bool expected =
                 row.has_value() && matrix.contains(*row, static_cast<std::uint64_t>(t), u);
-            const bool got = (words[bit / 64] >> (bit % 64)) & 1u;
-            ASSERT_EQ(got, expected) << "wake=" << wake << " from=" << from
-                                     << " n_words=" << n_words << " u=" << u << " t=" << t;
+            const bool got = (word >> (t - from)) & 1u;
+            ASSERT_EQ(got, expected) << "wake=" << wake << " from=" << from << " u=" << u
+                                     << " t=" << t;
             ones += got ? 1 : 0;
           }
         }
