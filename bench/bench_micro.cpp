@@ -111,6 +111,62 @@ void BM_SimulateRoundRobinFullHouse(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateRoundRobinFullHouse);
 
+/// One 64-slot block of 256 stations, all woken at slot 0 and past their
+/// waiting phase, at n = 4096 (k = 256 for wakeup_with_k).  Arg 0 picks
+/// the protocol (0 wakeup_matrix, 1 wakeup_with_k); arg 1 the path:
+/// 0 a schedule_word call per station, 1 one schedule_words call for the
+/// round (what the batch engine makes), 2 the interpreted equivalent (64
+/// `transmits` calls per station on live runtimes — the per-slot cost the
+/// kAuto warm-up weighs against one round).  items/s counts words.
+void BM_ScheduleWords(benchmark::State& state) {
+  constexpr std::uint32_t n = 4096;
+  constexpr std::size_t stations = 256;
+  const proto::ProtocolPtr protocol =
+      state.range(0) == 0 ? std::make_shared<proto::WakeupMatrixProtocol>(n, 2, 11)
+                          : proto::make_wakeup_with_k(n, 256, comb::FamilyKind::kRandomized, 11);
+  const proto::ObliviousSchedule& schedule = *protocol->oblivious_schedule();
+  std::vector<proto::ObliviousSchedule::StationWake> asked;
+  std::vector<std::unique_ptr<proto::StationRuntime>> runtimes;
+  for (std::size_t i = 0; i < stations; ++i) {
+    const auto u = static_cast<mac::StationId>(i * 16);
+    asked.push_back({u, 0});
+    runtimes.push_back(protocol->make_runtime(u, 0));
+  }
+  std::vector<std::uint64_t> words(stations);
+  mac::Slot from = 64 * 64;
+  for (mac::Slot t = 0; t < from; ++t) {
+    for (auto& rt : runtimes) benchmark::DoNotOptimize(rt->transmits(t));
+  }
+  for (auto _ : state) {
+    switch (state.range(1)) {
+      case 0:
+        for (std::size_t i = 0; i < stations; ++i) {
+          words[i] = schedule.schedule_word(asked[i].u, asked[i].wake, from);
+        }
+        break;
+      case 1:
+        schedule.schedule_words(asked, from, words);
+        break;
+      default:
+        for (std::size_t i = 0; i < stations; ++i) {
+          std::uint64_t word = 0;
+          for (unsigned j = 0; j < 64; ++j) {
+            word |= static_cast<std::uint64_t>(runtimes[i]->transmits(from + j)) << j;
+          }
+          words[i] = word;
+        }
+        break;
+    }
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+    from += 64;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(stations));
+}
+BENCHMARK(BM_ScheduleWords)
+    ->ArgNames({"protocol", "path"})
+    ->ArgsProduct({{0, 1}, {0, 1, 2}});
+
 void BM_SwapAdversary(benchmark::State& state) {
   const std::uint32_t n = 512, k = 64;
   const proto::RoundRobinProtocol protocol(n);

@@ -1,6 +1,7 @@
 #include "combinatorics/doubling_schedule.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -37,23 +38,36 @@ bool DoublingSchedule::transmits(Station u, std::uint64_t idx) const noexcept {
   return implicit_[pos.family_index]->contains(static_cast<std::size_t>(pos.step), u);
 }
 
-std::uint64_t DoublingSchedule::schedule_word(Station u, std::uint64_t from) const noexcept {
+void DoublingSchedule::schedule_words(std::span<const Station> stations, std::uint64_t from,
+                                      std::span<std::uint64_t> out) const {
+  // The first family's bits land in `out` directly; later ones (a block
+  // straddling a family boundary or the period wrap) go through a stack
+  // buffer, 64 stations at a time, written before read and so left
+  // uninitialized (one-station calls would pay for zeroing it).
+  if (stations.empty()) return;
+  std::array<std::uint64_t, 64> part;
   Position pos = position(from);
-  std::uint64_t word = 0;
   unsigned filled = 0;
   while (filled < 64) {
     const ImplicitFamily& fam = *implicit_[pos.family_index];
     const auto step = static_cast<std::size_t>(pos.step);
     const auto avail =
         static_cast<unsigned>(std::min<std::uint64_t>(64 - filled, fam.length() - step));
-    std::uint64_t bits = fam.membership_word(u, step);
-    if (avail < 64) bits &= (std::uint64_t{1} << avail) - 1;
-    word |= bits << filled;
+    const std::uint64_t mask = avail < 64 ? (std::uint64_t{1} << avail) - 1 : ~std::uint64_t{0};
+    if (filled == 0) {
+      fam.membership_words(stations, step, out);
+      for (std::size_t i = 0; i < stations.size(); ++i) out[i] &= mask;
+    } else {
+      for (std::size_t c = 0; c < stations.size(); c += part.size()) {
+        const std::size_t m = std::min(part.size(), stations.size() - c);
+        fam.membership_words(stations.subspan(c, m), step, part);
+        for (std::size_t i = 0; i < m; ++i) out[c + i] |= (part[i] & mask) << filled;
+      }
+    }
     filled += avail;
     pos.family_index = pos.family_index + 1 == implicit_.size() ? 0 : pos.family_index + 1;
     pos.step = 0;
   }
-  return word;
 }
 
 DoublingSchedule::Position DoublingSchedule::position(std::uint64_t idx) const noexcept {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "combinatorics/builders.hpp"
@@ -73,12 +74,15 @@ class DoublingSchedule {
   /// Does station u transmit at schedule index `idx` (taken mod period)?
   [[nodiscard]] bool transmits(Station u, std::uint64_t idx) const noexcept;
 
-  /// Packs 64 consecutive schedule bits of station u starting at index
-  /// `from` into one word: bit j = transmits(u, from + j).  Assembles the
-  /// word from per-family `membership_word` chunks instead of re-running
-  /// position()'s binary search per step — the word-parallel building
-  /// block of the oblivious schedule_word implementations.
-  [[nodiscard]] std::uint64_t schedule_word(Station u, std::uint64_t from) const noexcept;
+  /// Packs 64 consecutive schedule bits of every station starting at index
+  /// `from` into one word each: bit j of out[i] = transmits(stations[i],
+  /// from + j).  Requires out.size() >= stations.size().  Assembles the
+  /// words from per-family `membership_words` chunks instead of re-running
+  /// position()'s binary search per step, so each family hashes its set
+  /// keys once per call — the word-parallel building block of the
+  /// oblivious schedule_words implementations.
+  void schedule_words(std::span<const Station> stations, std::uint64_t from,
+                      std::span<std::uint64_t> out) const;
 
   /// Is `idx mod period` the first set of some family?
   [[nodiscard]] bool is_family_start(std::uint64_t idx) const noexcept;

@@ -1,6 +1,7 @@
 #include "combinatorics/implicit_family.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/math.hpp"
@@ -30,14 +31,7 @@ std::uint64_t randomized_stream_seed(std::uint64_t seed, std::uint32_t n,
 
 bool randomized_member(std::uint64_t stream_seed, std::uint64_t j, std::uint64_t u,
                        double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  // One counter-RNG draw per (set, station) coordinate — same 53-bit
-  // uniform-in-[0,1) construction as util::Rng::uniform01, but as a pure
-  // function of the coordinates so membership is random-accessible.
-  const double draw =
-      static_cast<double>(util::hash_words({stream_seed, j, u}) >> 11) * 0x1.0p-53;
-  return draw < p;
+  return randomized_member_keyed(randomized_set_key(stream_seed, j), util::mix64(u), p);
 }
 
 std::vector<std::uint64_t> mod_prime_primes(std::uint32_t n, std::uint32_t k) {
@@ -96,6 +90,11 @@ std::uint64_t ImplicitFamily::membership_word(Station u, std::size_t from) const
     if (contains(from + j, u)) word |= std::uint64_t{1} << j;
   }
   return word;
+}
+
+void ImplicitFamily::membership_words(std::span<const Station> stations, std::size_t from,
+                                      std::span<std::uint64_t> out) const {
+  for (std::size_t i = 0; i < stations.size(); ++i) out[i] = membership_word(stations[i], from);
 }
 
 SelectiveFamily ImplicitFamily::materialize() const {
@@ -239,14 +238,29 @@ class ImplicitRandomized final : public ImplicitFamily {
   }
 
   std::uint64_t membership_word(Station u, std::size_t from) const override {
-    const std::size_t end = from < length() ? std::min<std::size_t>(length() - from, 64) : 0;
     std::uint64_t word = 0;
-    for (std::size_t j = 0; j < end; ++j) {
-      if (detail::randomized_member(stream_seed_, from + j, u, p_)) {
-        word |= std::uint64_t{1} << j;
-      }
-    }
+    membership_words({&u, 1}, from, {&word, 1});
     return word;
+  }
+
+  /// Every station tests itself against the same sets, so the call hashes
+  /// each set's key once and then mixes one word per (set, station).
+  void membership_words(std::span<const Station> stations, std::size_t from,
+                        std::span<std::uint64_t> out) const override {
+    const std::size_t end = from < length() ? std::min<std::size_t>(length() - from, 64) : 0;
+    std::array<std::uint64_t, 64> keys;  // [0, end) written before read
+    for (std::size_t j = 0; j < end; ++j) {
+      keys[j] = detail::randomized_set_key(stream_seed_, from + j);
+    }
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+      const std::uint64_t mixed_u = util::mix64(stations[i]);
+      std::uint64_t word = 0;
+      for (std::size_t j = 0; j < end; ++j) {
+        word |= static_cast<std::uint64_t>(detail::randomized_member_keyed(keys[j], mixed_u, p_))
+                << j;
+      }
+      out[i] = word;
+    }
   }
 
  private:

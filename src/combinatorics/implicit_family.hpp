@@ -29,11 +29,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "combinatorics/builders.hpp"
 #include "combinatorics/selective_family.hpp"
+#include "util/rng.hpp"
 
 namespace wakeup::comb {
 
@@ -57,6 +59,29 @@ inline constexpr std::uint64_t kRandomFamilyTag = 0x52414e44464dULL;
 /// probability p, as a pure function of (stream_seed, j, u).
 [[nodiscard]] bool randomized_member(std::uint64_t stream_seed, std::uint64_t j,
                                      std::uint64_t u, double p) noexcept;
+
+/// The station-independent part of set j's membership hash,
+/// hash_words({stream_seed, j}): every station tested against set j
+/// shares it.
+[[nodiscard]] inline std::uint64_t randomized_set_key(std::uint64_t stream_seed,
+                                                      std::uint64_t j) noexcept {
+  return util::hash_words({stream_seed, j});
+}
+
+/// randomized_member from set j's key and the station's util::mix64(u):
+/// randomized_member(s, j, u, p) ==
+/// randomized_member_keyed(randomized_set_key(s, j), mix64(u), p).
+[[nodiscard]] inline bool randomized_member_keyed(std::uint64_t key, std::uint64_t mixed_u,
+                                                  double p) noexcept {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  // One counter-RNG draw per (set, station) coordinate — same 53-bit
+  // uniform-in-[0,1) construction as util::Rng::uniform01, but as a pure
+  // function of the coordinates so membership is random-accessible:
+  // hash_words({stream_seed, j, u}), continued from the set's key.
+  const double draw = static_cast<double>(util::hash_combine(key, mixed_u) >> 11) * 0x1.0p-53;
+  return draw < p;
+}
 
 /// Primes used by the mod-prime construction for (n, k already clamped):
 /// the first (k-1)*max(1, floor(log2 n)) + 1 primes.
@@ -98,6 +123,13 @@ class ImplicitFamily {
   /// `ObliviousSchedule::schedule_word`.  The default loops `contains`;
   /// implementations override with run-structured arithmetic.
   [[nodiscard]] virtual std::uint64_t membership_word(Station u, std::size_t from) const;
+
+  /// The same 64 sets for many stations: out[i] =
+  /// membership_word(stations[i], from), bit for bit.  Requires out.size()
+  /// >= stations.size().  The default loops membership_word; the
+  /// randomized family overrides it to hash each set key once per call.
+  virtual void membership_words(std::span<const Station> stations, std::size_t from,
+                                std::span<std::uint64_t> out) const;
 
   /// Materializes the equivalent `SelectiveFamily`, bit-for-bit identical
   /// to the corresponding `build_*` output.  Cold path: tests, the

@@ -70,10 +70,13 @@ struct MatrixParams {
 /// one 64-bit hash per query.
 ///
 /// The hash is hash_words({seed, "MATRIX", row, j, u}), whose
-/// (seed, "MATRIX", row) prefix is constant along a row.  Word-at-a-time
-/// callers (the protocol's schedule_word) compute `row_prefix` once per
-/// row, then query `contains_prefixed` per slot; `contains` is the same
-/// computation in one call, so membership has a single definition.
+/// (seed, "MATRIX", row) prefix is constant along a row and whose
+/// (seed, "MATRIX", row, j) prefix — the `set_key` of M_{row, j} — is
+/// shared by every station tested against that set.  The runtime computes
+/// `row_prefix` once per row and queries `contains_prefixed` per slot; the
+/// protocol's schedule_words hashes each set key once per call and tests
+/// every station with `contains_keyed`.  All of them are `contains_keyed`
+/// underneath, so membership has a single definition.
 class LazyTransmissionMatrix {
  public:
   LazyTransmissionMatrix(MatrixParams params, std::uint64_t seed) noexcept
@@ -87,13 +90,26 @@ class LazyTransmissionMatrix {
     return util::hash_words({seed_, 0x4d4154524958ULL /* "MATRIX" */, row});
   }
 
-  /// Is u ∈ M_{row, j}?  `prefix` is row_prefix(row), `j` < ℓ the reduced
-  /// column and `e` = row + ρ(j), the exponent of the membership
+  /// The station-independent part of the membership hash of M_{row, j}:
+  /// `prefix` is row_prefix(row), `j` < ℓ the reduced column.
+  [[nodiscard]] static std::uint64_t set_key(std::uint64_t prefix, std::uint64_t j) noexcept {
+    return util::hash_words_from(prefix, {j});
+  }
+
+  /// Is the station with util::mix64(u) == `mixed_u` in the set whose
+  /// set_key is `key`?  `e` = row + ρ(j) is the exponent of the membership
   /// probability 2^-e.
+  [[nodiscard]] static bool contains_keyed(std::uint64_t key, unsigned e,
+                                           std::uint64_t mixed_u) noexcept {
+    if (e >= 64) return false;  // probability below 2^-63 — never fires
+    return (util::hash_combine(key, mixed_u) >> (64 - e)) == 0;
+  }
+
+  /// Is u ∈ M_{row, j}?  `prefix` is row_prefix(row), `j` < ℓ the reduced
+  /// column and `e` = row + ρ(j).
   [[nodiscard]] static bool contains_prefixed(std::uint64_t prefix, unsigned e, std::uint64_t j,
                                               Station u) noexcept {
-    if (e >= 64) return false;  // probability below 2^-63 — never fires
-    return (util::hash_words_from(prefix, {j, u}) >> (64 - e)) == 0;
+    return contains_keyed(set_key(prefix, j), e, util::mix64(u));
   }
 
   /// Is u ∈ M_{row, col mod ℓ}?  row is 1-based (1..rows).

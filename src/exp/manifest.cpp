@@ -1,6 +1,7 @@
 #include "exp/manifest.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -168,9 +169,11 @@ util::Summary parse_summary(const std::map<std::string, std::string>& fields,
 
 std::string json_double(double value) {
   if (!std::isfinite(value)) return "null";
+  // The standard defines to_chars(general, 17) as printf's "%.17g", so the
+  // bytes are those of snprintf, without the locale and format parsing.
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  const auto res = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 17);
+  return std::string(buf, res.ptr);
 }
 
 std::string manifest_line(const CellRecord& record) {

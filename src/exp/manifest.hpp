@@ -62,8 +62,9 @@ struct CellRecord {
   double rounds_inflation = -1.0;
 };
 
-/// Shortest-exact double formatting used by the manifest and the reports
-/// ("%.17g"; NaN/inf become null — JSON has no token for them).
+/// Round-trip-exact double formatting used by the manifest and the reports
+/// (the bytes of printf's "%.17g", written by std::to_chars; NaN/inf
+/// become null — JSON has no token for them).
 [[nodiscard]] std::string json_double(double value);
 
 /// Serializes one record as a single JSONL line (no trailing newline).

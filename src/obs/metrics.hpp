@@ -31,7 +31,10 @@
 /// The batch engine's counters: `batch.tiles` counts resolve rounds, each
 /// one 64-slot word per live station (the name predates one-word rounds
 /// and is kept because run records read it), and `batch.words_fetched`
-/// the schedule words fetched, refills after a delivery included.
+/// the schedule words fetched, refills after a delivery included.  The
+/// kAuto hybrid observes the slots each run interpreted before batching in
+/// the `run.warmup_slots` histogram and counts the runs its warm-up
+/// resolved in `sim.resolved_in_warmup`.
 
 #include <cstdint>
 #include <map>

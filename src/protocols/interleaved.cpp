@@ -1,5 +1,8 @@
 #include "protocols/interleaved.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "util/math.hpp"
 
 namespace wakeup::proto {
@@ -51,17 +54,33 @@ std::unique_ptr<StationRuntime> InterleavedProtocol::make_runtime(StationId u, S
                                               odd_->make_runtime(u, odd_wake));
 }
 
-std::uint64_t InterleavedProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
+void InterleavedProtocol::schedule_words(std::span<const StationWake> stations, Slot from,
+                                         std::span<std::uint64_t> out) const {
   // The 32 even-parity global slots in [from, from+64) map to virtual
   // slots (from+1)/2 ... of the even component (woken at (wake+1)/2, as in
   // make_runtime); the 32 odd-parity ones to from/2 ... of the odd
-  // component (woken at wake/2).  Fetch one virtual word from each and
-  // interleave the low halves.
-  const std::uint64_t e =
-      util::spread_even_bits32(even_sched_->schedule_word(u, (wake + 1) / 2, (from + 1) / 2));
-  const std::uint64_t o =
-      util::spread_even_bits32(odd_sched_->schedule_word(u, wake / 2, from / 2));
-  return from % 2 == 0 ? (e | (o << 1)) : (o | (e << 1));
+  // component (woken at wake/2).  Fetch one virtual word per station from
+  // each, 64 stations per component call, and interleave the low halves.
+  // Stack buffers, written before read (see ObliviousSchedule::schedule_words).
+  std::array<StationWake, 64> even_stations;
+  std::array<StationWake, 64> odd_stations;
+  std::array<std::uint64_t, 64> even_words;
+  std::array<std::uint64_t, 64> odd_words;
+  for (std::size_t c = 0; c < stations.size(); c += even_stations.size()) {
+    const std::size_t m = std::min(even_stations.size(), stations.size() - c);
+    for (std::size_t i = 0; i < m; ++i) {
+      const StationWake& st = stations[c + i];
+      even_stations[i] = {st.u, (st.wake + 1) / 2};
+      odd_stations[i] = {st.u, st.wake / 2};
+    }
+    even_sched_->schedule_words(std::span(even_stations).first(m), (from + 1) / 2, even_words);
+    odd_sched_->schedule_words(std::span(odd_stations).first(m), from / 2, odd_words);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint64_t e = util::spread_even_bits32(even_words[i]);
+      const std::uint64_t o = util::spread_even_bits32(odd_words[i]);
+      out[c + i] = from % 2 == 0 ? (e | (o << 1)) : (o | (e << 1));
+    }
+  }
 }
 
 }  // namespace wakeup::proto

@@ -40,7 +40,12 @@ class InterleavedProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override {
     return (even_sched_ != nullptr && odd_sched_ != nullptr) ? this : nullptr;
   }
-  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
+    return single_station_word(u, wake, from);
+  }
+  /// One schedule_words call per component for all stations.
+  void schedule_words(std::span<const StationWake> stations, Slot from,
+                      std::span<std::uint64_t> out) const override;
   [[nodiscard]] bool words_are_cheap() const override {
     return even_sched_ != nullptr && odd_sched_ != nullptr && even_sched_->words_are_cheap() &&
            odd_sched_->words_are_cheap();

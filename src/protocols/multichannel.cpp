@@ -37,6 +37,10 @@ class AdapterSchedule final : public ObliviousSchedule {
   [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
     return inner_->schedule_word(u, wake, from);
   }
+  void schedule_words(std::span<const StationWake> stations, Slot from,
+                      std::span<std::uint64_t> out) const override {
+    inner_->schedule_words(stations, from, out);
+  }
   [[nodiscard]] bool words_are_cheap() const override { return inner_->words_are_cheap(); }
 
  private:

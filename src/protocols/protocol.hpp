@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "mac/types.hpp"
@@ -130,12 +131,49 @@ class ObliviousSchedule {
   /// those slots either).  Requires wake >= 0 and from >= 0.
   [[nodiscard]] virtual std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const = 0;
 
+  /// One station of a `schedule_words` call.
+  struct StationWake {
+    StationId u;
+    Slot wake;
+  };
+
+  /// The same 64-slot block for many stations at once: out[i] =
+  /// schedule_word(stations[i].u, stations[i].wake, from), bit for bit
+  /// (the bits below a station's wake stay unspecified).  Requires
+  /// out.size() >= stations.size().  The batch engine asks once per resolve
+  /// round for every live station.  The default loops schedule_word;
+  /// schedules whose stations share per-slot set keys — the Scenario C
+  /// matrix's columns follow global time, and the doubling schedules'
+  /// families are indexed by global slot — override it to hash each key
+  /// once per call, and their schedule_word is then the one-station call.
+  /// Keys live only for the call: no schedule memoizes words or keys.
+  /// Overrides work through 64-entry stack buffers, 64 stations at a time,
+  /// and leave them uninitialized: each entry is written before it is
+  /// read, and zeroing them would cost a one-station call (the batch
+  /// engine's refill after a delivery) about a third of its time.
+  virtual void schedule_words(std::span<const StationWake> stations, Slot from,
+                              std::span<std::uint64_t> out) const {
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+      out[i] = schedule_word(stations[i].u, stations[i].wake, from);
+    }
+  }
+
   /// Cost class of schedule_word, used by the auto dispatch to size its
   /// interpreted warm-up window.  True means a word costs a handful of bit
   /// operations (round_robin's strided bits) so batching is always worth
   /// it; false (default) means words walk per-slot tables or hashes, and
   /// very short runs are better interpreted.
   [[nodiscard]] virtual bool words_are_cheap() const { return false; }
+
+ protected:
+  /// schedule_word as the one-station call of schedule_words: how a
+  /// schedule that overrides schedule_words keeps a single bit path.
+  [[nodiscard]] std::uint64_t single_station_word(StationId u, Slot wake, Slot from) const {
+    const StationWake station{u, wake};
+    std::uint64_t word = 0;
+    schedule_words({&station, 1}, from, {&word, 1});
+    return word;
+  }
 };
 
 class Protocol {

@@ -1,5 +1,8 @@
 #include "protocols/select_among_the_first.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace wakeup::proto {
 namespace {
 
@@ -29,12 +32,37 @@ std::unique_ptr<StationRuntime> SelectAmongTheFirstProtocol::make_runtime(Statio
   return std::make_unique<SatfRuntime>(u, wake == s_, s_, schedule_);
 }
 
-std::uint64_t SelectAmongTheFirstProtocol::schedule_word(StationId u, Slot wake,
-                                                          Slot from) const {
-  if (wake != s_) return 0;  // non-participants stay silent forever
+void SelectAmongTheFirstProtocol::schedule_words(std::span<const StationWake> stations,
+                                                 Slot from, std::span<std::uint64_t> out) const {
   // A word straddling s is the word at s, shifted up to its offset.
-  if (from < s_) return s_ - from >= 64 ? 0 : schedule_word(u, wake, s_) << (s_ - from);
-  return schedule_->schedule_word(u, static_cast<std::uint64_t>(from - s_));
+  if (from < s_) {
+    if (s_ - from >= 64) {
+      std::fill_n(out.begin(), stations.size(), std::uint64_t{0});
+      return;
+    }
+    schedule_words(stations, s_, out);
+    for (std::size_t i = 0; i < stations.size(); ++i) out[i] <<= s_ - from;
+    return;
+  }
+  // Non-participants stay silent forever; participants share one
+  // schedule_words call per 64 stations.
+  const auto index = static_cast<std::uint64_t>(from - s_);
+  // Stack buffers, written before read (see ObliviousSchedule::schedule_words).
+  std::array<comb::Station, 64> ids;
+  std::array<std::size_t, 64> at;
+  std::array<std::uint64_t, 64> words;
+  for (std::size_t c = 0; c < stations.size(); c += ids.size()) {
+    const std::size_t m = std::min(ids.size(), stations.size() - c);
+    std::size_t live = 0;
+    for (std::size_t i = c; i < c + m; ++i) {
+      out[i] = 0;
+      if (stations[i].wake != s_) continue;
+      ids[live] = stations[i].u;
+      at[live++] = i;
+    }
+    schedule_->schedule_words(std::span(ids).first(live), index, words);
+    for (std::size_t q = 0; q < live; ++q) out[at[q]] = words[q];
+  }
 }
 
 }  // namespace wakeup::proto

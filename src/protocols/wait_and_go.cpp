@@ -1,5 +1,8 @@
 #include "protocols/wait_and_go.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace wakeup::proto {
 namespace {
 
@@ -29,13 +32,37 @@ std::unique_ptr<StationRuntime> WaitAndGoProtocol::make_runtime(StationId u, Slo
   return std::make_unique<WaitAndGoRuntime>(u, wake, schedule_);
 }
 
-std::uint64_t WaitAndGoProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
-  const std::uint64_t go = schedule_->next_family_start(static_cast<std::uint64_t>(wake));
+void WaitAndGoProtocol::schedule_words(std::span<const StationWake> stations, Slot from,
+                                       std::span<std::uint64_t> out) const {
+  // Stations still waiting for a family boundary through the whole block
+  // are silent; the rest share one schedule_words call per 64 stations.
   const auto ufrom = static_cast<std::uint64_t>(from);
-  if (ufrom + 64 <= go) return 0;  // still waiting for a family boundary
-  std::uint64_t word = schedule_->schedule_word(u, ufrom);
-  if (ufrom < go) word &= ~std::uint64_t{0} << (go - ufrom);
-  return word;
+  // Stack buffers, written before read (see ObliviousSchedule::schedule_words).
+  std::array<comb::Station, 64> ids;
+  std::array<std::uint64_t, 64> go;
+  std::array<std::size_t, 64> at;
+  std::array<std::uint64_t, 64> words;
+  for (std::size_t c = 0; c < stations.size(); c += ids.size()) {
+    const std::size_t m = std::min(ids.size(), stations.size() - c);
+    std::size_t live = 0;
+    for (std::size_t i = c; i < c + m; ++i) {
+      const std::uint64_t g =
+          schedule_->next_family_start(static_cast<std::uint64_t>(stations[i].wake));
+      if (ufrom + 64 <= g) {
+        out[i] = 0;
+        continue;
+      }
+      ids[live] = stations[i].u;
+      go[live] = g;
+      at[live++] = i;
+    }
+    schedule_->schedule_words(std::span(ids).first(live), ufrom, words);
+    for (std::size_t q = 0; q < live; ++q) {
+      std::uint64_t word = words[q];
+      if (ufrom < go[q]) word &= ~std::uint64_t{0} << (go[q] - ufrom);
+      out[at[q]] = word;
+    }
+  }
 }
 
 ProtocolPtr make_wait_and_go(std::uint32_t n, std::uint32_t k, comb::FamilyKind kind,

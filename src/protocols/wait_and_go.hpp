@@ -30,7 +30,14 @@ class WaitAndGoProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
-  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
+    return single_station_word(u, wake, from);
+  }
+  /// Families are indexed by global slot, so every station past its
+  /// family boundary shares the block's set keys: one
+  /// DoublingSchedule::schedule_words call for all of them.
+  void schedule_words(std::span<const StationWake> stations, Slot from,
+                      std::span<std::uint64_t> out) const override;
   [[nodiscard]] const comb::DoublingSchedule& schedule() const noexcept { return *schedule_; }
 
  private:

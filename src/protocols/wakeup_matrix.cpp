@@ -1,6 +1,7 @@
 #include "protocols/wakeup_matrix.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace wakeup::proto {
 namespace {
@@ -53,54 +54,84 @@ std::unique_ptr<StationRuntime> WakeupMatrixProtocol::make_runtime(StationId u, 
   return std::make_unique<WakeupMatrixRuntime>(u, wake, matrix_);
 }
 
-std::uint64_t WakeupMatrixProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
+void WakeupMatrixProtocol::schedule_words(std::span<const StationWake> stations, Slot from,
+                                          std::span<std::uint64_t> out) const {
   const auto& p = matrix_.params();
-  const Slot operative = p.mu(wake);
   const Slot end = from + 64;
-  Slot t = std::max(from, operative);  // silent until the window boundary
-  if (t >= end) return 0;
-
-  // Row state at t: the runtime's scan walks rows 1..rows cyclically with
-  // durations m(i) starting at `operative`.  Whole scans carry no row-state
-  // change, so skip them and replay the partial one.
-  unsigned row = 1;
-  Slot row_end = operative + static_cast<Slot>(p.m(1));
   const auto scan = static_cast<Slot>(p.total_scan());
-  if (scan > 0) row_end += ((t - operative) / scan) * scan;
-  const auto advance_row = [&] {
-    while (t >= row_end) {
-      row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
-      row_end += static_cast<Slot>(p.m(row));
-    }
-  };
-  advance_row();
 
-  // Per slot, only the column j = t mod ℓ and ρ(j) move: both step by one
-  // and wrap, and the hash prefix changes with the row only.  Bits gather
-  // branch-free in a register (low rows transmit with probability up to
-  // 1/2, which no branch predictor can follow).
-  std::uint64_t prefix = matrix_.row_prefix(row);
-  const std::uint64_t ell = p.ell;
-  const unsigned window = p.window;
-  std::uint64_t j = static_cast<std::uint64_t>(t) % ell;
-  unsigned rho = p.rho(j);
-  std::uint64_t word = 0;
-  for (; t < end; ++t) {
-    if (t >= row_end) {
+  // The set keys of this block, per row: keys[row][b] is the set_key of
+  // M_{row, (from + b) mod ℓ} and exps[row][b] its exponent row + ρ.  Each
+  // row's block is filled on demand, downwards from 64: slots
+  // [lo[row], 64) are filled, and no other entry is read, so the 25 KB of
+  // tables are left uninitialized (a one-station call touches one row).
+  // rows = ceil(log2 n) <= 32 for 32-bit n.
+  constexpr unsigned kMaxRows = 32;
+  std::array<std::array<std::uint64_t, 64>, kMaxRows + 1> keys;
+  std::array<std::array<unsigned, 64>, kMaxRows + 1> exps;
+  std::array<unsigned, kMaxRows + 1> lo;
+  lo.fill(64);
+  const auto fill_keys = [&](unsigned row, unsigned a) {
+    if (a >= lo[row]) return;
+    // Per slot, only the column j = t mod ℓ and ρ(j) move: both step by
+    // one and wrap (ℓ is a multiple of the window).
+    const std::uint64_t prefix = matrix_.row_prefix(row);
+    std::uint64_t j = static_cast<std::uint64_t>(from + a) % p.ell;
+    unsigned rho = p.rho(j);
+    for (unsigned b = a; b < lo[row]; ++b) {
+      keys[row][b] = comb::LazyTransmissionMatrix::set_key(prefix, j);
+      exps[row][b] = row + rho;
+      if (++j == p.ell) {
+        j = 0;
+        rho = 0;
+      } else if (++rho == p.window) {
+        rho = 0;
+      }
+    }
+    lo[row] = a;
+  };
+
+  for (std::size_t i = 0; i < stations.size(); ++i) {
+    const Slot operative = p.mu(stations[i].wake);
+    Slot t = std::max(from, operative);  // silent until the window boundary
+    if (t >= end) {
+      out[i] = 0;
+      continue;
+    }
+    // Row state at t: the runtime's scan walks rows 1..rows cyclically with
+    // durations m(i) starting at `operative`.  Whole scans carry no row-state
+    // change, so skip them and replay the partial one.
+    unsigned row = 1;
+    Slot row_end = operative + static_cast<Slot>(p.m(1));
+    if (scan > 0) row_end += ((t - operative) / scan) * scan;
+    const auto advance_row = [&] {
+      while (t >= row_end) {
+        row = row < p.rows ? row + 1 : 1;  // wrap: restart the scan
+        row_end += static_cast<Slot>(p.m(row));
+      }
+    };
+    advance_row();
+
+    // One mix per bit, gathered branch-free in a register (low rows
+    // transmit with probability up to 1/2, which no branch predictor can
+    // follow).
+    const std::uint64_t mixed_u = util::mix64(stations[i].u);
+    std::uint64_t word = 0;
+    while (true) {
+      const auto a = static_cast<unsigned>(t - from);
+      const auto b = static_cast<unsigned>(std::min(row_end, end) - from);
+      fill_keys(row, a);
+      for (unsigned bit = a; bit < b; ++bit) {
+        const bool member = comb::LazyTransmissionMatrix::contains_keyed(
+            keys[row][bit], exps[row][bit], mixed_u);
+        word |= static_cast<std::uint64_t>(member) << bit;
+      }
+      t = from + b;
+      if (t == end) break;
       advance_row();
-      prefix = matrix_.row_prefix(row);
     }
-    const bool member =
-        comb::LazyTransmissionMatrix::contains_prefixed(prefix, row + rho, j, u);
-    word |= static_cast<std::uint64_t>(member) << (t - from);
-    if (++j == ell) {
-      j = 0;
-      rho = 0;
-    } else if (++rho == window) {
-      rho = 0;
-    }
+    out[i] = word;
   }
-  return word;
 }
 
 }  // namespace wakeup::proto

@@ -33,7 +33,14 @@ class WakeupMatrixProtocol final : public Protocol, public ObliviousSchedule {
   [[nodiscard]] std::unique_ptr<StationRuntime> make_runtime(StationId u,
                                                              Slot wake) const override;
   [[nodiscard]] const ObliviousSchedule* oblivious_schedule() const override { return this; }
-  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override;
+  [[nodiscard]] std::uint64_t schedule_word(StationId u, Slot wake, Slot from) const override {
+    return single_station_word(u, wake, from);
+  }
+  /// Columns follow global time, so every station on row i at slot t
+  /// tests itself against the same set M_{i, t mod ℓ}: each call hashes
+  /// one 64-key block per row some station is on, then one mix per bit.
+  void schedule_words(std::span<const StationWake> stations, Slot from,
+                      std::span<std::uint64_t> out) const override;
 
   [[nodiscard]] const comb::LazyTransmissionMatrix& matrix() const noexcept { return matrix_; }
 

@@ -1,5 +1,8 @@
 #include "protocols/wakeup_with_s.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "util/math.hpp"
 
 namespace wakeup::proto {
@@ -39,27 +42,59 @@ std::unique_ptr<StationRuntime> WakeupWithSProtocol::make_runtime(StationId u, S
   return std::make_unique<WakeupWithSRuntime>(u, wake, s_, schedule_->config().n, schedule_);
 }
 
-std::uint64_t WakeupWithSProtocol::schedule_word(StationId u, Slot wake, Slot from) const {
+void WakeupWithSProtocol::schedule_words(std::span<const StationWake> stations, Slot from,
+                                         std::span<std::uint64_t> out) const {
   // A word straddling s is the word at s, shifted up to its offset.
-  if (from < s_) return s_ - from >= 64 ? 0 : schedule_word(u, wake, s_) << (s_ - from);
+  if (from < s_) {
+    if (s_ - from >= 64) {
+      std::fill_n(out.begin(), stations.size(), std::uint64_t{0});
+      return;
+    }
+    schedule_words(stations, s_, out);
+    for (std::size_t i = 0; i < stations.size(); ++i) out[i] <<= s_ - from;
+    return;
+  }
   // Even offsets d = 2v run round-robin at virtual slot v, odd offsets
   // d = 2v + 1 run SATF at v.  The 32 even offsets in this block cover
   // virtual slots (d0+1)/2 ..., the 32 odd ones d0/2 ...; build each
-  // 32-bit half and interleave by block parity.
+  // 32-bit half and interleave by block parity.  The SATF halves of the
+  // stations woken at s come from one schedule_words call per 64 stations.
   const Slot d0 = from - s_;
   const auto n = static_cast<Slot>(schedule_->config().n);
   const Slot ve0 = (d0 + 1) / 2;
-  std::uint64_t rr_bits = 0;
-  if (static_cast<Slot>(u) < n) {  // out-of-universe stations never get a TDM turn
-    Slot i = (static_cast<Slot>(u) - ve0) % n;
-    if (i < 0) i += n;
-    for (; i < 32; i += n) rr_bits |= std::uint64_t{1} << i;
+  const auto interleave = [d0](std::uint64_t rr_bits, std::uint64_t satf_bits) {
+    const std::uint64_t rr = util::spread_even_bits32(rr_bits);
+    const std::uint64_t satf = util::spread_even_bits32(satf_bits);
+    return d0 % 2 == 0 ? (rr | (satf << 1)) : (satf | (rr << 1));
+  };
+  // Stack buffers, written before read (see ObliviousSchedule::schedule_words).
+  std::array<comb::Station, 64> ids;
+  std::array<std::size_t, 64> at;
+  std::array<std::uint64_t, 64> words;
+  for (std::size_t c = 0; c < stations.size(); c += ids.size()) {
+    const std::size_t m = std::min(ids.size(), stations.size() - c);
+    std::size_t live = 0;
+    for (std::size_t i = c; i < c + m; ++i) {
+      const auto u = static_cast<Slot>(stations[i].u);
+      std::uint64_t rr_bits = 0;
+      if (u < n) {  // out-of-universe stations never get a TDM turn
+        Slot j = (u - ve0) % n;
+        if (j < 0) j += n;
+        for (; j < 32; j += n) rr_bits |= std::uint64_t{1} << j;
+      }
+      out[i] = rr_bits;
+      if (stations[i].wake != s_) continue;
+      ids[live] = stations[i].u;
+      at[live++] = i;
+    }
+    schedule_->schedule_words(std::span(ids).first(live), static_cast<std::uint64_t>(d0 / 2),
+                              words);
+    std::size_t q = 0;
+    for (std::size_t i = c; i < c + m; ++i) {
+      const std::uint64_t satf_bits = q < live && at[q] == i ? words[q++] : 0;
+      out[i] = interleave(out[i], satf_bits);
+    }
   }
-  const std::uint64_t satf_bits =
-      wake == s_ ? schedule_->schedule_word(u, static_cast<std::uint64_t>(d0 / 2)) : 0;
-  const std::uint64_t rr = util::spread_even_bits32(rr_bits);
-  const std::uint64_t satf = util::spread_even_bits32(satf_bits);
-  return d0 % 2 == 0 ? (rr | (satf << 1)) : (satf | (rr << 1));
 }
 
 ProtocolPtr make_wakeup_with_s(std::uint32_t n, Slot s, comb::FamilyKind kind,

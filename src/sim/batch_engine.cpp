@@ -29,7 +29,7 @@ namespace {
 /// Popcount of `word`'s bits in the absolute-slot range [a, b), where
 /// `word` covers the 64 slots from the 64-aligned slot `wb` and
 /// wb <= a, b <= wb + 64.  Row words are exactly the station's
-/// transmissions (fill_row masks them outside its contention span), so
+/// transmissions (row_bits masks them outside its contention span), so
 /// counting each examined range once reproduces the interpreter's
 /// per-slot transmit tally.
 [[nodiscard]] std::uint64_t count_bits(std::uint64_t word, mac::Slot wb, mac::Slot a,
@@ -59,23 +59,33 @@ struct Row {
   std::uint64_t word = 0;     ///< transmission bits of the current round
 };
 
-/// Sets `st.word` to the station's transmission bits for the round
-/// [wb, round_end), wb 64-aligned and round_end <= wb + 64: its schedule
-/// from the head-of-line packet's contention start, zero before it and
-/// from the station's stop slot on.  A drained queue (or one whose next
-/// packet arrives after the round) is zero.  Returns the schedule words
-/// fetched (0 or 1).
+/// Does the station need a schedule word for the round [wb, round_end),
+/// wb 64-aligned and round_end <= wb + 64?  A drained queue, one whose next
+/// packet arrives after the round, or one past its stop slot does not.
+bool needs_word(const Row& st, mac::Slot wb, mac::Slot round_end) {
+  return st.head_start < round_end && std::max(st.head_start, wb) < st.stop;
+}
+
+/// Masks `word`, the schedule word at wb from the head-of-line packet's
+/// contention start, to the station's transmission bits for the round:
+/// zero before that start and from the station's stop slot on.
+std::uint64_t row_bits(const Row& st, std::uint64_t word, mac::Slot wb, mac::Slot round_end) {
+  if (st.head_start > wb) word &= ~std::uint64_t{0} << (st.head_start - wb);
+  if (st.stop < round_end) word &= (std::uint64_t{1} << (st.stop - wb)) - 1;
+  return word;
+}
+
+/// Sets `st.word` to the station's transmission bits for the round with
+/// one schedule_word call: the refill after a delivery.  Returns the
+/// schedule words fetched (0 or 1).
 std::size_t fill_row(const proto::ObliviousSchedule& schedule, Row& st, mac::Slot wb,
                      mac::Slot round_end) {
-  const mac::Slot h = st.head_start;
-  if (h >= round_end || st.stop <= std::max(h, wb)) {
+  if (!needs_word(st, wb, round_end)) {
     st.word = 0;
     return 0;
   }
-  // h < wb + 64, so the word at wb is the one holding the contention start.
-  st.word = schedule.schedule_word(st.id, h, wb);
-  if (h > wb) st.word &= ~std::uint64_t{0} << (h - wb);
-  if (st.stop < round_end) st.word &= (std::uint64_t{1} << (st.stop - wb)) - 1;
+  // head_start < wb + 64, so the word at wb is the one holding it.
+  st.word = row_bits(st, schedule.schedule_word(st.id, st.head_start, wb), wb, round_end);
   return 1;
 }
 
@@ -124,6 +134,15 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
 
   std::vector<Row> rows;
   rows.reserve(traffic.size());
+  // Each round asks the schedule once for the words of every row that
+  // needs one (schedule_words), so schedules hash their shared set keys
+  // once per round: the stations asked, their rows and their words.
+  std::vector<proto::ObliviousSchedule::StationWake> asked;
+  std::vector<std::uint32_t> asked_rows;
+  std::vector<std::uint64_t> words;
+  asked.reserve(traffic.size());
+  asked_rows.reserve(traffic.size());
+  words.resize(traffic.size());
   // Per-lane reduction words: any[c] has a bit where >= 1 station of lane
   // c transmits, multi[c] where >= 2 do.  One lane (the paper's channel)
   // lives in the inline pair: heap words measurably slow short
@@ -199,11 +218,23 @@ SimResult run_batch_from(const proto::ObliviousSchedule& schedule,
       ++next_queue;
     }
 
-    // One schedule word per station.
-    for (Row& st : rows) {
-      obs_words += fill_row(schedule, st, wb, round_end);
+    // One schedule word per station, all from one schedule_words call.
+    asked.clear();
+    asked_rows.clear();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      Row& st = rows[r];
       st.counted = std::max(wb, start);
+      st.word = 0;
+      if (!needs_word(st, wb, round_end)) continue;
+      asked.push_back({st.id, st.head_start});
+      asked_rows.push_back(static_cast<std::uint32_t>(r));
     }
+    schedule.schedule_words(asked, wb, words);
+    for (std::size_t i = 0; i < asked.size(); ++i) {
+      Row& st = rows[asked_rows[i]];
+      st.word = row_bits(st, words[i], wb, round_end);
+    }
+    obs_words += asked.size();
     ++obs_rounds;
     reduce(wb);
 
@@ -356,6 +387,17 @@ SimConfig without_energy(const SimConfig& config) {
   return lanes;
 }
 
+/// The default interpreted warm-up of expensive-word schedules, in slots:
+/// about one batch round's worth of interpreted work (ski rental: a run
+/// that resolves inside the warm-up never pays for a word, and one that
+/// does not has spent at most about one round more than batching from the
+/// start).  Measured on 4 cores with 256 stations at n = 4096, a batch
+/// round costs 190 (wakeup_matrix) to 250 ns (wakeup_with_k) per station
+/// and an interpreted slot 17 to 23 ns, so a round is worth about 11
+/// slots; rounded up to 16.  On perfbench `engines` 8 and 16 read alike
+/// and 32 slower.
+constexpr mac::Slot kExpensiveWarmup = 16;
+
 }  // namespace
 
 SimResult run_wakeup_batch(const proto::Protocol& protocol, const mac::WakePattern& pattern,
@@ -371,22 +413,38 @@ SimResult run_wakeup_hybrid(const proto::Protocol& protocol, const mac::WakePatt
   if (pattern.empty()) return {};
 
   // Warm-up length: an explicit SimConfig::warmup_slots wins; otherwise the
-  // static hint — cheap-word schedules (strided bits) batch profitably from
-  // slot one, expensive ones get one interpreted block, since the paper's
-  // near-optimal protocols often resolve contention within a few slots,
-  // where a full schedule word per station would be pure waste.  Full
-  // resolution drains successes across many words anyway; the warm-up
+  // static hint.  Cheap-word schedules (strided bits) batch profitably from
+  // slot one.  Expensive ones interpret kExpensiveWarmup slots first, since
+  // the paper's near-optimal protocols often resolve contention within a
+  // few slots, where a full schedule word per station would be waste.
+  // Full resolution drains successes across many words anyway; the warm-up
   // bookkeeping (departed winners) is not worth carrying over.
   mac::Slot warmup = config.full_resolution ? 0 : config.warmup_slots;
-  if (warmup < 0) warmup = schedule.words_are_cheap() ? 0 : 64;
+  if (warmup < 0) warmup = schedule.words_are_cheap() ? 0 : kExpensiveWarmup;
   const mac::Slot budget = slot_budget(config.max_slots, pattern);
   const detail::Traffic traffic(pattern, budget);
-  if (warmup == 0) return run_batch_from(schedule, traffic, config, traffic.begin(), nullptr);
+  // Observability (side-state only): the slots each kAuto run interpreted,
+  // and how many runs found their success inside the warm-up.
+  const auto record = [](mac::Slot interpreted, bool resolved) {
+    if (!obs::active()) return;
+    static const auto h_warmup = obs::Histogram::get("run.warmup_slots");
+    static const auto c_resolved = obs::Counter::get("sim.resolved_in_warmup");
+    h_warmup.observe(static_cast<std::uint64_t>(interpreted));
+    if (resolved) c_resolved.inc();
+  };
+  if (warmup == 0) {
+    record(0, false);
+    return run_batch_from(schedule, traffic, config, traffic.begin(), nullptr);
+  }
 
   SimConfig warm_config = config;
   warm_config.max_slots = std::min<mac::Slot>(warmup, budget);
   const SimResult warm = run_wakeup_interpreter(protocol, pattern, warm_config);
-  if (warm.success || budget <= warmup) return warm;
+  if (warm.success || budget <= warmup) {
+    record(warm.success ? warm.rounds + 1 : warm_config.max_slots, warm.success);
+    return warm;
+  }
+  record(warmup, false);
 
   // No success in the warm-up: continue word-parallel with carried counters.
   return run_batch_from(schedule, traffic, config, traffic.begin() + warmup, &warm);

@@ -6,9 +6,10 @@
 /// `dispatch_dynamic`.
 ///
 /// Advances one 64-slot word per resolve round: each live station
-/// contributes one schedule word (one
-/// `proto::ObliviousSchedule::schedule_word` call), so a run fetches no
-/// word past the one holding its last examined slot.  Every station is
+/// contributes one schedule word, all of them from one
+/// `proto::ObliviousSchedule::schedule_words` call per round (so shared
+/// set keys are hashed once per round), and a run fetches no word past the
+/// one holding its last examined slot.  Every station is
 /// pinned to one channel lane (`channel_lane`; always 0 for single-channel
 /// schedules) and its word is OR-folded into that lane's (any, multi)
 /// word pair (`any` = some station transmits, `multi` = two or more);
@@ -16,7 +17,8 @@
 /// bit of the lane-solo union is the first success.  Rows are per-station
 /// packet queues
 /// (sim/traffic.hpp): after each single-channel delivery the winner's word
-/// is refilled from its next head-of-line contention start — zeroed when
+/// is refilled (one `schedule_word` call) from its next head-of-line
+/// contention start — zeroed when
 /// its queue drains, which for a static station's one packet is the
 /// full-resolution drain — and the rest of the word is re-resolved.
 /// Results are bit-identical to the slot-by-slot interpreter
@@ -56,7 +58,7 @@ namespace wakeup::sim {
 /// The Engine::kAuto fast path: interprets a warm-up prefix (runs that
 /// resolve quickly never pay for schedule words they do not need), then
 /// continues word-parallel.  The prefix length comes from
-/// SimConfig::warmup_slots, defaulting to one 64-slot block for
+/// SimConfig::warmup_slots, defaulting to 16 slots for
 /// expensive-word schedules and zero for cheap ones (`words_are_cheap`).
 /// Same preconditions and bit-identical results as run_wakeup_batch, for
 /// every prefix length.

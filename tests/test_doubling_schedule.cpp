@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 namespace wc = wakeup::comb;
 
 namespace {
@@ -150,7 +153,8 @@ TEST(DoublingSchedule, ScheduleWordMatchesTransmits) {
     for (wc::Station u = 0; u < 64; u += 9) {
       // Unaligned starts included: wakeup_with_s asks for words at d/2.
       for (std::uint64_t from = 0; from < 2 * z + 64; from += 37) {
-        const std::uint64_t word = sched.schedule_word(u, from);
+        std::uint64_t word = 0;
+        sched.schedule_words({&u, 1}, from, {&word, 1});
         for (unsigned j = 0; j < 64; ++j) {
           ASSERT_EQ((word >> j) & 1u, sched.transmits(u, from + j) ? 1u : 0u)
               << "kind=" << wc::family_kind_name(kind) << " u=" << u << " from=" << from
@@ -158,6 +162,50 @@ TEST(DoublingSchedule, ScheduleWordMatchesTransmits) {
         }
       }
     }
+  }
+}
+
+TEST(DoublingSchedule, ScheduleWordsMatchTransmitsAcrossBoundaries) {
+  // One schedule_words call for many stations must give each station its
+  // own bits, alone or in company, for blocks straddling every family
+  // boundary and the period wrap (where words come from several families).
+  for (const auto kind : {wc::FamilyKind::kRandomized, wc::FamilyKind::kModPrime}) {
+    auto config = config_for(64, 16);
+    config.kind = kind;
+    const wc::DoublingSchedule sched(config);
+    ASSERT_GE(sched.family_count(), 3u);
+    std::vector<wc::Station> stations;
+    // More than 64 stations, so calls run in several chunks; ids past 63
+    // are out of the universe.
+    for (wc::Station u = 0; u < 150; ++u) stations.push_back(u);
+    std::vector<std::uint64_t> froms;
+    for (std::size_t f = 0; f < sched.family_count(); ++f) {
+      const std::uint64_t start = sched.family_start(f) + sched.period();
+      for (const std::uint64_t back : {1u, 10u, 63u}) froms.push_back(start - back);
+    }
+    for (const std::uint64_t back : {1u, 30u, 63u}) froms.push_back(sched.period() - back);
+    std::uint64_t ones = 0;
+    for (const std::uint64_t from : froms) {
+      std::vector<std::uint64_t> words(stations.size());
+      sched.schedule_words(stations, from, words);
+      for (std::size_t i = 0; i < stations.size(); ++i) {
+        std::uint64_t single = 0;
+        sched.schedule_words({&stations[i], 1}, from, {&single, 1});
+        ASSERT_EQ(words[i], single) << "kind=" << wc::family_kind_name(kind)
+                                    << " from=" << from << " u=" << stations[i];
+        for (unsigned j = 0; j < 64; ++j) {
+          ASSERT_EQ((words[i] >> j) & 1u, sched.transmits(stations[i], from + j) ? 1u : 0u)
+              << "kind=" << wc::family_kind_name(kind) << " from=" << from
+              << " u=" << stations[i] << " j=" << j;
+        }
+        ones += static_cast<std::uint64_t>(std::popcount(single));
+      }
+    }
+    EXPECT_GT(ones, 0u);
+    // An empty call writes nothing.
+    std::uint64_t sentinel = 7;
+    sched.schedule_words({}, 0, {&sentinel, 1});
+    EXPECT_EQ(sentinel, 7u);
   }
 }
 

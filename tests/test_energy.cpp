@@ -158,7 +158,7 @@ TEST(EnergyParity, HybridWarmupCarriesItsTransmits) {
         interp.engine = wu::sim::Engine::kInterpreter;
         interp.energy = model;
         const auto reference = run_one(*protocol, pattern, interp);
-        for (const wu::mac::Slot warmup : {1, 63, 64, 65, 130}) {
+        for (const wu::mac::Slot warmup : {1, 15, 16, 17, 63, 64, 65, 130}) {
           wu::sim::SimConfig hybrid;
           hybrid.energy = model;
           hybrid.warmup_slots = warmup;

@@ -11,6 +11,7 @@
 #include "protocols/registry.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/run.hpp"
+#include "tests/test_helpers.hpp"
 #include "util/rng.hpp"
 #include "wakeup/wakeup.hpp"
 
@@ -451,6 +452,47 @@ TEST(EngineDispatch, ScheduleWordsMatchRuntimes) {
       }
     }
   }
+}
+
+TEST(EngineDispatch, ScheduleWordsMatchScheduleWord) {
+  // One schedule_words call per block, for stations whose wakes fall
+  // before, inside and after the block, must give each station its own
+  // schedule_word bits (which ScheduleWordsMatchRuntimes ties to the
+  // runtimes).  Every oblivious registry protocol, both family kinds with
+  // a dedicated word path, and s = 3 / 70 so the SATF words straddle s at
+  // both parities.
+  std::uint64_t ones = 0;
+  for (const auto& name : wu::proto::protocol_names()) {
+    if (!wu::proto::protocol_capabilities(name).oblivious) continue;
+    for (const auto kind : {wu::comb::FamilyKind::kRandomized, wu::comb::FamilyKind::kModPrime}) {
+      for (const wu::mac::Slot s : {wu::mac::Slot{3}, wu::mac::Slot{70}}) {
+        wu::proto::ProtocolSpec spec;
+        spec.name = name;
+        spec.n = 37;
+        spec.k = 5;
+        spec.s = s;
+        spec.family_kind = kind;
+        const auto protocol = wu::proto::make_protocol_by_name(spec);
+        const auto* schedule = protocol->oblivious_schedule();
+        ASSERT_NE(schedule, nullptr) << name;
+        std::vector<wu::proto::ObliviousSchedule::StationWake> stations;
+        for (const wu::mac::Slot wake : {wu::mac::Slot{0}, s, s + 7, wu::mac::Slot{129},
+                                         wu::mac::Slot{200}, wu::mac::Slot{700}}) {
+          // 45 >= n: out-of-universe stations.  Over 64 stations in all,
+          // so the calls run in several chunks.
+          for (wu::mac::StationId u = 0; u < 46; u += 3) stations.push_back({u, wake});
+        }
+        stations.push_back(stations.front());  // a repeated station
+        const std::string label = name + " kind=" +
+                                  std::string(wu::comb::family_kind_name(kind)) +
+                                  " s=" + std::to_string(s);
+        for (wu::mac::Slot from = 0; from < 768; from += 64) {
+          ones += wakeup::test::expect_words_match_word(*schedule, stations, from, label);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ones, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 /// Shared helpers for protocol-level tests.
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -39,6 +43,36 @@ inline std::vector<bool> schedule_of(const proto::Protocol& protocol, mac::Stati
   out.reserve(static_cast<std::size_t>(len));
   for (mac::Slot t = wake; t < wake + len; ++t) out.push_back(rt->transmits(t));
   return out;
+}
+
+/// Checks `schedule_words` against `schedule_word` for one block: a single
+/// call for all of `stations` must give, at every slot >= a station's wake
+/// (earlier bits are unspecified), the bits of that station's own word.
+/// Also checks that an empty call writes nothing.  Returns the number of
+/// set bits compared, so callers can assert the check saw transmissions.
+inline std::uint64_t expect_words_match_word(
+    const proto::ObliviousSchedule& schedule,
+    const std::vector<proto::ObliviousSchedule::StationWake>& stations, mac::Slot from,
+    const std::string& label) {
+  constexpr std::uint64_t kUntouched = 0x5a5a5a5a5a5a5a5aULL;
+  std::uint64_t sentinel = kUntouched;
+  schedule.schedule_words({}, from, {&sentinel, 1});
+  EXPECT_EQ(sentinel, kUntouched) << label << " from=" << from << ": empty call wrote";
+
+  std::vector<std::uint64_t> words(stations.size(), kUntouched);
+  schedule.schedule_words(stations, from, words);
+  std::uint64_t ones = 0;
+  for (std::size_t i = 0; i < stations.size(); ++i) {
+    const auto [u, wake] = stations[i];
+    if (wake >= from + 64) continue;  // every bit precedes the wake
+    const std::uint64_t valid =
+        wake > from ? ~std::uint64_t{0} << (wake - from) : ~std::uint64_t{0};
+    const std::uint64_t single = schedule.schedule_word(u, wake, from) & valid;
+    EXPECT_EQ(words[i] & valid, single)
+        << label << " from=" << from << " station " << i << " u=" << u << " wake=" << wake;
+    ones += static_cast<std::uint64_t>(std::popcount(single));
+  }
+  return ones;
 }
 
 /// A C-channel protocol whose station u repeats `actions[u]` in every slot

@@ -85,6 +85,30 @@ TEST(ImplicitFamily, MembershipWordMatchesContains) {
   }
 }
 
+TEST(ImplicitFamily, MembershipWordsMatchMembershipWord) {
+  // One membership_words call for many stations gives each its own
+  // membership_word over the family's sets, whatever the other stations.
+  for (const wc::FamilyKind kind : kinds()) {
+    for (const auto& [n, k] : grid()) {
+      const auto implicit = wc::make_implicit_family(kind, n, k, wu::hash_words({n, k, 9}));
+      const std::size_t length = implicit->length();
+      std::vector<wc::Station> stations;
+      for (wc::Station u = 0; u < n + 3; u += (n > 16 ? 7 : 1)) stations.push_back(u);
+      std::vector<std::uint64_t> words(stations.size());
+      for (std::size_t from = 0; from < length; from += 23) {
+        implicit->membership_words(stations, from, words);
+        const std::size_t end = std::min<std::size_t>(length - from, 64);
+        const std::uint64_t valid = end == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << end) - 1;
+        for (std::size_t i = 0; i < stations.size(); ++i) {
+          ASSERT_EQ(words[i] & valid, implicit->membership_word(stations[i], from) & valid)
+              << wc::family_kind_name(kind) << " n=" << n << " k=" << k << " from=" << from
+              << " u=" << stations[i];
+        }
+      }
+    }
+  }
+}
+
 TEST(ImplicitFamily, MaterializeRoundTrips) {
   for (const wc::FamilyKind kind : kinds()) {
     const auto implicit = wc::make_implicit_family(kind, 64, 8, 5);

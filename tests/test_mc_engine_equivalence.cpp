@@ -157,6 +157,25 @@ TEST(McEngineEquivalence, ScheduleAgreesWithRuntimeActions) {
   }
 }
 
+TEST(McEngineEquivalence, ScheduleWordsMatchScheduleWord) {
+  // One schedule_words call per block over stations of every lane, woken
+  // before, inside and after the block, gives each its own schedule_word.
+  const std::uint32_t n = 37, k = 5;
+  std::uint64_t ones = 0;
+  for (const Strategy& strategy : native_strategies(n, k)) {
+    const auto* schedule = strategy.protocol->oblivious_schedule();
+    ASSERT_NE(schedule, nullptr) << strategy.label;
+    std::vector<wp::ObliviousSchedule::StationWake> stations;
+    for (const wm::Slot wake : {wm::Slot{0}, wm::Slot{9}, wm::Slot{130}, wm::Slot{300}}) {
+      for (wm::StationId u = 0; u < 46; u += 2) stations.push_back({u, wake});  // 92 in all
+    }
+    for (wm::Slot from = 0; from < 512; from += 64) {
+      ones += wakeup::test::expect_words_match_word(*schedule, stations, from, strategy.label);
+    }
+  }
+  EXPECT_GT(ones, 0u);
+}
+
 TEST(McEngineEquivalence, BatchThrowsWithoutCapability) {
   // random_rpd hops channels per slot — no fixed lane, no capability.
   const auto rpd = wp::make_random_channel_rpd(64, 4, 1);

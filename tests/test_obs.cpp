@@ -24,6 +24,7 @@
 #include "protocols/registry.hpp"
 #include "protocols/round_robin.hpp"
 #include "sim/run.hpp"
+#include "util/rng.hpp"
 
 namespace wu = wakeup;
 namespace obs = wakeup::obs;
@@ -374,6 +375,59 @@ TEST(ObsInstrumentation, BatchFetchesNoWordPastTheResolvingWord) {
     const auto rounds = static_cast<std::uint64_t>(r.success_slot / 64 - r.s / 64 + 1);
     EXPECT_EQ(obs::snapshot_value(snap, "batch.tiles"), rounds);
     EXPECT_EQ(obs::snapshot_value(snap, "batch.words_fetched"), pattern.k() * rounds);
+  } else {
+    EXPECT_TRUE(snap.empty());
+  }
+}
+
+TEST(ObsInstrumentation, AutoRunsRecordTheirWarmup) {
+  // Every kAuto run observes the slots it interpreted in run.warmup_slots:
+  // 0 for cheap-word schedules, which batch from slot one; for the others
+  // the default 16-slot prefix, or fewer when the run resolves inside it,
+  // which sim.resolved_in_warmup counts.  Forced engines observe nothing.
+  ObsReset guard;
+  obs::set_enabled(true);
+
+  wu::proto::ProtocolSpec pspec;
+  pspec.name = "wait_and_go";
+  pspec.n = 200;
+  pspec.k = 64;
+  const auto protocol = wu::proto::make_protocol_by_name(pspec);
+  std::uint64_t runs = 0;
+  std::uint64_t slots = 0;
+  std::uint64_t resolved = 0;
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    wu::util::Rng rng(wu::util::hash_words({0x5752554eULL /* "WRUN" */, trial}));
+    const auto pattern = wu::mac::patterns::uniform_window(200, 1 + 5 * trial, 0, 8, rng);
+    wu::sim::SimConfig interp;
+    interp.engine = wu::sim::Engine::kInterpreter;
+    const auto reference =
+        wu::sim::Run({.protocol = protocol.get(), .pattern = &pattern, .sim = interp}).sim;
+    const auto got = wu::sim::Run({.protocol = protocol.get(), .pattern = &pattern}).sim;
+    ASSERT_EQ(reference.success_slot, got.success_slot);
+    ++runs;
+    if (reference.success && reference.rounds < 16) {
+      slots += static_cast<std::uint64_t>(reference.rounds) + 1;
+      ++resolved;
+    } else {
+      slots += 16;
+    }
+  }
+  const wu::proto::RoundRobinProtocol rr(96);
+  const wu::mac::WakePattern two(96, {{10, 0}, {50, 3}});
+  (void)wu::sim::Run({.protocol = &rr, .pattern = &two});
+  ++runs;
+
+  const auto snap = obs::snapshot();
+  if (obs::kCompiled) {
+    const auto it = snap.find("run.warmup_slots");
+    ASSERT_NE(it, snap.end());
+    EXPECT_EQ(it->second.count, runs);
+    EXPECT_EQ(it->second.sum, slots);
+    EXPECT_EQ(it->second.min, 0u);  // the round-robin run
+    EXPECT_EQ(obs::snapshot_value(snap, "sim.resolved_in_warmup"), resolved);
+    EXPECT_GT(resolved, 0u);
+    EXPECT_LT(resolved, runs - 1);  // some runs reached the batch tail
   } else {
     EXPECT_TRUE(snap.empty());
   }

@@ -332,7 +332,8 @@ TEST(RunFacade, WarmupOverrideIsBitIdentical) {
     interp.engine = ws::Engine::kInterpreter;
     const auto reference =
         ws::Run({.protocol = protocol.get(), .pattern = &pattern, .sim = interp}).sim;
-    for (const wm::Slot warmup : {0, 1, 63, 64, 65, 128, 256}) {
+    // Centred on the 16-slot default, plus the old 64-slot one.
+    for (const wm::Slot warmup : {0, 1, 15, 16, 17, 63, 64, 65, 128, 130, 256}) {
       ws::SimConfig hybrid;
       hybrid.warmup_slots = warmup;
       const auto got =

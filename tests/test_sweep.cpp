@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "sim/results_sink.hpp"
 #include "sim/run.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace we = wakeup::exp;
@@ -394,6 +396,49 @@ TEST(Manifest, RecordRoundTrips) {
   EXPECT_EQ(parsed.stats.median_ci.hi, record.stats.median_ci.hi);
   EXPECT_EQ(parsed.bound, record.bound);
   EXPECT_EQ(parsed.normalized_mean, record.normalized_mean);
+}
+
+TEST(Manifest, JsonDoubleWritesPrintfBytes) {
+  // json_double formats with std::to_chars(general, 17), which the
+  // standard defines as printf's "%.17g": the report and manifest bytes
+  // must not move.  The corpus covers integers, both zeros, subnormals,
+  // extreme exponents, the edge of exact integers and k/48 fractions.
+  std::vector<double> corpus = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                4096.0,
+                                123456789.0,
+                                -987654321.0,
+                                4.9406564584124654e-324,
+                                -4.9406564584124654e-324,
+                                2.2250738585072009e-308,
+                                2.2250738585072014e-308,
+                                1e300,
+                                -1e300,
+                                1e-300,
+                                -1e-300,
+                                1.7976931348623157e308,
+                                9007199254740991.0,
+                                9007199254740992.0,
+                                9007199254740993.0,
+                                0.1,
+                                1.0 / 3.0,
+                                1e16,
+                                1e17,
+                                1e-5};
+  for (int k = -480; k <= 480; ++k) corpus.push_back(static_cast<double>(k) / 48.0);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t bits = wu::hash_words({0x4a534f4eULL, static_cast<std::uint64_t>(i)});
+    corpus.push_back(static_cast<double>(bits >> 11) * 0x1.0p-40);
+  }
+  for (const double v : corpus) {
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    EXPECT_EQ(we::json_double(v), std::string(want)) << want;
+  }
+  EXPECT_EQ(we::json_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(we::json_double(-std::numeric_limits<double>::infinity()), "null");
 }
 
 TEST(Manifest, TornTailIsDroppedMidFileDamageThrows) {

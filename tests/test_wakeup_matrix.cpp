@@ -71,6 +71,35 @@ TEST(WakeupMatrix, ScheduleWordMatchesContains) {
   EXPECT_GT(ones, 0u);  // the comparison saw transmissions, not only silence
 }
 
+TEST(WakeupMatrix, ScheduleWordsShareKeysAcrossRows) {
+  // One schedule_words call per block over stations on different rows:
+  // n = 16, c = 1 gives rows of 16, 32, 64 and 128 slots, so wakes spread
+  // over a scan put stations on every row, rows change inside blocks, and
+  // some stations are still waiting for µ(σ).  Each station must get its
+  // own schedule_word, whatever the other stations in the call.
+  const wp::WakeupMatrixProtocol protocol(16, /*c=*/1, /*seed=*/11);
+  const auto& p = protocol.matrix().params();
+  ASSERT_EQ(p.m(1), 16u);
+  std::vector<wp::ObliviousSchedule::StationWake> stations;
+  for (wm::Slot wake = 0; wake < 600; wake += 23) {
+    stations.push_back({static_cast<wm::StationId>(wake % 21), wake});
+  }
+  std::uint64_t ones = 0;
+  for (wm::Slot from = 0; from < 64 * 12; from += 64) {
+    ones += wakeup::test::expect_words_match_word(protocol, stations, from, "wakeup_matrix");
+    // The rows present in this block: the call must have mixed rows.
+    if (from == 320) {
+      std::vector<unsigned> rows;
+      for (const auto& st : stations) {
+        if (const auto row = p.row_at(st.wake, from)) rows.push_back(*row);
+      }
+      std::sort(rows.begin(), rows.end());
+      EXPECT_GE(std::unique(rows.begin(), rows.end()) - rows.begin(), 3);
+    }
+  }
+  EXPECT_GT(ones, 0u);
+}
+
 TEST(WakeupMatrix, AgreesWithWakingVerifier) {
   // Simulator path (protocol runtimes) and matrix-level verifier must find
   // the same isolation slot.
