@@ -184,7 +184,6 @@ std::string manifest_line(const CellRecord& record) {
       << ",\"protocol\":\"" << json_escape(cell.protocol) << "\""
       << ",\"n\":" << cell.n << ",\"k\":" << cell.k << ",\"channels\":" << cell.channels
       << ",\"pattern\":\"" << pattern_name(cell.pattern) << "\""
-      << ",\"engine\":\"" << engine_name(cell.engine) << "\""
       << ",\"trials\":" << cell.trials << ",\"s\":" << cell.s
       << ",\"arrival\":\"" << json_escape(cell.dynamic ? cell.arrival.name() : "") << "\""
       << ",\"horizon\":" << (cell.dynamic ? cell.horizon : 0)
@@ -226,7 +225,6 @@ CellRecord parse_manifest_line(const std::string& line) {
   cell.k = static_cast<std::uint32_t>(field_u64(fields, "k"));
   cell.channels = static_cast<std::uint32_t>(field_u64(fields, "channels"));
   cell.pattern = parse_pattern(field_str(fields, "pattern"));
-  cell.engine = parse_engine(field_str(fields, "engine"));
   cell.trials = field_u64(fields, "trials");
   cell.s = static_cast<mac::Slot>(field_u64(fields, "s"));
   const std::string arrival = field_str(fields, "arrival");
@@ -299,9 +297,9 @@ ManifestData load_manifest(const std::string& path) {
         (data.header.version < kManifestVersion
              ? " (v2 added p99 and throughput/fairness columns, v3 added the impairment "
                "identity and rounds_inflation robustness column, v4 added the energy block "
-               "to every line, v5 made the median CI exact) — a resumed report could not be "
-               "byte-identical; re-run the sweep fresh (delete the output directory or pass a "
-               "new --out)"
+               "to every line, v5 made the median CI exact, v6 dropped the engine field) — a "
+               "resumed report could not be byte-identical; re-run the sweep fresh (delete the "
+               "output directory or pass a new --out)"
              : " — this manifest was written by a newer build"));
   }
 

@@ -80,9 +80,11 @@ struct CellRecord {
 /// channel-impairment identity and the rounds_inflation robustness column;
 /// v4 added the energy block (energy_mean / energy_max summaries and the
 /// energy_mean CI); v5 made median_ci_lo/median_ci_hi the exact bootstrap
-/// interval instead of a 2000-resample estimate of it.  Older manifests
+/// interval instead of a 2000-resample estimate of it; v6 dropped the
+/// `engine` field, since the engine is a sweep-wide setting that changes no
+/// result (the tag keeps its frozen "engine=auto" text).  Older manifests
 /// cannot round-trip byte-identically and are rejected with a friendly error.
-inline constexpr std::uint64_t kManifestVersion = 5;
+inline constexpr std::uint64_t kManifestVersion = 6;
 
 struct ManifestHeader {
   std::uint64_t version = kManifestVersion;

@@ -12,12 +12,11 @@ const std::vector<std::string>& report_columns() {
   static const std::vector<std::string> columns = {
       "index",        "protocol",     "n",
       "k",            "channels",     "pattern",
-      "engine",       "trials",       "failures",
-      "success_rate", "rounds_mean",  "mean_ci_lo",
-      "mean_ci_hi",   "rounds_median", "median_ci_lo",
-      "median_ci_hi", "rounds_p95",   "rounds_max",
-      "collisions_mean", "silences_mean", "bound",
-      "normalized_mean",
+      "trials",       "failures",     "success_rate",
+      "rounds_mean",  "mean_ci_lo",   "mean_ci_hi",
+      "rounds_median", "median_ci_lo", "median_ci_hi",
+      "rounds_p95",   "rounds_max",   "collisions_mean",
+      "silences_mean", "bound",       "normalized_mean",
       // Dynamic-traffic columns (zero for static cells).
       "arrival",      "horizon",      "throughput_mean",
       "jain_mean",    "latency_p50",  "latency_p95",
@@ -38,8 +37,8 @@ void apply_inflation_join(std::vector<CellRecord>& records) {
   for (CellRecord& record : records) {
     const Cell& cell = record.cell;
     const std::string clean_tag = cell_tag_text(
-        cell.protocol, cell.n, cell.k, cell.channels, cell.engine, cell.pattern, cell.trials,
-        cell.s, cell.dynamic ? cell.arrival.name() : "", cell.dynamic ? cell.horizon : 0);
+        cell.protocol, cell.n, cell.k, cell.channels, cell.pattern, cell.trials, cell.s,
+        cell.dynamic ? cell.arrival.name() : "", cell.dynamic ? cell.horizon : 0);
     const auto twin = by_tag.find(clean_tag);
     if (twin == by_tag.end()) continue;
     const CellRecord& clean = *twin->second;
@@ -66,7 +65,7 @@ void write_csv_report(const std::string& path, const std::vector<CellRecord>& re
   for (const CellRecord& r : records) {
     out << r.cell.index << ',' << util::csv_escape(r.cell.protocol) << ',' << r.cell.n << ','
         << r.cell.k << ',' << r.cell.channels << ',' << pattern_name(r.cell.pattern) << ','
-        << engine_name(r.cell.engine) << ',' << r.cell.trials << ',' << r.stats.failures << ','
+        << r.cell.trials << ',' << r.stats.failures << ','
         << json_double(r.stats.success_rate) << ',' << json_double(r.stats.rounds.mean) << ','
         << json_double(r.stats.mean_ci.lo) << ',' << json_double(r.stats.mean_ci.hi) << ','
         << json_double(r.stats.rounds.median) << ',' << json_double(r.stats.median_ci.lo) << ','

@@ -76,7 +76,6 @@ CellRecord run_cell_impl(const SweepSpec& spec, const Cell& cell, const SweepOpt
   run.base_seed = spec.base_seed;
   run.cell_tag = cell.tag_hash;
   run.sim = spec.sim;
-  run.sim.engine = cell.engine;
   run.impairment = cell.impairment;
   // Sweep cells account energy under the listen:all model.  Energy is pure
   // side-accounting (the trial seed streams and outcomes are untouched) and

@@ -79,18 +79,6 @@ bool is_mc_strategy(const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-std::string engine_name(sim::Engine engine) {
-  switch (engine) {
-    case sim::Engine::kAuto:
-      return "auto";
-    case sim::Engine::kInterpreter:
-      return "interpret";
-    case sim::Engine::kBatch:
-      return "batch";
-  }
-  return "?";
-}
-
 sim::Engine parse_engine(const std::string& label) {
   if (label == "auto") return sim::Engine::kAuto;
   if (label == "interpret") return sim::Engine::kInterpreter;
@@ -108,13 +96,15 @@ std::uint64_t tag_hash(const std::string& tag) {
 }
 
 std::string cell_tag_text(const std::string& protocol, std::uint32_t n, std::uint32_t k,
-                          std::uint32_t channels, sim::Engine engine, PatternKind pattern,
-                          std::uint64_t trials, mac::Slot s, const std::string& arrival,
-                          mac::Slot horizon, const std::string& impairment) {
+                          std::uint32_t channels, PatternKind pattern, std::uint64_t trials,
+                          mac::Slot s, const std::string& arrival, mac::Slot horizon,
+                          const std::string& impairment) {
   std::ostringstream tag;
+  // "engine=auto" is frozen text, not the sweep's engine: dropping it
+  // would re-seed every historical sweep and preset.
   tag << "protocol=" << protocol << ",n=" << n << ",k=" << k << ",c=" << channels
-      << ",pattern=" << pattern_name(pattern) << ",engine=" << engine_name(engine)
-      << ",trials=" << trials << ",s=" << s;
+      << ",pattern=" << pattern_name(pattern) << ",engine=auto,trials=" << trials
+      << ",s=" << s;
   if (!arrival.empty()) tag << ",arrival=" << arrival << ",horizon=" << horizon;
   if (!impairment.empty()) tag << ",impairment=" << impairment;
   return tag.str();
@@ -122,7 +112,7 @@ std::string cell_tag_text(const std::string& protocol, std::uint32_t n, std::uin
 
 std::vector<Cell> expand(const SweepSpec& spec) {
   if (spec.protocols.empty() || spec.ns.empty() || spec.ks.empty() || spec.channels.empty() ||
-      spec.engines.empty() || spec.patterns.empty()) {
+      spec.patterns.empty()) {
     throw std::invalid_argument("SweepSpec: every axis needs at least one value");
   }
   if (spec.trials == 0) throw std::invalid_argument("SweepSpec: trials must be >= 1");
@@ -215,6 +205,7 @@ std::vector<Cell> expand(const SweepSpec& spec) {
 
   // Validate names and capabilities before touching any cell, so a typo
   // fails in milliseconds instead of mid-overnight-sweep.
+  const bool wants_batch = spec.sim.engine == sim::Engine::kBatch;
   for (const std::string& name : spec.protocols) {
     if (is_mc_strategy(name)) continue;
     if (!proto::is_protocol_name(name)) {
@@ -225,9 +216,6 @@ std::vector<Cell> expand(const SweepSpec& spec) {
           " (see `wakeup_cli list`)");
     }
     const proto::ProtocolCapabilities caps = proto::protocol_capabilities(name);
-    const bool wants_batch =
-        std::find(spec.engines.begin(), spec.engines.end(), sim::Engine::kBatch) !=
-        spec.engines.end();
     if (wants_batch && !caps.oblivious) {
       throw std::invalid_argument(
           "protocol '" + name +
@@ -249,94 +237,56 @@ std::vector<Cell> expand(const SweepSpec& spec) {
   for (const std::uint32_t k : spec.ks) {
     if (k == 0) throw std::invalid_argument("SweepSpec: k must be >= 1");
   }
-  for (const std::string& name : spec.protocols) {
-    if (!is_mc_strategy(name)) continue;
-    if (name == "random_rpd") {
-      // Randomized channel hopper: fine under auto/interpret, not batch.
-      if (std::find(spec.engines.begin(), spec.engines.end(), sim::Engine::kBatch) !=
-          spec.engines.end()) {
-        throw std::invalid_argument(
-            "mc strategy 'random_rpd' is randomized — engine=batch cannot serve it");
-      }
-    }
+  // Randomized channel hopper: fine under auto/interpret, not batch.
+  if (wants_batch &&
+      std::find(spec.protocols.begin(), spec.protocols.end(), "random_rpd") !=
+          spec.protocols.end()) {
+    throw std::invalid_argument(
+        "mc strategy 'random_rpd' is randomized — engine=batch cannot serve it");
   }
 
   const bool wants_adversarial =
       std::find(spec.patterns.begin(), spec.patterns.end(), PatternKind::kAdversarial) !=
       spec.patterns.end();
-  if (wants_adversarial) {
-    const bool any_mc =
-        std::any_of(spec.protocols.begin(), spec.protocols.end(), is_mc_strategy) ||
-        std::any_of(spec.channels.begin(), spec.channels.end(),
-                    [](std::uint32_t c) { return c > 1; });
-    if (any_mc) {
-      throw std::invalid_argument(
-          "the adversarial pattern search is single-channel — drop channels > 1 and the "
-          "mc strategies from the grid, or pick a generator pattern");
-    }
+  if (wants_adversarial && grid_is_mc) {
+    throw std::invalid_argument(
+        "the adversarial pattern search is single-channel — drop channels > 1 and the "
+        "mc strategies from the grid, or pick a generator pattern");
   }
 
+  // One loop for both grid kinds: dynamic grids iterate the arrival axis
+  // where static grids iterate patterns (their channels axis is {1}).
+  const std::size_t shapes = dynamic ? spec.arrivals.size() : spec.patterns.size();
   std::vector<Cell> cells;
-  if (dynamic) {
-    // Dynamic grids: arrival-major in place of the pattern loop (channels
-    // is validated to {1} above).
-    for (const std::string& protocol : spec.protocols) {
-      for (const std::uint32_t n : spec.ns) {
-        for (const std::uint32_t k : spec.ks) {
-          if (k > n) continue;
-          for (const mac::ArrivalSpec& arrival : spec.arrivals) {
-            for (const sim::Engine engine : spec.engines) {
-              for (const mac::ImpairmentSpec& imp : impairments) {
-                Cell cell;
-                cell.protocol = protocol;
-                cell.n = n;
-                cell.k = k;
-                cell.channels = 1;
-                cell.engine = engine;
-                cell.trials = spec.trials;
-                cell.s = spec.s;
-                cell.dynamic = true;
-                cell.arrival = arrival;
-                cell.horizon = spec.horizon;
-                cell.impairment = imp;
-                cell.index = cells.size();
-                cell.tag = cell_tag_text(protocol, n, k, 1, engine, cell.pattern, spec.trials,
-                                         spec.s, arrival.name(), spec.horizon,
-                                         imp.clean() ? "" : imp.name());
-                cell.tag_hash = tag_hash(cell.tag);
-                cells.push_back(std::move(cell));
-              }
-            }
-          }
-        }
-      }
-    }
-    return cells;
-  }
   for (const std::string& protocol : spec.protocols) {
     for (const std::uint32_t n : spec.ns) {
       for (const std::uint32_t k : spec.ks) {
         if (k > n) continue;  // infeasible corner of a rectangular grid
         for (const std::uint32_t c : spec.channels) {
-          for (const PatternKind pattern : spec.patterns) {
-            for (const sim::Engine engine : spec.engines) {
-              for (const mac::ImpairmentSpec& imp : impairments) {
-                Cell cell;
-                cell.protocol = protocol;
-                cell.n = n;
-                cell.k = k;
-                cell.channels = c;
-                cell.engine = engine;
-                cell.pattern = pattern;
-                cell.trials = spec.trials;
-                cell.s = spec.s;
-                cell.impairment = imp;
-                cell.index = cells.size();
-                cell.tag = cell_tag_text(protocol, n, k, c, engine, pattern, spec.trials,
-                                         spec.s, "", 0, imp.clean() ? "" : imp.name());
-                cell.tag_hash = tag_hash(cell.tag);
-                cells.push_back(std::move(cell));
+          for (std::size_t shape = 0; shape < shapes; ++shape) {
+            for (const mac::ImpairmentSpec& imp : impairments) {
+              Cell cell;
+              cell.protocol = protocol;
+              cell.n = n;
+              cell.k = k;
+              cell.channels = c;
+              cell.engine = spec.sim.engine;
+              cell.trials = spec.trials;
+              cell.s = spec.s;
+              if (dynamic) {
+                cell.dynamic = true;
+                cell.arrival = spec.arrivals[shape];
+                cell.horizon = spec.horizon;
+              } else {
+                cell.pattern = spec.patterns[shape];
               }
+              cell.impairment = imp;
+              cell.index = cells.size();
+              cell.tag = cell_tag_text(protocol, n, k, c, cell.pattern, spec.trials, spec.s,
+                                       dynamic ? cell.arrival.name() : "", cell.horizon,
+                                       imp.clean() ? "" : imp.name());
+              cell.tag_hash = tag_hash(cell.tag);
+              cells.push_back(std::move(cell));
             }
           }
         }

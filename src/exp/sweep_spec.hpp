@@ -4,13 +4,15 @@
 /// Declarative sweep grids over the simulation facade.
 ///
 /// A `SweepSpec` names axes — protocol (registry name or multichannel
-/// strategy), n, k, channels, engine, wake-pattern generator — plus a trial
-/// count and base seed; `expand()` turns it into a deterministic,
+/// strategy), n, k, channels, wake-pattern generator — plus a trial count
+/// and base seed; `expand()` turns it into a deterministic,
 /// stably-ordered list of `Cell`s.  Each cell carries a canonical textual
 /// `tag` and its 64-bit FNV-1a hash, which becomes `sim::RunSpec::cell_tag`:
 /// every per-trial seed is a pure function of (base_seed, tag), so any
 /// subset of cells — a resumed run, a re-run of one interesting cell —
-/// reproduces the full sweep's results bit-identically.
+/// reproduces the full sweep's results bit-identically.  The engine is not
+/// an axis: it is how the whole sweep runs (`sim.engine`), and since every
+/// engine is bit-identical to the slot interpreter it changes no result.
 ///
 /// ```cpp
 /// exp::SweepSpec spec;
@@ -78,12 +80,11 @@ struct SweepSpec {
   std::vector<std::uint32_t> ns = {1024};
   std::vector<std::uint32_t> ks = {8};
   std::vector<std::uint32_t> channels = {1};
-  std::vector<sim::Engine> engines = {sim::Engine::kAuto};
   std::vector<PatternKind> patterns = {PatternKind::kUniform};
   mac::Slot s = 0;            ///< known start slot (Scenario A protocols)
   std::uint64_t trials = 64;  ///< Monte-Carlo trials per cell
   std::uint64_t base_seed = 1;
-  sim::SimConfig sim;         ///< budget/engine template; engine comes from the axis
+  sim::SimConfig sim;         ///< budget and engine of every cell (engine: not identity)
 
   /// Dynamic-traffic axis.  Non-empty switches the whole grid to sustained
   /// load: each cell realizes one ArrivalSpec over [0, horizon) per trial
@@ -111,6 +112,8 @@ struct Cell {
   std::uint32_t n = 0;
   std::uint32_t k = 0;
   std::uint32_t channels = 1;
+  /// Copy of the sweep's `sim.engine`, kept for perfbench/sweep.cpp's cell
+  /// replay; the library reads the spec's engine, never this field.
   sim::Engine engine = sim::Engine::kAuto;
   PatternKind pattern = PatternKind::kUniform;
   std::uint64_t trials = 0;
@@ -124,8 +127,8 @@ struct Cell {
   std::uint64_t tag_hash = 0; ///< FNV-1a of tag — sim::RunSpec::cell_tag
 };
 
-/// Engine axis spellings for tags and the CLI ("auto"/"interpret"/"batch").
-[[nodiscard]] std::string engine_name(sim::Engine engine);
+/// The CLI's engine spelling ("auto"/"interpret"/"batch"); throws
+/// std::invalid_argument listing the choices on an unknown label.
 [[nodiscard]] sim::Engine parse_engine(const std::string& label);
 
 /// FNV-1a 64-bit over the tag text — the cell_tag derivation.  Stable
@@ -134,24 +137,25 @@ struct Cell {
 
 /// The canonical tag of a cell identity (what `expand` stores): e.g.
 /// "protocol=wakeup_with_k,n=1024,k=8,c=1,pattern=uniform,engine=auto,trials=64,s=0".
-/// Dynamic cells append ",arrival=<spec>,horizon=<H>" (pass `arrival` as the
+/// The "engine=auto" segment is frozen text, whatever engine the sweep
+/// runs on: dropping it would re-seed every historical sweep.  Dynamic
+/// cells append ",arrival=<spec>,horizon=<H>" (pass `arrival` as the
 /// ArrivalSpec::name() text); impaired cells append ",impairment=<spec>"
 /// (pass the ImpairmentSpec::name() text, empty for clean).  Clean static
-/// tags are byte-identical to what every earlier release produced, so
-/// historical seeds stay stable.
+/// tags are byte-identical to what every earlier release produced at the
+/// default engine, so historical seeds stay stable.
 [[nodiscard]] std::string cell_tag_text(const std::string& protocol, std::uint32_t n,
                                         std::uint32_t k, std::uint32_t channels,
-                                        sim::Engine engine, PatternKind pattern,
-                                        std::uint64_t trials, mac::Slot s,
+                                        PatternKind pattern, std::uint64_t trials, mac::Slot s,
                                         const std::string& arrival = "", mac::Slot horizon = 0,
                                         const std::string& impairment = "");
 
 /// Validates the spec and expands it into the stably-ordered cell list
-/// (protocol-major, then n, k, channels, pattern, engine).  Throws
-/// std::invalid_argument with actionable messages on unknown protocol
-/// names (listing the registry), empty axes, or engine/capability
-/// conflicts (kBatch on a non-oblivious protocol); silently drops k > n
-/// combinations.
+/// (protocol-major, then n, k, channels, pattern or arrival, impairment).
+/// Throws std::invalid_argument with actionable messages on unknown
+/// protocol names (listing the registry), empty axes, or engine/capability
+/// conflicts (`sim.engine` kBatch on a non-oblivious protocol); silently
+/// drops k > n combinations.
 [[nodiscard]] std::vector<Cell> expand(const SweepSpec& spec);
 
 /// Order-sensitive fingerprint of an expanded grid + base seed.  The

@@ -160,7 +160,7 @@ TEST(SweepSpec, UnknownProtocolGetsAFriendlyError) {
 TEST(SweepSpec, BatchEngineOnNonObliviousProtocolRejectedUpFront) {
   auto spec = small_spec();
   spec.protocols = {"slotted_aloha"};
-  spec.engines = {ws::Engine::kBatch};
+  spec.sim.engine = ws::Engine::kBatch;
   EXPECT_THROW((void)we::expand(spec), std::invalid_argument);
 }
 
@@ -311,6 +311,28 @@ TEST(SweepSpec, GridFingerprintPinsSpecAndSeed) {
   auto bigger = small_spec();
   bigger.ks = {2, 4, 8};
   EXPECT_NE(we::grid_fingerprint(we::expand(bigger), 11), we::grid_fingerprint(cells, 11));
+}
+
+TEST(SweepSpec, EngineIsNotPartOfACellsIdentity) {
+  // The engine is how a sweep runs, not what a cell is: every engine yields
+  // the same tags (with the frozen "engine=auto" text), so the same seeds
+  // and grid fingerprint, and --resume works across --engine values.
+  auto spec = small_spec();
+  spec.impairments = {"none", "noise:iid:0.05"};
+  const auto reference = we::expand(spec);
+  for (const ws::Engine engine :
+       {ws::Engine::kAuto, ws::Engine::kInterpreter, ws::Engine::kBatch}) {
+    spec.sim.engine = engine;
+    const auto cells = we::expand(spec);
+    ASSERT_EQ(cells.size(), reference.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(cells[i].tag, reference[i].tag);
+      EXPECT_EQ(cells[i].tag_hash, reference[i].tag_hash);
+      EXPECT_NE(cells[i].tag.find(",engine=auto,"), std::string::npos) << cells[i].tag;
+    }
+    EXPECT_EQ(we::grid_fingerprint(cells, spec.base_seed),
+              we::grid_fingerprint(reference, spec.base_seed));
+  }
 }
 
 // ----------------------------------------------------------- aggregator --
@@ -477,7 +499,7 @@ TEST(Manifest, TornTailIsDroppedMidFileDamageThrows) {
 // ------------------------------------------------------------ run_sweep --
 
 TEST(SweepRunner, ResumeEqualsFreshByteIdentically) {
-  const auto spec = small_spec();
+  auto spec = small_spec();
   we::SweepOptions fresh;
   fresh.out_dir = fresh_dir("fresh");
   fresh.ci_resamples = 200;
@@ -485,26 +507,33 @@ TEST(SweepRunner, ResumeEqualsFreshByteIdentically) {
   ASSERT_TRUE(full.completed);
   EXPECT_EQ(full.cells_run, 8u);
 
-  we::SweepOptions interrupted;
-  interrupted.out_dir = fresh_dir("resumed");
-  interrupted.ci_resamples = 200;
-  interrupted.max_cells = 3;  // simulated mid-grid kill
-  const auto partial = we::run_sweep(spec, interrupted);
-  EXPECT_FALSE(partial.completed);
-  EXPECT_EQ(partial.cells_run, 3u);
-  EXPECT_EQ(partial.cells_remaining, 5u);
+  // The engine is no part of a cell's identity, so a run capped under the
+  // slot interpreter resumes under the default engine just the same.
+  for (const ws::Engine capped_engine : {ws::Engine::kAuto, ws::Engine::kInterpreter}) {
+    we::SweepOptions interrupted;
+    interrupted.out_dir =
+        fresh_dir("resumed_" + std::to_string(static_cast<int>(capped_engine)));
+    interrupted.ci_resamples = 200;
+    interrupted.max_cells = 3;  // simulated mid-grid kill
+    spec.sim.engine = capped_engine;
+    const auto partial = we::run_sweep(spec, interrupted);
+    EXPECT_FALSE(partial.completed);
+    EXPECT_EQ(partial.cells_run, 3u);
+    EXPECT_EQ(partial.cells_remaining, 5u);
 
-  interrupted.max_cells = 0;
-  interrupted.resume = true;
-  const auto resumed = we::run_sweep(spec, interrupted);
-  ASSERT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.cells_resumed, 3u);
-  EXPECT_EQ(resumed.cells_run, 5u);
+    interrupted.max_cells = 0;
+    interrupted.resume = true;
+    spec.sim.engine = ws::Engine::kAuto;
+    const auto resumed = we::run_sweep(spec, interrupted);
+    ASSERT_TRUE(resumed.completed);
+    EXPECT_EQ(resumed.cells_resumed, 3u);
+    EXPECT_EQ(resumed.cells_run, 5u);
 
-  EXPECT_EQ(slurp(full.csv_path), slurp(resumed.csv_path));
-  EXPECT_EQ(slurp(full.json_path), slurp(resumed.json_path));
-  EXPECT_EQ(sorted_manifest_records(full.manifest_path),
-            sorted_manifest_records(resumed.manifest_path));
+    EXPECT_EQ(slurp(full.csv_path), slurp(resumed.csv_path));
+    EXPECT_EQ(slurp(full.json_path), slurp(resumed.json_path));
+    EXPECT_EQ(sorted_manifest_records(full.manifest_path),
+              sorted_manifest_records(resumed.manifest_path));
+  }
 }
 
 TEST(SweepRunner, ResumeRepairsATornManifestTail) {
@@ -771,32 +800,37 @@ TEST(Manifest, RejectsPreDynamicVersionWithFriendlyError) {
   }
 }
 
-TEST(SweepRunner, ResumeOverAVersion4ManifestThrowsTheFriendlyError) {
-  // v4 manifests hold 2000-resample median CIs; v5 writes the exact ones,
-  // so resuming a v4 run would mix the two intervals in one report.
-  we::SweepOptions options;
-  options.out_dir = fresh_dir("resume_v4");
-  options.ci_resamples = 50;
-  options.max_cells = 2;
-  ASSERT_FALSE(we::run_sweep(small_spec(), options).completed);
-  const std::string path = options.out_dir + "/manifest.jsonl";
-  std::string text = slurp(path);
-  const std::string current = "\"version\":" + std::to_string(we::kManifestVersion) + ",";
-  const auto at = text.find(current);
-  ASSERT_NE(at, std::string::npos) << text.substr(0, text.find('\n'));
-  text.replace(at, current.size(), "\"version\":4,");
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+TEST(SweepRunner, ResumeOverAnOlderManifestThrowsTheFriendlyError) {
+  // v4 manifests hold 2000-resample median CIs and v5 lines carry an
+  // `engine` field; resuming either would mix two record layouts in one
+  // report.
+  for (const int version : {4, 5}) {
+    const std::string v = std::to_string(version);
+    we::SweepOptions options;
+    options.out_dir = fresh_dir("resume_v" + v);
+    options.ci_resamples = 50;
+    options.max_cells = 2;
+    ASSERT_FALSE(we::run_sweep(small_spec(), options).completed);
+    const std::string path = options.out_dir + "/manifest.jsonl";
+    std::string text = slurp(path);
+    const std::string current = "\"version\":" + std::to_string(we::kManifestVersion) + ",";
+    const auto at = text.find(current);
+    ASSERT_NE(at, std::string::npos) << text.substr(0, text.find('\n'));
+    text.replace(at, current.size(), "\"version\":" + v + ",");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 
-  options.resume = true;
-  options.max_cells = 0;
-  try {
-    (void)we::run_sweep(small_spec(), options);
-    FAIL() << "a v4 manifest must be refused on resume";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("v5 made the median CI exact"), std::string::npos) << what;
-    EXPECT_NE(what.find("re-run the sweep fresh"), std::string::npos) << what;
+    options.resume = true;
+    options.max_cells = 0;
+    try {
+      (void)we::run_sweep(small_spec(), options);
+      FAIL() << "a v" << v << " manifest must be refused on resume";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + v), std::string::npos) << what;
+      EXPECT_NE(what.find("v5 made the median CI exact"), std::string::npos) << what;
+      EXPECT_NE(what.find("v6 dropped the engine field"), std::string::npos) << what;
+      EXPECT_NE(what.find("re-run the sweep fresh"), std::string::npos) << what;
+    }
   }
 }
 
@@ -840,6 +874,31 @@ TEST(SweepRunner, DynamicSweepResumeEqualsFreshByteIdentically) {
   EXPECT_EQ(slurp(full.json_path), slurp(resumed.json_path));
   EXPECT_EQ(sorted_manifest_records(full.manifest_path),
             sorted_manifest_records(resumed.manifest_path));
+}
+
+TEST(SweepRunner, ReportsAreIdenticalUnderEveryEngine) {
+  // Engines are bit-identical trial for trial, and the engine is no part
+  // of a cell's identity, so forcing the slot interpreter writes the same
+  // report bytes as the default hybrid — on static, impaired and dynamic
+  // cells alike.
+  auto impaired = small_spec();
+  impaired.impairments = {"none", "noise:iid:0.05", "jam:budget:8:adversarial"};
+  const we::SweepSpec grids[] = {impaired, dynamic_spec()};
+  for (std::size_t g = 0; g < std::size(grids); ++g) {
+    std::vector<we::SweepOutcome> outcomes;
+    for (const ws::Engine engine : {ws::Engine::kInterpreter, ws::Engine::kAuto}) {
+      we::SweepSpec spec = grids[g];
+      spec.sim.engine = engine;
+      we::SweepOptions options;
+      options.out_dir = fresh_dir("engine_" + std::to_string(g) + "_" +
+                                  std::to_string(static_cast<int>(engine)));
+      options.ci_resamples = 100;
+      outcomes.push_back(we::run_sweep(spec, options));
+      ASSERT_TRUE(outcomes.back().completed);
+    }
+    EXPECT_EQ(slurp(outcomes[0].csv_path), slurp(outcomes[1].csv_path)) << "grid " << g;
+    EXPECT_EQ(slurp(outcomes[0].json_path), slurp(outcomes[1].json_path)) << "grid " << g;
+  }
 }
 
 TEST(SweepRunner, DynamicGridRejectsPerTrialCsv) {
@@ -930,8 +989,8 @@ TEST(SweepRunner, ReportBytesArePinned) {
   arrivals.trials = 8;
   arrivals.base_seed = 7;
   const Pinned pinned[] = {
-      {"smoke", smoke, 0xa3865b382a9b12a9ULL, 0xfa2b3cd2b8981beeULL},
-      {"arrivals", arrivals, 0x1834b1cc5b3d8922ULL, 0xe30b27754b0cdd60ULL},
+      {"smoke", smoke, 0x5994d9d7b1c6007bULL, 0xa03e39f5a699e31dULL},
+      {"arrivals", arrivals, 0x02cfd6e80663d96eULL, 0x28fb2a28ff058d27ULL},
   };
   for (const Pinned& p : pinned) {
     we::SweepOptions options;

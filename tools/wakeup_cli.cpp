@@ -125,7 +125,9 @@ sweep options:
                          product with clauses joined by '+', so
                          --noise=none,iid:0.05 --jam=none,budget:16 sweeps the
                          clean channel, each impairment alone, and both
-  --engine=<a,b,..>      auto|interpret|batch (axis)
+  --engine=<sel>         auto|interpret|batch: one engine for the whole sweep
+                         (default auto); engines are bit-identical, so it
+                         changes no result
   --trials=<int>         Monte-Carlo trials per cell
   --out=<dir>            output directory (manifest.jsonl, report.csv/json;
                          default sweep_out)
@@ -354,12 +356,7 @@ int cmd_sweep(const util::Args& args) {
       spec.patterns.push_back(exp::parse_pattern(label));
     }
   }
-  if (args.has("engine")) {
-    spec.engines.clear();
-    for (const auto& label : exp::split_list(args.get("engine"))) {
-      spec.engines.push_back(exp::parse_engine(label));
-    }
-  }
+  if (args.has("engine")) spec.sim.engine = exp::parse_engine(args.get("engine"));
   if (args.has("arrival")) spec.arrivals = exp::parse_arrival_axis(args.get("arrival"));
   if (args.has("noise") || args.has("jam") || args.has("faults")) {
     // Impairment axis: each flag carries a comma list of clause values; the
@@ -538,13 +535,6 @@ proto::ProtocolPtr build_protocol(proto::ProtocolSpec spec, std::uint64_t seed) 
   return proto::make_protocol_by_name(spec);
 }
 
-sim::Engine parse_engine(const std::string& label) {
-  if (label == "auto") return sim::Engine::kAuto;
-  if (label == "interpret") return sim::Engine::kInterpreter;
-  if (label == "batch") return sim::Engine::kBatch;
-  throw std::invalid_argument("unknown engine: " + label);
-}
-
 /// The --mc strategy over `channels` lanes; `inner` is the protocol the
 /// adapter embeds on channel 0 (and the n/k of the native strategies).
 proto::McProtocolPtr build_mc_protocol(const proto::ProtocolSpec& inner,
@@ -590,7 +580,7 @@ int cmd_run_traffic(const util::Args& args) {
   sim::RunSpec spec;
   spec.trials = trials;
   spec.base_seed = base_seed;
-  spec.sim.engine = parse_engine(args.get("engine", "auto"));
+  spec.sim.engine = exp::parse_engine(args.get("engine", "auto"));
   spec.sim.energy = parse_energy_flag(args);
   spec.impairment = parse_impairment_flags(args);
   spec.make_protocol = [pspec](std::uint64_t seed) { return build_protocol(pspec, seed); };
@@ -686,7 +676,7 @@ int cmd_run(const util::Args& args) {
   spec.base_seed = base_seed;
   spec.impairment = parse_impairment_flags(args);
   spec.sim.max_slots = args.get_int("max-slots", 0);
-  spec.sim.engine = parse_engine(args.get("engine", "auto"));
+  spec.sim.engine = exp::parse_engine(args.get("engine", "auto"));
   spec.sim.energy = parse_energy_flag(args);
   spec.sim.record_trace = trace_print || !trace_path.empty();
   spec.sim.record_transmitters = spec.sim.record_trace;
